@@ -7,6 +7,18 @@ differences composed with a convex increasing Phi), so projected descent
 converges; Nesterov-style momentum with adaptive restart plus a
 backtracking (halving) line search keeps the iteration count within the
 run-time budget at the default resolutions.
+
+Each solve builds one `_EnergyWorkspace`: preallocated buffers on which
+the forward difference with zero extension (`grid.forward_difference`, the
+one used by `grid.gradient` too) and its adjoint are taken by slice-wise
+subtraction, without `np.diff` temporaries.  Its `energy` and `grad` keep
+two different evaluation orders (raw differences for the energy,
+differences divided by h for the gradient), because each reproduces the
+rounding of the formulas the solver was tuned with and so keeps every
+iterate, iteration count and cached value unchanged bit for bit.  `grad`
+skips Phi unless the energy is asked for; the descent loop asks once.  A
+non-finite initial energy or gradient, or final value, raises
+`NumericalError`; it is checked once per solve, not per iteration.
 """
 
 from __future__ import annotations
@@ -19,8 +31,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
-from .errors import ConfigurationError
-from .grid import GridDomain, GridFunction, SetMask, ball_mask
+from .errors import ConfigurationError, NumericalError
+from .grid import (GridDomain, GridFunction, SetMask, backward_difference, ball_mask,
+                   forward_difference)
 from .young import YoungSpec, check_delta2, check_delta2_plus, eval_phi, eval_phi_prime, factored
 
 _RATIO_FLOOR = 1e-12  # clamp for phi(g)/g at the 0/0 singularity
@@ -63,29 +76,79 @@ def _require_delta2(spec: YoungSpec) -> None:
         raise ConfigurationError(f"{spec.tag} fails the doubling condition")
 
 
-def _energy(vals: np.ndarray, domain: GridDomain, spec: YoungSpec) -> float:
-    h = domain.h
-    g2 = np.zeros_like(vals)
-    for a in range(domain.n):
-        d = np.diff(vals, axis=a, append=0.0)
-        g2 += d * d
-    g = np.sqrt(g2) / h
-    return float(np.sum(domain.weights * eval_phi(spec, g)))
+class _EnergyWorkspace:
+    """Energy sum w Phi(|D+ v|) and its gradient, on buffers kept for one solve.
+
+    Holds one difference buffer per axis, two scratch arrays and the
+    gradient, so an evaluation allocates only what Phi and Phi' return.
+    The two entry points keep two different evaluation orders on purpose;
+    they round differently, and keeping each one keeps the descent iterates
+    unchanged bit for bit:
+
+    - `energy` takes sqrt(sum d*d) / h on the undivided differences d;
+    - `grad` divides each d by h first, then forms (w * Phi'(g) / g) * d and
+      takes its backward difference divided by h.
+    """
+
+    def __init__(self, domain: GridDomain, spec: YoungSpec):
+        self.spec = spec
+        self.h = domain.h
+        self.weights = domain.weights
+        self._diffs = [np.empty(domain.shape) for _ in range(domain.n)]
+        self._s = np.empty(domain.shape)
+        self._t = np.empty(domain.shape)
+        self._grad = np.empty(domain.shape)
+
+    def _weighted_phi_sum(self, g: np.ndarray) -> float:
+        phi = eval_phi(self.spec, g)
+        return float(np.sum(np.multiply(self.weights, phi, out=phi)))
+
+    def energy(self, v: np.ndarray) -> float:
+        s, t = self._s, self._t
+        for a in range(len(self._diffs)):
+            d = s if a == 0 else t
+            forward_difference(v, a, d)
+            np.multiply(d, d, out=d)
+            if a:
+                s += t
+        np.sqrt(s, out=s)
+        s /= self.h
+        return self._weighted_phi_sum(s)
+
+    def grad(self, v: np.ndarray, with_energy: bool = False):
+        """Gradient with respect to the node values; (energy, gradient) when
+        `with_energy`, else the gradient alone, without evaluating Phi.
+
+        The gradient is a workspace buffer: the next `grad` call overwrites it.
+        """
+        s, t, h, grad = self._s, self._t, self.h, self._grad
+        for a, d in enumerate(self._diffs):
+            forward_difference(v, a, d)
+            d /= h
+            np.multiply(d, d, out=s if a == 0 else t)
+            if a:
+                s += t
+        np.sqrt(s, out=s)
+        energy = self._weighted_phi_sum(s) if with_energy else None
+        np.maximum(s, _RATIO_FLOOR, out=s)
+        ratio = eval_phi_prime(self.spec, s)
+        ratio /= s
+        np.multiply(self.weights, ratio, out=ratio)
+        for a, d in enumerate(self._diffs):
+            np.multiply(ratio, d, out=d)
+            backward_difference(d, a, t)
+            t /= h
+            if a:
+                grad -= t
+            else:
+                np.subtract(0.0, t, out=grad)
+        return (energy, grad) if with_energy else grad
 
 
-def _energy_grad(vals: np.ndarray, domain: GridDomain, spec: YoungSpec):
-    """Energy and its gradient with respect to the node values."""
-    h = domain.h
-    diffs = [np.diff(vals, axis=a, append=0.0) / h for a in range(domain.n)]
-    g = np.sqrt(sum(d * d for d in diffs))
-    energy = float(np.sum(domain.weights * eval_phi(spec, g)))
-    gt = np.maximum(g, _RATIO_FLOOR)
-    ratio = eval_phi_prime(spec, gt) / gt
-    grad = np.zeros_like(vals)
-    for a, d in enumerate(diffs):
-        flux = domain.weights * ratio * d
-        grad -= np.diff(flux, axis=a, prepend=0.0) / h
-    return energy, grad
+def _step(x: np.ndarray, alpha: float, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x - alpha * g, written into `out` (which must not be x)."""
+    np.multiply(alpha, g, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
@@ -116,23 +179,33 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     else:
         u = project(np.where(mask, 1.0, 0.0))
 
-    e_u, g = _energy_grad(u, domain, spec)
+    work = _EnergyWorkspace(domain, spec)
+    e_u, g = work.grad(u, with_energy=True)
+    if not (math.isfinite(e_u) and np.isfinite(g).all()):
+        raise NumericalError(
+            f"{spec.tag}: non-finite initial energy {e_u} or gradient; "
+            "the lattice gradients leave the range where Phi is finite")
     history = [e_u]
     alpha = domain.h ** (2 - domain.n) / 8.0
-    y = u
-    u_prev = u
+    # u, u_prev, y and the trial point v occupy four buffers that the loop
+    # rotates, so an iteration allocates no lattice-sized array
+    y, u_prev, v = u.copy(), u.copy(), np.empty_like(u)
     t_k = 1.0
     streak = 0
     converged = False
     it = 0
     while it < max_iter:
         it += 1
-        v = project(y - alpha * g)
-        e_v = _energy(v, domain, spec)
+        v = project(_step(y, alpha, g, out=v))
+        e_v = work.energy(v)
         if e_v <= e_u:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-            y = v + ((t_k - 1.0) / t_next) * (v - u_prev)
-            u_prev, u, e_u, t_k = u, v, e_v, t_next
+            # y = v + beta * (v - u_prev), in that rounding order
+            np.subtract(v, u_prev, out=y)
+            np.multiply((t_k - 1.0) / t_next, y, out=y)
+            np.add(v, y, out=y)
+            u_prev, u, v = u, v, u_prev
+            e_u, t_k = e_v, t_next
             streak += 1
             if streak >= 10:
                 alpha *= 1.5
@@ -141,11 +214,11 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
             # momentum overshoot or step too long: restart at the incumbent
             t_k = 1.0
             streak = 0
-            _, g_u = _energy_grad(u, domain, spec)
+            g_u = work.grad(u)
             accepted = False
             while alpha > 1e-30:
-                v = project(u - alpha * g_u)
-                e_v = _energy(v, domain, spec)
+                v = project(_step(u, alpha, g_u, out=v))
+                e_v = work.energy(v)
                 if e_v <= e_u:
                     accepted = True
                     break
@@ -153,18 +226,21 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
             if not accepted:
                 converged = True  # stationary to machine precision
                 break
-            u_prev, u, e_u = u, v, e_v
-            y = u
+            u_prev, u, v = u, v, u_prev
+            e_u = e_v
+            np.copyto(y, u)
         history.append(e_u)
         if len(history) > window:
             drop = history[-window - 1] - history[-1]
             if drop < tol * max(history[-1], 1e-300):
                 converged = True
                 break
-        _, g = _energy_grad(y, domain, spec)
+        g = work.grad(y)
 
     u = project(u.copy())
-    value = _energy(u, domain, spec)
+    value = work.energy(u)
+    if not math.isfinite(value):
+        raise NumericalError(f"{spec.tag}: non-finite capacity energy {value}")
     final_drop = 0.0
     if len(history) > window:
         final_drop = (history[-window - 1] - history[-1]) / max(history[-1], 1e-300)

@@ -6,20 +6,25 @@ import pytest
 from orlicap import (
     CapacityCache,
     ConfigurationError,
+    NumericalError,
     ball_capacity_estimate,
     ball_mask,
     build_domain,
     capacity_ball_radial,
     capacity_variational,
     custom_table,
+    exp_log,
+    from_callable,
+    gradient,
     gradient_magnitude,
     integrate,
     power,
     power_log,
     riesz_capacity_variational,
 )
-from orlicap.grid import SetMask
-from orlicap.young import eval_phi
+from orlicap.capacity import _RATIO_FLOOR, _EnergyWorkspace
+from orlicap.grid import GridFunction, SetMask
+from orlicap.young import eval_phi, eval_phi_prime
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +197,93 @@ def test_nonconvergence_is_flagged(disc64):
     assert not res.converged
     # the reported value is still the energy of a feasible iterate
     assert res.value >= condenser_2d(0.25) * 0.9
+
+
+def test_non_finite_energy_raises(disc64):
+    # the lattice gradients of the indicator (about 1/h = 32) leave the table
+    t = np.geomspace(1e-8, 10, 200)
+    table = custom_table(np.column_stack([t, t ** 2]))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        capacity_variational(ball_mask(disc64, 0.25), table, disc64)
+
+
+# ---------------------------------------------------------------------------
+# energy/gradient workspace against the np.diff formulas it replaced
+# ---------------------------------------------------------------------------
+
+def reference_energy(vals, domain, spec):
+    h = domain.h
+    g2 = np.zeros_like(vals)
+    for a in range(domain.n):
+        d = np.diff(vals, axis=a, append=0.0)
+        g2 += d * d
+    g = np.sqrt(g2) / h
+    return float(np.sum(domain.weights * eval_phi(spec, g)))
+
+
+def reference_energy_grad(vals, domain, spec):
+    h = domain.h
+    diffs = [np.diff(vals, axis=a, append=0.0) / h for a in range(domain.n)]
+    g = np.sqrt(sum(d * d for d in diffs))
+    energy = float(np.sum(domain.weights * eval_phi(spec, g)))
+    gt = np.maximum(g, _RATIO_FLOOR)
+    ratio = eval_phi_prime(spec, gt) / gt
+    grad = np.zeros_like(vals)
+    for a, d in enumerate(diffs):
+        flux = domain.weights * ratio * d
+        grad -= np.diff(flux, axis=a, prepend=0.0) / h
+    return energy, grad
+
+
+def reference_gradient(vals, domain):
+    return np.stack([np.diff(vals, axis=a, append=0.0) / domain.h
+                     for a in range(domain.n)])
+
+
+KERNEL_SPECS = [power(2), power_log(2, 1), exp_log(2, 0.5)]
+
+
+# 48 nodes give h = 1/24, where dividing by h rounds; 64 and 32 give powers of 2
+@pytest.fixture(scope="module", params=[(2, 64), (3, 32), (2, 48)],
+                ids=["2d-64", "3d-32", "2d-48"])
+def lattice(request):
+    return build_domain(request.param[0], 1.0, request.param[1])
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.family)
+def test_workspace_matches_np_diff_bit_for_bit(lattice, spec):
+    rng = np.random.default_rng(11)
+    work = _EnergyWorkspace(lattice, spec)
+    for scale in (0.5, 1.5):
+        v = rng.uniform(-0.1, scale, lattice.shape)
+        v[lattice.boundary_band] = 0.0
+        e_ref, g_ref = reference_energy_grad(v, lattice, spec)
+        assert work.energy(v) == reference_energy(v, lattice, spec)
+        e, g = work.grad(v, with_energy=True)
+        assert e == e_ref
+        assert np.array_equal(g, g_ref)
+        assert np.array_equal(work.grad(v), g_ref)
+        assert np.array_equal(gradient(GridFunction(lattice, v)),
+                              reference_gradient(v, lattice))
+
+
+def smooth_bump(domain, center, width):
+    """C^2 bump supported in B(center, width), clear of the boundary band."""
+    def fn(x):
+        r2 = sum((xi - c) ** 2 for xi, c in zip(x, center)) / width ** 2
+        return np.maximum(1.0 - r2, 0.0) ** 3
+    vals = from_callable(domain, fn).values
+    assert not vals[domain.boundary_band].any()
+    return vals
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.family)
+def test_workspace_gradient_matches_central_difference(lattice, spec):
+    n = lattice.n
+    v = smooth_bump(lattice, (0.0,) * n, 0.6)
+    w = smooth_bump(lattice, (0.15,) + (-0.1,) * (n - 1), 0.4)
+    work = _EnergyWorkspace(lattice, spec)
+    eps = 1e-5
+    fd = (work.energy(v + eps * w) - work.energy(v - eps * w)) / (2.0 * eps)
+    exact = float(np.sum(work.grad(v) * w))
+    assert abs(fd - exact) <= 1e-5 * abs(exact)

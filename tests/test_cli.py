@@ -185,3 +185,17 @@ lambda_max_exp = 1
     assert main(["strong-type", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "strongtype.json").read_text())
     assert payload["verdict"]["conditions_ok"] is False  # log against log
+
+
+def test_non_finite_capacity_energy_exits_3(tmp_path):
+    # Phi = t^2 tabulated only up to t = 10, below the lattice gradients
+    t = np.geomspace(1e-8, 10, 200)
+    np.savetxt(tmp_path / "table.csv", np.column_stack([t, t ** 2]), delimiter=",")
+    cfg = write(tmp_path, BASE.replace("family = power\np = 2.0",
+                                       "family = custom_table\ntable = table.csv")
+                + "\n[capacity]\nr = 0.25\nradial_oracle = false\n")
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        code = main(["capacity", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    assert not (out / "capacity.json").exists()
