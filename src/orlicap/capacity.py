@@ -15,10 +15,15 @@ subtraction, without `np.diff` temporaries.  Its `energy` and `grad` keep
 two different evaluation orders (raw differences for the energy,
 differences divided by h for the gradient), because each reproduces the
 rounding of the formulas the solver was tuned with and so keeps every
-iterate, iteration count and cached value unchanged bit for bit.  `grad`
-skips Phi unless the energy is asked for; the descent loop asks once.  A
-non-finite initial energy or gradient, or final value, raises
-`NumericalError`; it is checked once per solve, not per iteration.
+iterate, iteration count and cached value unchanged bit for bit.  Phi and
+Phi' write into workspace buffers too (`out=` and `scratch=` of
+`young.eval_phi` / `eval_phi_prime`), so an energy or gradient evaluation
+allocates no lattice-sized array.  `grad` skips Phi unless the energy is
+asked for; the descent loop asks once.  A `custom_table` whose last knot
+lies below the initial iterate's largest lattice gradient raises
+`NumericalError` before Phi is evaluated there; so does any other
+non-finite initial energy or gradient, or final value.  These checks run
+once per solve, not per iteration.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ def _require_delta2(spec: YoungSpec) -> None:
 class _EnergyWorkspace:
     """Energy sum w Phi(|D+ v|) and its gradient, on buffers kept for one solve.
 
-    Holds one difference buffer per axis, two scratch arrays and the
-    gradient, so an evaluation allocates only what Phi and Phi' return.
+    Holds one difference buffer per axis, two arrays for |D+ v| and Phi or
+    Phi', the scratch pair that Phi and Phi' write their intermediates to,
+    and the gradient, so an evaluation allocates no lattice-sized array.
     The two entry points keep two different evaluation orders on purpose;
     they round differently, and keeping each one keeps the descent iterates
     unchanged bit for bit:
@@ -97,10 +103,11 @@ class _EnergyWorkspace:
         self._diffs = [np.empty(domain.shape) for _ in range(domain.n)]
         self._s = np.empty(domain.shape)
         self._t = np.empty(domain.shape)
+        self._scratch = np.empty((2,) + domain.shape)
         self._grad = np.empty(domain.shape)
 
     def _weighted_phi_sum(self, g: np.ndarray) -> float:
-        phi = eval_phi(self.spec, g)
+        phi = eval_phi(self.spec, g, out=self._t, scratch=self._scratch)
         return float(np.sum(np.multiply(self.weights, phi, out=phi)))
 
     def energy(self, v: np.ndarray) -> float:
@@ -115,25 +122,34 @@ class _EnergyWorkspace:
         s /= self.h
         return self._weighted_phi_sum(s)
 
-    def grad(self, v: np.ndarray, with_energy: bool = False):
-        """Gradient with respect to the node values; (energy, gradient) when
-        `with_energy`, else the gradient alone, without evaluating Phi.
-
-        The gradient is a workspace buffer: the next `grad` call overwrites it.
-        """
-        s, t, h, grad = self._s, self._t, self.h, self._grad
+    def _gradient_norm(self, v: np.ndarray) -> np.ndarray:
+        """|D+ v| in the gradient's order, in the s buffer; the per-axis
+        buffers keep the differences divided by h."""
+        s, t, h = self._s, self._t, self.h
         for a, d in enumerate(self._diffs):
             forward_difference(v, a, d)
             d /= h
             np.multiply(d, d, out=s if a == 0 else t)
             if a:
                 s += t
-        np.sqrt(s, out=s)
+        return np.sqrt(s, out=s)
+
+    def max_gradient(self, v: np.ndarray) -> float:
+        """Largest |D+ v|, the argument `grad(v)` would give Phi and Phi'."""
+        return float(self._gradient_norm(v).max())
+
+    def grad(self, v: np.ndarray, with_energy: bool = False):
+        """Gradient with respect to the node values; (energy, gradient) when
+        `with_energy`, else the gradient alone, without evaluating Phi.
+
+        The gradient is a workspace buffer: the next `grad` call overwrites it.
+        """
+        s, t, h, grad = self._gradient_norm(v), self._t, self.h, self._grad
         energy = self._weighted_phi_sum(s) if with_energy else None
         np.maximum(s, _RATIO_FLOOR, out=s)
-        ratio = eval_phi_prime(self.spec, s)
+        ratio = eval_phi_prime(self.spec, s, out=t, scratch=self._scratch)
         ratio /= s
-        np.multiply(self.weights, ratio, out=ratio)
+        ratio = np.multiply(self.weights, ratio, out=s)  # frees t for the loop
         for a, d in enumerate(self._diffs):
             np.multiply(ratio, d, out=d)
             backward_difference(d, a, t)
@@ -180,6 +196,13 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
         u = project(np.where(mask, 1.0, 0.0))
 
     work = _EnergyWorkspace(domain, spec)
+    if spec.family == "custom_table":
+        # Phi is +inf past the last knot: fail before evaluating it there
+        g_max, t_last = work.max_gradient(u), spec.table[-1][0]
+        if g_max > t_last:
+            raise NumericalError(
+                f"{spec.tag}: the initial lattice gradient reaches {g_max!r}, "
+                f"past the table's last knot {t_last!r}")
     e_u, g = work.grad(u, with_energy=True)
     if not (math.isfinite(e_u) and np.isfinite(g).all()):
         raise NumericalError(

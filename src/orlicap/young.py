@@ -117,91 +117,164 @@ def load_table_csv(path) -> YoungSpec:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _table_eval(spec: YoungSpec, t: np.ndarray) -> np.ndarray:
+def _knots(spec: YoungSpec):
+    """Table abscissae and values, without a knot at t = 0."""
+    ts = np.array([k[0] for k in spec.table])
+    vs = np.array([k[1] for k in spec.table])
+    if ts[0] == 0.0:
+        ts, vs = ts[1:], vs[1:]
+    return ts, vs
+
+
+def _table_eval(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
+                tmp: np.ndarray) -> np.ndarray:
     """Log-linear interpolation between knots; +inf beyond the table.
 
     Values below the first knot scale linearly through (0, 0) so that the
     interpolant is still a function vanishing at zero.
     """
-    ts = np.array([k[0] for k in spec.table])
-    vs = np.array([k[1] for k in spec.table])
-    if ts[0] == 0.0:
-        ts, vs = ts[1:], vs[1:]
-    out = np.empty_like(t, dtype=float)
-    below = t < ts[0]
-    above = t > ts[-1]
-    mid = ~(below | above)
-    out[below] = vs[0] * t[below] / ts[0]
-    out[above] = np.inf
-    out[mid] = np.exp(np.interp(t[mid], ts, np.log(vs)))
+    ts, vs = _knots(spec)
+    np.exp(np.interp(t, ts, np.log(vs)), out=out)
+    below = np.divide(np.multiply(vs[0], t, out=tmp), ts[0], out=tmp)
+    np.copyto(out, below, where=t < ts[0])
+    np.copyto(out, np.inf, where=t > ts[-1])
     return out
 
 
-def _table_prime(spec: YoungSpec, t: np.ndarray) -> np.ndarray:
-    ts = np.array([k[0] for k in spec.table])
-    vs = np.array([k[1] for k in spec.table])
-    if ts[0] == 0.0:
-        ts, vs = ts[1:], vs[1:]
-    logv = np.log(vs)
-    slopes = np.diff(logv) / np.diff(ts)
+def _table_prime(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    ts, vs = _knots(spec)
+    slopes = np.diff(np.log(vs)) / np.diff(ts)
     idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1)
-    out = _table_eval(spec, t) * slopes[idx]
-    below = t < ts[0]
-    out[below] = vs[0] / ts[0]
-    out[t > ts[-1]] = np.inf
+    np.multiply(_table_eval(spec, t, out, tmp), slopes[idx], out=out)
+    np.copyto(out, vs[0] / ts[0], where=t < ts[0])
+    np.copyto(out, np.inf, where=t > ts[-1])
     return out
 
 
-def eval_phi(spec: YoungSpec, t):
-    """Value of the Young function at t >= 0 (scalar or array)."""
+def _power(x: np.ndarray, e: float, out: np.ndarray):
+    """x ** e bit for bit, written into `out`; x itself when e == 1 and None
+    (an exact factor 1) when e == 0, so those two cost no pass."""
+    if e == 1.0:
+        return x
+    if e == 0.0:
+        return None
+    return np.power(x, e, out=out)
+
+
+def _times(a: np.ndarray, b, out: np.ndarray) -> np.ndarray:
+    """a * b written into `out`, or a itself when b is None (an exact 1)."""
+    return a if b is None else np.multiply(a, b, out=out)
+
+
+def _argument(t, message: str):
+    """t as a float array of at least one dimension, whether t was a scalar,
+    and its smallest entry (NaN if it holds one, 0 if it is empty).
+
+    Raises ValueError with `message` on a negative entry; the reduction
+    makes no temporary array.
+    """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("Young functions are evaluated on t >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    lo = arr.min() if arr.size else 0.0
+    if lo < 0:
+        raise ValueError(message)
+    return np.atleast_1d(arr), arr.ndim == 0, lo
+
+
+def _buffers(spec: YoungSpec, arr: np.ndarray, out, scratch):
+    """The caller's `out` and `scratch`, or new arrays where they are None
+    (no scratch for the power family, which needs none)."""
+    if out is None:
+        out = np.empty_like(arr)
+    if scratch is None and spec.family != "power":
+        scratch = np.empty((2,) + arr.shape)
+    return out, scratch
+
+
+def eval_phi(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
+    """Value of the Young function at t >= 0 (scalar or array).
+
+    `out`, if given, is an array shaped like t that shares no memory with
+    it; the value is written there and `out` is returned.  `scratch`, if
+    given, is a pair of further such arrays that the families other than
+    `power` overwrite with intermediates.  Left as None, each is allocated,
+    so a scalar t gives a float and an array t a new array.  The result is
+    the same bit for bit with or without them.
+    """
+    arr, scalar, _ = _argument(t, "Young functions are evaluated on t >= 0")
+    out, scratch = _buffers(spec, arr, out, scratch)
+    p, th, ga = spec.p, spec.theta, spec.gamma
     with np.errstate(over="ignore"):
         if spec.family == "power":
-            out = arr ** spec.p
+            np.power(arr, p, out=out)
         elif spec.family == "power_log":
-            out = arr ** spec.p * np.log(np.e + arr) ** spec.theta
+            L = np.log(np.add(np.e, arr, out=scratch[0]), out=scratch[0])
+            _times(np.power(arr, p, out=out), _power(L, th, L), out)
         elif spec.family == "exp_log":
-            out = arr ** spec.p * np.exp(np.log(np.e + arr) ** spec.theta)
+            L = np.log(np.add(np.e, arr, out=scratch[0]), out=scratch[0])
+            np.multiply(np.power(arr, p, out=out),
+                        np.exp(np.power(L, th, out=L), out=L), out=out)
         elif spec.family == "exp_loglog":
-            m = np.log(spec.c0 + arr)
-            out = arr ** spec.p * m ** spec.theta * np.exp(np.log(m) ** spec.gamma)
+            m = np.log(np.add(spec.c0, arr, out=scratch[0]), out=scratch[0])
+            _times(np.power(arr, p, out=out), _power(m, th, scratch[1]), out)
+            g = np.log(m, out=m)
+            out *= np.exp(np.power(g, ga, out=g), out=g)
         else:
-            out = _table_eval(spec, arr)
+            _table_eval(spec, arr, out, scratch[0])
     return float(out[0]) if scalar else out
 
 
-def eval_phi_prime(spec: YoungSpec, t):
-    """Closed-form derivative (the density of the Young function)."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("the density is evaluated on t >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+def eval_phi_prime(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
+    """Closed-form derivative (the density of the Young function).
+
+    `out` and `scratch` are as for `eval_phi`, and so is the result.
+    """
+    arr, scalar, lo = _argument(t, "the density is evaluated on t >= 0")
+    out, scratch = _buffers(spec, arr, out, scratch)
     p, th, ga = spec.p, spec.theta, spec.gamma
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.family == "power":
-            out = p * arr ** (p - 1.0)
+            np.multiply(p, _power(arr, p - 1.0, out), out=out)
         elif spec.family == "power_log":
-            L = np.log(np.e + arr)
-            out = arr ** (p - 1.0) * L ** (th - 1.0) * (p * L + th * arr / (np.e + arr))
+            # t^(p-1) * L^(th-1) * (p L + th t / (e + t)), L = log(e + t);
+            # the last factor goes into out first
+            s1, s2 = scratch
+            D = np.add(np.e, arr, out=s1)
+            np.divide(np.multiply(th, arr, out=out), D, out=out)
+            L = np.log(D, out=s1)
+            np.add(np.multiply(p, L, out=s2), out, out=out)
+            out *= _times(_power(arr, p - 1.0, s2), _power(L, th - 1.0, L), s2)
         elif spec.family == "exp_log":
-            L = np.log(np.e + arr)
-            out = (np.exp(L ** th) * arr ** (p - 1.0)
-                   * (p + th * arr * L ** (th - 1.0) / (np.e + arr)))
+            # exp(L^th) * t^(p-1) * (p + th t L^(th-1) / (e + t))
+            s1, s2 = scratch
+            L = np.log(np.add(np.e, arr, out=s1), out=s1)
+            np.multiply(np.multiply(th, arr, out=out), np.power(L, th - 1.0, out=s2),
+                        out=out)
+            np.divide(out, np.add(np.e, arr, out=s2), out=out)
+            np.add(p, out, out=out)
+            E = np.exp(np.power(L, th, out=L), out=L)
+            out *= np.multiply(E, _power(arr, p - 1.0, s2), out=E)
         elif spec.family == "exp_loglog":
-            m = np.log(spec.c0 + arr)
-            g = np.log(m)
-            extra = th / ((spec.c0 + arr) * m)
+            # t^(p-1) * m^th * exp(g^ga) * (p + t * extra), m = log(c0 + t),
+            # g = log(m); the first three factors go into out first
+            s1, s2 = scratch
+            m = np.log(np.add(spec.c0, arr, out=s1), out=s1)
+            head = _times(_power(arr, p - 1.0, out), _power(m, th, s2), out)
+            np.multiply(head, np.exp(np.power(np.log(m, out=s2), ga, out=s2), out=s2),
+                        out=out)
+            B = np.multiply(np.add(spec.c0, arr, out=s2), m, out=s2)  # (c0 + t) m
             if ga > 0:
-                extra = extra + ga * g ** (ga - 1.0) / ((spec.c0 + arr) * m)
-            out = arr ** (p - 1.0) * m ** th * np.exp(g ** ga) * (p + arr * extra)
+                g = np.log(m, out=s1)
+                term = np.divide(np.multiply(ga, np.power(g, ga - 1.0, out=g), out=g),
+                                 B, out=g)
+                extra = np.add(np.divide(th, B, out=B), term, out=B)
+            else:
+                extra = np.divide(th, B, out=B)
+            out *= np.add(p, np.multiply(arr, extra, out=extra), out=extra)
         else:
-            out = _table_prime(spec, arr)
-    out = np.where(arr == 0.0, 0.0, out)
+            _table_prime(spec, arr, out, scratch[0])
+    if not lo > 0:
+        np.copyto(out, 0.0, where=arr == 0.0)
     return float(out[0]) if scalar else out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,12 +200,28 @@ def test_nonconvergence_is_flagged(disc64):
     assert res.value >= condenser_2d(0.25) * 0.9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_energy_raises(disc64):
-    # the lattice gradients of the indicator (about 1/h = 32) leave the table
+    # the lattice gradients of the indicator (up to sqrt(2)/h = 45.25) leave
+    # the table; the solve stops before Phi is evaluated there, so numpy
+    # warns of nothing
     t = np.geomspace(1e-8, 10, 200)
     table = custom_table(np.column_stack([t, t ** 2]))
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+    with pytest.raises(NumericalError,
+                       match=r"reaches 45\.2548\d*, past the table's last knot 10\.0"):
         capacity_variational(ball_mask(disc64, 0.25), table, disc64)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_covering_the_gradients_solves(disc64):
+    # the same Phi = t^2, tabulated past the largest lattice gradient
+    t = np.geomspace(1e-8, 100, 400)
+    table = custom_table(np.column_stack([t, t ** 2]))
+    E = ball_mask(disc64, 0.25)
+    res = capacity_variational(E, table, disc64)
+    assert res.converged
+    assert res.value == pytest.approx(capacity_variational(E, power(2), disc64).value,
+                                      rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +282,28 @@ def test_workspace_matches_np_diff_bit_for_bit(lattice, spec):
         assert np.array_equal(work.grad(v), g_ref)
         assert np.array_equal(gradient(GridFunction(lattice, v)),
                               reference_gradient(v, lattice))
+
+
+@pytest.mark.parametrize("spec", [power(2), power_log(2, 1)], ids=lambda s: s.family)
+def test_workspace_allocates_no_lattice_array(spec):
+    lattice = build_domain(3, 1.0, 32)
+    v = np.random.default_rng(5).uniform(0.0, 1.0, lattice.shape)
+    v[lattice.boundary_band] = 0.0
+    work = _EnergyWorkspace(lattice, spec)
+
+    def evaluate():
+        work.energy(v)
+        work.grad(v)
+        work.grad(v, with_energy=True)
+
+    evaluate()  # warm-up
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes
 
 
 def smooth_bump(domain, center, width):

@@ -187,6 +187,7 @@ lambda_max_exp = 1
     assert payload["verdict"]["conditions_ok"] is False  # log against log
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_capacity_energy_exits_3(tmp_path):
     # Phi = t^2 tabulated only up to t = 10, below the lattice gradients
     t = np.geomspace(1e-8, 10, 200)
@@ -195,7 +196,6 @@ def test_non_finite_capacity_energy_exits_3(tmp_path):
                                        "family = custom_table\ntable = table.csv")
                 + "\n[capacity]\nr = 0.25\nradial_oracle = false\n")
     out = tmp_path / "out"
-    with np.errstate(invalid="ignore"):
-        code = main(["capacity", "--config", str(cfg), "--out", str(out)])
+    code = main(["capacity", "--config", str(cfg), "--out", str(out)])
     assert code == 3
     assert not (out / "capacity.json").exists()

@@ -325,3 +325,110 @@ def test_report_is_deterministic():
     a = check_delta2(power_log(2, 1))
     b = check_delta2(power_log(2, 1))
     assert a.c_emp == b.c_emp and a.worst_point == b.worst_point
+
+
+# ---------------------------------------------------------------------------
+# evaluation into caller-supplied buffers
+# ---------------------------------------------------------------------------
+
+def reference_phi(spec, arr):
+    """The allocating formulas that `eval_phi` must reproduce bit for bit."""
+    p, th, ga = spec.p, spec.theta, spec.gamma
+    if spec.family == "power":
+        return arr ** p
+    if spec.family == "power_log":
+        return arr ** p * np.log(np.e + arr) ** th
+    if spec.family == "exp_log":
+        return arr ** p * np.exp(np.log(np.e + arr) ** th)
+    if spec.family == "exp_loglog":
+        m = np.log(spec.c0 + arr)
+        return arr ** p * m ** th * np.exp(np.log(m) ** ga)
+    ts, vs = (np.array(k) for k in zip(*spec.table))
+    out = np.empty_like(arr)
+    below, above = arr < ts[0], arr > ts[-1]
+    mid = ~(below | above)
+    out[below] = vs[0] * arr[below] / ts[0]
+    out[above] = np.inf
+    out[mid] = np.exp(np.interp(arr[mid], ts, np.log(vs)))
+    return out
+
+
+def reference_phi_prime(spec, arr):
+    """The allocating formulas that `eval_phi_prime` must reproduce bit for bit."""
+    p, th, ga = spec.p, spec.theta, spec.gamma
+    if spec.family == "power":
+        out = p * arr ** (p - 1.0)
+    elif spec.family == "power_log":
+        L = np.log(np.e + arr)
+        out = arr ** (p - 1.0) * L ** (th - 1.0) * (p * L + th * arr / (np.e + arr))
+    elif spec.family == "exp_log":
+        L = np.log(np.e + arr)
+        out = (np.exp(L ** th) * arr ** (p - 1.0)
+               * (p + th * arr * L ** (th - 1.0) / (np.e + arr)))
+    elif spec.family == "exp_loglog":
+        m = np.log(spec.c0 + arr)
+        g = np.log(m)
+        extra = th / ((spec.c0 + arr) * m)
+        if ga > 0:
+            extra = extra + ga * g ** (ga - 1.0) / ((spec.c0 + arr) * m)
+        out = arr ** (p - 1.0) * m ** th * np.exp(g ** ga) * (p + arr * extra)
+    else:
+        ts, vs = (np.array(k) for k in zip(*spec.table))
+        slopes = np.diff(np.log(vs)) / np.diff(ts)
+        idx = np.clip(np.searchsorted(ts, arr, side="right") - 1, 0, len(slopes) - 1)
+        out = reference_phi(spec, arr) * slopes[idx]
+        out[arr < ts[0]] = vs[0] / ts[0]
+        out[arr > ts[-1]] = np.inf
+    return np.where(arr == 0.0, 0.0, out)
+
+
+_KNOTS = np.geomspace(1e-8, 10, 200)
+
+# power(2) and power_log(2, 1) reach the exponent-1 and exponent-0 shortcuts
+# (t^1, L^1, L^0); the others take np.power throughout
+EVAL_SPECS = [
+    power(2),
+    power(3.5),
+    power_log(2, 1),
+    power_log(3, 2),
+    power_log(2, 0.5),
+    exp_log(2, 0.5),
+    exp_loglog(2, 1, 0.0),
+    exp_loglog(3, 1.5, 0.5),
+    custom_table(np.column_stack([_KNOTS, _KNOTS ** 2])),
+]
+
+
+@pytest.mark.parametrize("evaluate,reference", [(eval_phi, reference_phi),
+                                                (eval_phi_prime, reference_phi_prime)],
+                         ids=["phi", "phi_prime"])
+@pytest.mark.parametrize("spec", EVAL_SPECS, ids=lambda s: s.tag)
+def test_eval_into_out_is_bit_identical(spec, evaluate, reference):
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0, 1e-12, 1.0, 10.0], np.geomspace(1e-12, 1e6, 400),
+                        rng.uniform(0.0, 60.0, 400)]).reshape(12, 67)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference(spec, t)
+    fresh = evaluate(spec, t)
+    out = np.full_like(t, np.nan)
+    into = evaluate(spec, t, out=out, scratch=np.full((2,) + t.shape, np.nan))
+    assert into is out
+    for got in (fresh, into):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("evaluate", [eval_phi, eval_phi_prime], ids=["phi", "phi_prime"])
+@pytest.mark.parametrize("spec", [power(2), power_log(2, 1)], ids=lambda s: s.tag)
+def test_eval_out_api(spec, evaluate):
+    t = np.array([0.0, 0.5, 2.0])
+    out = np.empty(3)
+    assert evaluate(spec, t, out=out) is out
+    with pytest.raises(ValueError):
+        evaluate(spec, np.array([1.0, -1e-300, 2.0]), out=out)
+    with pytest.raises(ValueError):
+        evaluate(spec, -1.0)
+    value = evaluate(spec, 2.0)
+    assert type(value) is float and value == out[2]
+    # NaN is not negative: it propagates, as it did before
+    assert np.isnan(evaluate(spec, np.array([np.nan, 1.0]))[0])
+    assert evaluate(spec, np.empty(0)).shape == (0,)
