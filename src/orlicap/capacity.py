@@ -8,10 +8,11 @@ converges; Nesterov-style momentum with adaptive restart plus a
 backtracking (halving) line search keeps the iteration count within the
 run-time budget at the default resolutions.
 
-Each solve builds one `_EnergyWorkspace`: preallocated buffers on which
-the forward difference with zero extension (`grid.forward_difference`, the
-one used by `grid.gradient` too) and its adjoint are taken by slice-wise
-subtraction, without `np.diff` temporaries.  Its `energy` and `grad` keep
+Each solve builds one `_EnergyWorkspace`: preallocated C-contiguous
+buffers on which the forward difference with zero extension
+(`grid.forward_difference`, the one used by `grid.gradient` too) and its
+adjoint are each one contiguous subtraction at the axis's flat offset plus
+one boundary slab, without `np.diff` temporaries or strided passes.  Its `energy` and `grad` keep
 two different evaluation orders (raw differences for the energy,
 differences divided by h for the gradient), because each reproduces the
 rounding of the formulas the solver was tuned with and so keeps every
@@ -87,8 +88,10 @@ class _EnergyWorkspace:
     Holds one difference buffer per axis, two arrays for |D+ v| and Phi or
     Phi', the scratch pair that Phi and Phi' write their intermediates to,
     and the gradient, so an evaluation allocates no lattice-sized array.
-    The two entry points keep two different evaluation orders on purpose;
-    they round differently, and keeping each one keeps the descent iterates
+    All are C-contiguous, as the difference kernels require of `v` too.
+    Squares are taken by np.square, which gives the bits of d * d.  The two
+    entry points keep two different evaluation orders on purpose; they
+    round differently, and keeping each one keeps the descent iterates
     unchanged bit for bit:
 
     - `energy` takes sqrt(sum d*d) / h on the undivided differences d;
@@ -115,7 +118,7 @@ class _EnergyWorkspace:
         for a in range(len(self._diffs)):
             d = s if a == 0 else t
             forward_difference(v, a, d)
-            np.multiply(d, d, out=d)
+            np.square(d, out=d)
             if a:
                 s += t
         np.sqrt(s, out=s)
@@ -129,7 +132,7 @@ class _EnergyWorkspace:
         for a, d in enumerate(self._diffs):
             forward_difference(v, a, d)
             d /= h
-            np.multiply(d, d, out=s if a == 0 else t)
+            np.square(d, out=s if a == 0 else t)
             if a:
                 s += t
         return np.sqrt(s, out=s)
@@ -191,7 +194,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
         return v
 
     if warm_start is not None and warm_start.shape == domain.shape:
-        u = project(warm_start.astype(float, copy=True))
+        u = project(warm_start.astype(float, order="C", copy=True))
     else:
         u = project(np.where(mask, 1.0, 0.0))
 

@@ -28,7 +28,7 @@ from .capacity import (
     riesz_capacity_variational,
 )
 from .errors import ConfigurationError, NumericalError
-from .grid import ball_mask, build_domain, save_csv
+from .grid import GridDomain, ball_mask, build_domain, save_csv
 from .norms import luxemburg_norm, modular
 from .strongtype import (
     TestFunctionSpec,
@@ -150,6 +150,19 @@ def _young_from(section: dict, base_dir: Path) -> YoungSpec:
     return YoungSpec(family, **kw)
 
 
+def _require_table_range(spec: YoungSpec, dom: GridDomain) -> None:
+    """Reject a custom_table that ends below 1/h before a variational solve.
+
+    The indicator of any nonempty mask, where a cold solve starts, has a
+    lattice gradient of at least 1/h, so such a table cannot hold it.
+    """
+    if spec.family == "custom_table" and spec.table[-1][0] < 1.0 / dom.h:
+        raise ConfigurationError(
+            f"{spec.tag}: the last knot {spec.table[-1][0]!r} lies below "
+            f"1/h = {1.0 / dom.h!r}, the smallest lattice gradient a capacity "
+            "solve starts from")
+
+
 def _psi_from(cfg: dict, phi_spec: YoungSpec, base_dir: Path):
     section = dict(cfg["psi"])
     mode = section.pop("mode", "derived")
@@ -260,6 +273,7 @@ def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
         params = config["capacity"]
         E = ball_mask(dom, params["r"])
         if params["method"] == "variational":
+            _require_table_range(phi_spec, dom)
             res = capacity_variational(E, phi_spec, dom)
         elif params["method"] == "riesz":
             res = riesz_capacity_variational(E, phi_spec, dom)
@@ -282,6 +296,7 @@ def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
     elif scenario == "strong-type":
         dom = build_domain(config["domain"]["n"], config["domain"]["r"],
                            config["domain"]["resolution"])
+        _require_table_range(phi_spec, dom)
         psi = _psi_from(config, phi_spec, base_dir)
         params = config["strong-type"]
         suite = _parse_functions(params["functions"], seed)
@@ -312,6 +327,7 @@ def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
     elif scenario == "averages":
         dom = build_domain(config["domain"]["n"], config["domain"]["r"],
                            config["domain"]["resolution"])
+        _require_table_range(phi_spec, dom)
         psi = _psi_from(config, phi_spec, base_dir)
         params = config["averages"]
         suite = _parse_functions(params["functions"], seed)

@@ -9,6 +9,7 @@ produce inside the ball.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -127,35 +128,61 @@ def ball_mask(domain: GridDomain, r: float, center=None) -> SetMask:
     return SetMask(domain, dist <= r)
 
 
+def _flat_pair(vals: np.ndarray, out: np.ndarray, axis: int):
+    """Raveled views of `vals` and `out` and the flat offset of one step
+    along `axis`; ValueError unless both are C-contiguous and of one shape,
+    since only then are the ravels views whose offset is that step."""
+    if vals.shape != out.shape:
+        raise ValueError(f"out has shape {out.shape}, vals {vals.shape}")
+    if not (vals.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("vals and out must be C-contiguous")
+    return vals.reshape(-1), out.reshape(-1), math.prod(vals.shape[axis + 1:])
+
+
+def _slab(axis: int, index: int) -> tuple:
+    """Index of the slab at `index` (0 or -1) along `axis`, kept as an array."""
+    return (slice(None),) * axis + (slice(index, index + 1 or None),)
+
+
 def forward_difference(vals: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """Undivided forward difference with zero extension, written into `out`.
 
-    Equal bit for bit to np.diff(vals, axis=axis, append=0.0), without its
+    `vals` and `out` must be C-contiguous arrays of one shape that share no
+    memory.  One contiguous subtraction at the axis's flat offset k covers
+    every node; the last slab along the axis, where that pairs a node with
+    one a row further on in the axes before it (or runs off the end), is
+    then overwritten with 0 - v.  Equal bit
+    for bit to np.diff(vals, axis=axis, append=0.0), without its
     temporaries.
     """
-    v, o = vals.swapaxes(0, axis), out.swapaxes(0, axis)
-    np.subtract(v[1:], v[:-1], out=o[:-1])
-    np.subtract(0.0, v[-1], out=o[-1])
+    v, o, k = _flat_pair(vals, out, axis)
+    np.subtract(v[k:], v[:v.size - k], out=o[:o.size - k])
+    last = _slab(axis, -1)
+    np.subtract(0.0, vals[last], out=out[last])
     return out
 
 
 def backward_difference(vals: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """Undivided backward difference with zero extension, written into `out`.
 
-    Minus the adjoint of forward_difference; equal bit for bit to
+    Same layout rules and flat subtraction as forward_difference; here the
+    first slab along the axis is overwritten with v.  Minus the adjoint of
+    forward_difference; equal bit for bit to
     np.diff(vals, axis=axis, prepend=0.0).
     """
-    v, o = vals.swapaxes(0, axis), out.swapaxes(0, axis)
-    o[0] = v[0]
-    np.subtract(v[1:], v[:-1], out=o[1:])
+    v, o, k = _flat_pair(vals, out, axis)
+    np.subtract(v[k:], v[:v.size - k], out=o[k:])
+    first = _slab(axis, 0)
+    out[first] = vals[first]
     return out
 
 
 def gradient(u: GridFunction) -> np.ndarray:
     """Forward differences with zero extension; shape (n, *lattice)."""
+    vals = np.ascontiguousarray(u.values)
     out = np.empty((u.domain.n,) + u.domain.shape)
     for a in range(u.domain.n):
-        forward_difference(u.values, a, out[a])
+        forward_difference(vals, a, out[a])
         out[a] /= u.domain.h
     return out
 

@@ -187,15 +187,31 @@ lambda_max_exp = 1
     assert payload["verdict"]["conditions_ok"] is False  # log against log
 
 
+def table_config(tmp_path, t_last):
+    """Capacity config at 64^2 (1/h = 32) for Phi = t^2 tabulated up to t_last."""
+    t = np.geomspace(1e-8, t_last, 200)
+    np.savetxt(tmp_path / "table.csv", np.column_stack([t, t ** 2]), delimiter=",")
+    return write(tmp_path, BASE.replace("family = power\np = 2.0",
+                                        "family = custom_table\ntable = table.csv")
+                 + "\n[capacity]\nr = 0.25\nradial_oracle = false\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_capacity_energy_exits_3(tmp_path):
-    # Phi = t^2 tabulated only up to t = 10, below the lattice gradients
-    t = np.geomspace(1e-8, 10, 200)
-    np.savetxt(tmp_path / "table.csv", np.column_stack([t, t ** 2]), delimiter=",")
-    cfg = write(tmp_path, BASE.replace("family = power\np = 2.0",
-                                       "family = custom_table\ntable = table.csv")
-                + "\n[capacity]\nr = 0.25\nradial_oracle = false\n")
+    # the table ends at 40: past 1/h = 32, so the config passes, but below the
+    # indicator's largest lattice gradient sqrt(2)/h = 45.25
+    cfg = table_config(tmp_path, 40)
     out = tmp_path / "out"
     code = main(["capacity", "--config", str(cfg), "--out", str(out)])
     assert code == 3
+    assert not (out / "capacity.json").exists()
+
+
+def test_table_short_of_one_over_h_exits_2(tmp_path, capsys):
+    # a table that ends at 10 < 1/h = 32 cannot hold any solve's first iterate
+    cfg = table_config(tmp_path, 10)
+    out = tmp_path / "out"
+    code = main(["capacity", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "below 1/h = 32.0" in capsys.readouterr().err
     assert not (out / "capacity.json").exists()

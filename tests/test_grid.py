@@ -14,7 +14,8 @@ from orlicap import (
     level_mask,
     zero_function,
 )
-from orlicap.grid import SetMask, ball_mask, load_binary, load_csv, save_binary, save_csv
+from orlicap.grid import (SetMask, backward_difference, ball_mask, forward_difference,
+                          load_binary, load_csv, save_binary, save_csv)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,46 @@ def test_indicator_gradient_supported_on_boundary_band(disc):
     mag = gradient_magnitude(ind)
     nz = mag > 0
     assert np.all(np.abs(disc.radius[nz] - 0.4) <= 2.0 * disc.h)
+
+
+DIFF_SHAPES = [(64, 48), (1, 7), (9, 2), (6, 8, 10), (5, 7, 9), (3, 1, 4), (2, 5, 1)]
+
+
+@pytest.mark.parametrize("shape", DIFF_SHAPES, ids=str)
+def test_differences_match_np_diff_bit_for_bit(shape):
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(shape)
+    vals.flat[::5] = 0.0  # 0 - 0 is +0.0, which a negation would turn into -0.0
+    out = np.full(shape, np.nan)
+    for axis in range(len(shape)):
+        fwd = forward_difference(vals, axis, out).view(np.int64)
+        assert np.array_equal(fwd, np.diff(vals, axis=axis, append=0.0).view(np.int64))
+        bwd = backward_difference(vals, axis, out).view(np.int64)
+        assert np.array_equal(bwd, np.diff(vals, axis=axis, prepend=0.0).view(np.int64))
+
+
+@pytest.mark.parametrize("difference", [forward_difference, backward_difference])
+def test_differences_reject_layouts_they_cannot_ravel(difference):
+    vals = np.random.default_rng(1).standard_normal((6, 8))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        difference(vals, 1, np.empty((8, 6)).T)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        difference(np.asfortranarray(vals), 1, np.empty((6, 8)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        difference(vals, 0, np.empty((6, 16))[:, ::2])
+    with pytest.raises(ValueError, match="shape"):
+        difference(vals, 0, np.empty((6, 9)))
+
+
+@pytest.mark.parametrize("n,resolution", [(2, 64), (3, 32)])
+def test_gradient_ignores_the_memory_layout(n, resolution):
+    dom = build_domain(n, 1.0, resolution)
+    vals = np.random.default_rng(2).standard_normal(dom.shape)
+    expected = gradient(GridFunction(dom, vals)).view(np.int64)
+    transposed_view = np.ascontiguousarray(vals.T).T
+    for layout in (np.asfortranarray(vals), transposed_view):
+        assert not layout.flags.c_contiguous
+        assert np.array_equal(gradient(GridFunction(dom, layout)).view(np.int64), expected)
 
 
 def test_integrate_constant_is_area(disc):

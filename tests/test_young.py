@@ -432,3 +432,28 @@ def test_eval_out_api(spec, evaluate):
     # NaN is not negative: it propagates, as it did before
     assert np.isnan(evaluate(spec, np.array([np.nan, 1.0]))[0])
     assert evaluate(spec, np.empty(0)).shape == (0,)
+
+
+# exponent 2 goes through np.square, and power_log's theta * t factor is
+# skipped at theta = 1; the inputs include 0, a t whose square underflows to
+# a subnormal, inf and NaN
+SHORTCUT_SPECS = [
+    power(2),
+    power(3),
+    power_log(2, 1),
+    power_log(3, 1),
+    exp_loglog(3, 2, 0.5),
+]
+
+
+@pytest.mark.parametrize("evaluate,reference", [(eval_phi, reference_phi),
+                                                (eval_phi_prime, reference_phi_prime)],
+                         ids=["phi", "phi_prime"])
+@pytest.mark.parametrize("spec", SHORTCUT_SPECS, ids=lambda s: s.tag)
+def test_square_and_unit_shortcuts_are_bit_identical(spec, evaluate, reference):
+    t = np.concatenate([[0.0, 1e-160, 5e-324, np.inf, np.nan, 1.0],
+                        np.geomspace(1e-200, 1e200, 300)])
+    with np.errstate(all="ignore"):
+        expected = reference(spec, t)
+        got = evaluate(spec, t)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
