@@ -1,41 +1,54 @@
 """Variational capacities on grid domains and their independent oracles.
 
 The main solve minimizes the discrete energy  sum_x w(x) Phi(|D+ u(x)|)
-over node values subject to the clamping projection u >= 1 on the marked
-set and u = 0 on the boundary band.  The energy is convex (linear forward
-differences composed with a convex increasing Phi), so projected descent
-converges; Nesterov-style momentum with adaptive restart plus a
-backtracking (halving) line search keeps the iteration count within the
-run-time budget at the default resolutions.
+over the free nodes, with u = 1 on the marked set and u = 0 on the
+boundary band.  (The capacity asks for u >= 1 on the marked set; clipping
+to 1 never raises |D+ u|, so holding those nodes at exactly 1 loses
+nothing.)  The energy is convex, and the solve is nonlinear conjugate
+gradients (Polak-Ribiere+) preconditioned by one multigrid V-cycle on the
+Hessian of the quadratic energy sum w |D+ u / h|^2, the lattice version of
+the Laplacian preconditioning that `capacity_ball_radial` does in 1-D
+(Huang, Li & Liu, J. Sci. Comput. 32, 2007).  Each step takes a secant
+step on the directional derivative and halves it until the energy
+strictly drops.
+
+The stop rule is a certificate: the minimizer lies in [0, 1], so for the
+convex energy  E(u*) >= E(u) - gap  with gap = sum_free (g u - min(0, g))
+at the iterate u and its gradient g.  The solve converges once
+gap <= tol * E, or once no step lowers E in floating point any more
+(stationary to machine precision; near the optimum E stops resolving
+progress before the gap reaches tol * E).  `CapacityResult.lower` is
+E - gap either way.  Every solve starts from the indicator of its set, so
+a value depends only on the set.
 
 Each solve builds one `_EnergyWorkspace`: preallocated C-contiguous
 buffers on which the forward difference with zero extension
 (`grid.forward_difference`, the one used by `grid.gradient` too) and its
 adjoint are each one contiguous subtraction at the axis's flat offset plus
-one boundary slab, without `np.diff` temporaries or strided passes.  Its `energy` and `grad` keep
-two different evaluation orders (raw differences for the energy,
-differences divided by h for the gradient), because each reproduces the
-rounding of the formulas the solver was tuned with and so keeps every
-iterate, iteration count and cached value unchanged bit for bit.  Phi and
-Phi' write into workspace buffers too (`out=` and `scratch=` of
-`young.eval_phi` / `eval_phi_prime`), so an energy or gradient evaluation
-allocates no lattice-sized array.  `grad` skips Phi unless the energy is
-asked for; the descent loop asks once.  A `custom_table` whose last knot
-lies below the initial iterate's largest lattice gradient raises
-`NumericalError` before Phi is evaluated there; so does any other
-non-finite initial energy or gradient, or final value.  These checks run
-once per solve, not per iteration.
+one boundary slab.  Its `energy` and `grad` keep two evaluation orders
+(raw differences for the energy, differences divided by h for the
+gradient); Phi and Phi' write into workspace buffers too (`out=` and
+`scratch=` of `young.eval_phi` / `eval_phi_prime`), so an evaluation
+allocates no lattice-sized array.  The same workspace applies the
+preconditioner's finest operator (`quadratic_grad`).  A `custom_table`
+whose last knot lies below the initial iterate's largest lattice gradient
+raises `NumericalError` before Phi is evaluated there; so does any other
+non-finite initial energy or gradient, or final value.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
 from .grid import (GridDomain, GridFunction, SetMask, backward_difference, ball_mask,
@@ -43,6 +56,7 @@ from .grid import (GridDomain, GridFunction, SetMask, backward_difference, ball_
 from .young import YoungSpec, check_delta2, check_delta2_plus, eval_phi, eval_phi_prime, factored
 
 _RATIO_FLOOR = 1e-12  # clamp for phi(g)/g at the 0/0 singularity
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -50,12 +64,12 @@ class CapacityResult:
     value: float
     minimizer: GridFunction
     iterations: int
-    final_rel_decrease: float
     converged: bool
     method: str
+    lower: Optional[float] = None  # certified: capacity >= lower; None if not computed
 
     def summary(self) -> dict:
-        return {"value": self.value, "iterations": self.iterations,
+        return {"value": self.value, "lower": self.lower, "iterations": self.iterations,
                 "converged": self.converged, "method": self.method}
 
 
@@ -90,9 +104,8 @@ class _EnergyWorkspace:
     and the gradient, so an evaluation allocates no lattice-sized array.
     All are C-contiguous, as the difference kernels require of `v` too.
     Squares are taken by np.square, which gives the bits of d * d.  The two
-    entry points keep two different evaluation orders on purpose; they
-    round differently, and keeping each one keeps the descent iterates
-    unchanged bit for bit:
+    entry points keep two evaluation orders, each equal bit for bit to its
+    `np.diff` formula:
 
     - `energy` takes sqrt(sum d*d) / h on the undivided differences d;
     - `grad` divides each d by h first, then forms (w * Phi'(g) / g) * d and
@@ -145,14 +158,29 @@ class _EnergyWorkspace:
         """Gradient with respect to the node values; (energy, gradient) when
         `with_energy`, else the gradient alone, without evaluating Phi.
 
-        The gradient is a workspace buffer: the next `grad` call overwrites it.
+        The gradient is a workspace buffer: the next `grad` or
+        `quadratic_grad` call overwrites it.
         """
-        s, t, h, grad = self._gradient_norm(v), self._t, self.h, self._grad
+        s, t = self._gradient_norm(v), self._t
         energy = self._weighted_phi_sum(s) if with_energy else None
         np.maximum(s, _RATIO_FLOOR, out=s)
         ratio = eval_phi_prime(self.spec, s, out=t, scratch=self._scratch)
         ratio /= s
-        ratio = np.multiply(self.weights, ratio, out=s)  # frees t for the loop
+        grad = self._divergence(np.multiply(self.weights, ratio, out=s))  # frees t
+        return (energy, grad) if with_energy else grad
+
+    def quadratic_grad(self, v: np.ndarray) -> np.ndarray:
+        """Gradient of sum w |D+ v / h|^2, i.e. that quadratic's Hessian
+        times v; a workspace buffer, as for `grad`."""
+        for a, d in enumerate(self._diffs):
+            forward_difference(v, a, d)
+            d /= self.h
+        return self._divergence(np.multiply(2.0, self.weights, out=self._s))
+
+    def _divergence(self, ratio: np.ndarray) -> np.ndarray:
+        """-sum_a D-_a(ratio * d_a) / h over the per-axis difference buffers
+        d_a (overwritten), into the gradient buffer; `ratio` is not t."""
+        t, h, grad = self._t, self.h, self._grad
         for a, d in enumerate(self._diffs):
             np.multiply(ratio, d, out=d)
             backward_difference(d, a, t)
@@ -161,20 +189,196 @@ class _EnergyWorkspace:
                 grad -= t
             else:
                 np.subtract(0.0, t, out=grad)
-        return (energy, grad) if with_energy else grad
+        return grad
 
 
-def _step(x: np.ndarray, alpha: float, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x - alpha * g, written into `out` (which must not be x)."""
-    np.multiply(alpha, g, out=out)
-    return np.subtract(x, out, out=out)
+_COARSE_MAX = 500  # unknowns at which the multigrid factorizes instead of coarsening
+
+
+class _FreeHessian:
+    """The Hessian of sum w |D+ u / h|^2 in the free-node values.
+
+    `H @ x` applies it on the lattice through the solve's workspace
+    (`quadratic_grad`, held nodes at 0), so it is never stored; `H[i:j]`
+    makes rows i..j-1 as CSR.  Each weighted lattice edge (x, x + e_a) adds
+    2 w(x) / h^2 times [[1, -1], [-1, 1]] on its free endpoints, and only
+    the diagonal term where the other endpoint is held.  Free nodes lie off
+    the lattice's first and last slabs (the boundary band), so every
+    neighbour is on the lattice.
+    """
+
+    def __init__(self, work: _EnergyWorkspace, free: np.ndarray):
+        self._work = work
+        self._lattice = np.zeros(free.shape)
+        self._at = np.flatnonzero(free).astype(np.int32)  # increasing
+        self._steps = [math.prod(free.shape[a + 1:]) for a in range(free.ndim)]
+        self.shape = (self._at.size, self._at.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self._lattice.reshape(-1)[self._at] = x
+        return self._work.quadratic_grad(self._lattice).reshape(-1)[self._at]
+
+    def __getitem__(self, rows: slice) -> sparse.csr_matrix:
+        at = self._at[rows]
+        # one column per flat offset, in increasing order, so each row is sorted
+        offsets = [-k for k in self._steps] + [0] + self._steps[::-1]
+        cols = np.empty((at.size, len(offsets)), dtype=np.int32)
+        vals = np.zeros(cols.shape)
+        centre = len(self._steps)
+        for j, k in enumerate(offsets):
+            nb = at + k
+            col = np.searchsorted(self._at, nb)  # nb's number if nb is free
+            if k == 0:
+                cols[:, j] = col
+                continue
+            # an edge's weight sits at its lower end
+            w = self._work.weights.reshape(-1)[at if k > 0 else nb] * (2.0 / self._work.h ** 2)
+            is_free = self._at[np.minimum(col, self._at.size - 1)] == nb
+            cols[:, j] = np.where(is_free & (w > 0), col, -1)
+            np.negative(w, out=vals[:, j])
+            vals[:, centre] += w
+        keep = cols >= 0
+        indptr = np.zeros(at.size + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return sparse.csr_matrix((vals[keep], cols[keep], indptr),
+                                 shape=(at.size, self.shape[1]))
+
+
+class _Galerkin:
+    """P^T A P, applied through A and P and never stored; `G[i:j]` makes
+    rows i..j-1 as CSR from the rows of A under P's columns i..j-1."""
+
+    def __init__(self, A, P):
+        self._A, self._P, self._PT = A, P, P.T
+        self.shape = (P.shape[1], P.shape[1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._PT @ (self._A @ (self._P @ x))
+
+    def __getitem__(self, rows: slice) -> sparse.csr_matrix:
+        Q = self._P[:, rows]
+        hit = np.flatnonzero(np.diff(Q.indptr))
+        lo, hi = hit[0], hit[-1] + 1
+        return (Q[lo:hi].T.tocsr() @ self._A[lo:hi]) @ self._P
+
+
+def _prolongation(free: np.ndarray):
+    """Cell-centred linear prolongation onto the free nodes of a lattice.
+
+    The coarse lattice has one node per 2^n block of cells; its unknowns are
+    the cell parents of free nodes, and nothing else.  A fine node takes the
+    tensor product over the axes of 3/4 of its parent and 1/4 of the
+    parent's neighbour on its side; a weight that falls on a coarse node
+    outside that set is dropped (stored as a zero on the parent, so that
+    every row has 2^n entries).  Adding every coarse node a free node
+    interpolates from instead can leave two coarse unknowns that one fine
+    row alone sees, and a singular coarse operator.
+    Returns the (fine x coarse) CSR matrix and the coarse free set.
+    """
+    coords = [x.astype(np.int32) for x in np.nonzero(free)]
+    parents = tuple(x // 2 for x in coords)
+    coarse = np.zeros(tuple((s + 1) // 2 for s in free.shape), dtype=bool)
+    coarse[parents] = True
+    # coarse index with a border of -1, so that a neighbour off the lattice is absent
+    index = np.full(tuple(s + 2 for s in coarse.shape), -1, dtype=np.int32)
+    index[(slice(1, -1),) * free.ndim][coarse] = np.arange(np.count_nonzero(coarse))
+    sides = tuple(np.where(x % 2 == 0, q, q + 2) for x, q in zip(coords, parents))
+    parents = tuple(q + 1 for q in parents)
+    corners = list(itertools.product((False, True), repeat=free.ndim))
+    cols = np.empty((len(coords[0]), len(corners)), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    for j, far in enumerate(corners):
+        cols[:, j] = index[tuple(s if f else q for f, q, s in zip(far, parents, sides))]
+        vals[:, j] = 0.25 ** sum(far) * 0.75 ** (free.ndim - sum(far))
+    absent = cols < 0
+    vals[absent] = 0.0
+    np.copyto(cols, cols[:, :1], where=absent)
+    indptr = np.arange(0, cols.size + 1, len(corners), dtype=np.int32)
+    return (sparse.csr_matrix((vals.reshape(-1), cols.reshape(-1), indptr),
+                              shape=(len(cols), np.count_nonzero(coarse))), coarse)
+
+
+def _scan(A, P, block: int):
+    """Diagonal and largest Gershgorin ratio max_i sum_j |a_ij| / a_ii of A,
+    and the Galerkin product P^T A P (None without P).
+
+    A is read one block of rows at a time (`A[i:j]`), so neither all of
+    A P nor all of A's rows are held at once.
+    """
+    n = A.shape[0]
+    C, diag, ratio = None, np.empty(n), 0.0
+    for i in range(0, n, block):
+        R = A[i:i + block]
+        d = diag[i:i + R.shape[0]] = R.diagonal(k=i)
+        ratio = max(ratio, float((abs(R).sum(axis=1).A1 / d).max()))
+        if P is not None:
+            part = P[i:i + R.shape[0]].T.tocsr() @ (R @ P)
+            C = part if C is None else C + part
+    return C, diag, ratio
+
+
+class _Multigrid:
+    """One symmetric V-cycle: an SPD approximate inverse of the free-node
+    Hessian of sum w |D+ u / h|^2.
+
+    Levels are Galerkin operators A_(l+1) = P_l^T A_l P_l with
+    `_prolongation`, down to a sparse LU factor at the first level with at
+    most `_COARSE_MAX` unknowns.  The finest level (`_FreeHessian`) and the
+    first coarse one (`_Galerkin`) are applied through the lattice and
+    never stored: with 2^n-point prolongation the first coarse operator has
+    5^n-point rows, the largest object a solve would otherwise keep.  From
+    the second coarse level on, operators are CSR.  Each level smooths with
+    one damped Jacobi sweep before and one after the coarse correction; the
+    damping 4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep a contraction
+    in the energy norm, and both sweeps are the same symmetric operator, so
+    the V-cycle is symmetric.
+    """
+
+    def __init__(self, work: _EnergyWorkspace, free: np.ndarray):
+        A = _FreeHessian(work, free)
+        block = 4096 >> free.ndim  # rows of A per block: about 4096 fine rows below them
+        self.levels = []
+        while A.shape[0] > _COARSE_MAX and free.size > 1:
+            P, free = _prolongation(free)
+            if self.levels:
+                C, diag, ratio = _scan(A, P, block)
+            else:  # the finest rows cost no product: take more at a time
+                _, diag, ratio = _scan(A, None, 4096)
+                C = _Galerkin(A, P)
+            self.levels.append((A, 4.0 / (3.0 * ratio) / diag, P, P.T))
+            A = C
+        self.coarse = splu(A[0:A.shape[0]].tocsc())
+
+    def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarse.solve(b)
+        A, smooth, P, PT = self.levels[level]
+        x = smooth * b
+        x += P @ self(PT @ (b - A @ x), level + 1)
+        r = A @ x
+        x += np.multiply(smooth, np.subtract(b, r, out=r), out=r)
+        return x
+
+
+def _gap(g: np.ndarray, x: np.ndarray) -> float:
+    """sum over free nodes of g x - min(0, g), with g the energy gradient at
+    free values x: E(x) minus the gap is a lower bound on the capacity.
+
+    The minimizer lies in [0, 1] (clipping to [0, 1] is 1-Lipschitz, so it
+    never raises |D+ u|), and E is convex, so E(u*) >= E(x) + <g, u* - x>
+    >= E(x) - <g, x> + sum min(0, g).
+    """
+    return float(np.dot(g, x) - np.minimum(g, 0.0).sum())
 
 
 def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
-                         tol: float = 1e-8, window: int = 50,
-                         max_iter: int = 100_000,
-                         warm_start: np.ndarray = None) -> CapacityResult:
-    """Capacity of a node set: minimal Phi-energy over admissible functions."""
+                         tol: float = 1e-8, max_iter: int = 100_000) -> CapacityResult:
+    """Capacity of a node set: minimal Phi-energy over admissible functions.
+
+    Converged when the certified gap falls to tol * value, or when no step
+    strictly lowers the energy any more (stationary to machine precision);
+    not converged after `max_iter` iterations.  `lower` = value - gap either way.
+    """
     if domain is None:
         domain = E.domain
     elif domain is not E.domain:
@@ -183,21 +387,11 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
     if E.is_empty():
         u = GridFunction(domain, np.zeros(domain.shape))
-        return CapacityResult(0.0, u, 0, 0.0, True, "projected-descent")
+        return CapacityResult(0.0, u, 0, True, "pcg-multigrid", lower=0.0)
 
-    mask = E.mask
-    band = domain.boundary_band
-
-    def project(v):
-        v[band] = 0.0
-        np.maximum(v, 1.0, where=mask, out=v)
-        return v
-
-    if warm_start is not None and warm_start.shape == domain.shape:
-        u = project(warm_start.astype(float, order="C", copy=True))
-    else:
-        u = project(np.where(mask, 1.0, 0.0))
-
+    free = ~(E.mask | domain.boundary_band)
+    at = np.flatnonzero(free).astype(np.int32)
+    u = np.where(E.mask, 1.0, 0.0)
     work = _EnergyWorkspace(domain, spec)
     if spec.family == "custom_table":
         # Phi is +inf past the last knot: fail before evaluating it there
@@ -211,76 +405,67 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
         raise NumericalError(
             f"{spec.tag}: non-finite initial energy {e_u} or gradient; "
             "the lattice gradients leave the range where Phi is finite")
-    history = [e_u]
-    alpha = domain.h ** (2 - domain.n) / 8.0
-    # u, u_prev, y and the trial point v occupy four buffers that the loop
-    # rotates, so an iteration allocates no lattice-sized array
-    y, u_prev, v = u.copy(), u.copy(), np.empty_like(u)
-    t_k = 1.0
-    streak = 0
-    converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        v = project(_step(y, alpha, g, out=v))
-        e_v = work.energy(v)
-        if e_v <= e_u:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-            # y = v + beta * (v - u_prev), in that rounding order
-            np.subtract(v, u_prev, out=y)
-            np.multiply((t_k - 1.0) / t_next, y, out=y)
-            np.add(v, y, out=y)
-            u_prev, u, v = u, v, u_prev
-            e_u, t_k = e_v, t_next
-            streak += 1
-            if streak >= 10:
-                alpha *= 1.5
-                streak = 0
-        else:
-            # momentum overshoot or step too long: restart at the incumbent
-            t_k = 1.0
-            streak = 0
-            g_u = work.grad(u)
-            accepted = False
-            while alpha > 1e-30:
-                v = project(_step(u, alpha, g_u, out=v))
-                e_v = work.energy(v)
-                if e_v <= e_u:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                converged = True  # stationary to machine precision
-                break
-            u_prev, u, v = u, v, u_prev
-            e_u = e_v
-            np.copyto(y, u)
-        history.append(e_u)
-        if len(history) > window:
-            drop = history[-window - 1] - history[-1]
-            if drop < tol * max(history[-1], 1e-300):
-                converged = True
-                break
-        g = work.grad(y)
 
-    u = project(u.copy())
-    value = work.energy(u)
-    if not math.isfinite(value):
-        raise NumericalError(f"{spec.tag}: non-finite capacity energy {value}")
-    final_drop = 0.0
-    if len(history) > window:
-        final_drop = (history[-window - 1] - history[-1]) / max(history[-1], 1e-300)
+    def gradient(v):
+        return work.grad(v).reshape(-1)[at]
+
+    def trial(alpha):
+        v.reshape(-1)[at] = np.add(x, np.multiply(alpha, d, out=step), out=step)
+        return v
+
+    g = g.reshape(-1)[at]
+    x = u.reshape(-1)[at]  # the free values; held nodes keep 1 (marked) and 0 (band)
+    v = u.copy()           # trial point: the same held values, free ones rewritten
+    step = np.empty_like(x)
+    gap = _gap(g, x)
+    converged = gap <= tol * e_u
+    precondition, d, alpha, it = None, None, 1.0, 0
+    while not converged and it < max_iter:
+        it += 1
+        if precondition is None:
+            precondition = _Multigrid(work, free)
+        z = precondition(-g)
+        z_dot_g = float(np.dot(z, g))
+        if d is not None:
+            # Polak-Ribiere+: beta = <z, r - r_prev> / <z_prev, r_prev>, r = -g
+            beta = max(0.0, (z_dot_g - float(np.dot(z, g_prev))) / z_dot_g_prev)
+            d *= beta
+            d += z
+        if d is None or float(np.dot(d, g)) >= 0.0:  # first, or no descent: restart
+            d = z
+        slope = float(np.dot(d, g))
+        g_prev, z_dot_g_prev = g, z_dot_g
+        # secant on the directional derivative, between 0 and the last step
+        slope_t = float(np.dot(gradient(trial(alpha)), d))
+        if math.isfinite(slope_t) and slope_t > slope:
+            alpha *= slope / (slope - slope_t)
+        # halve while the first-order decrease alpha |slope| could still show
+        # in E; below eps * E no step can lower it in floating point
+        while ((e_v := work.energy(trial(alpha))) >= e_u
+               and -alpha * slope > _EPS * e_u):
+            alpha *= 0.5
+        if e_v < e_u:  # strict decrease only: equal energies would loop at E's resolution
+            u, v = v, u
+            x = u.reshape(-1)[at]
+            e_u, g = e_v, gradient(u)
+            gap = _gap(g, x)
+            converged = gap <= tol * e_u
+        else:
+            converged = True  # no step lowers E: stationary to machine precision
+
+    if not math.isfinite(e_u):
+        raise NumericalError(f"{spec.tag}: non-finite capacity energy {e_u}")
     gf = GridFunction(domain, u)
     gf.values.flags.writeable = False
-    return CapacityResult(value, gf, it, final_drop, converged, "projected-descent")
+    return CapacityResult(e_u, gf, it, converged, "pcg-multigrid", lower=e_u - gap)
 
 
 class CapacityCache:
-    """Memoizes capacity solves by mask content; warm-starts along chains.
+    """Memoizes capacity solves by mask content.
 
-    Level sets of one function are nested, so the previous minimizer is an
-    excellent initial iterate for the next solve.  Cached results are
-    shared objects; their minimizer arrays are read-only.
+    Every solve starts cold, so a cached value depends only on its mask,
+    never on the order of earlier lookups.  Cached results are shared
+    objects; their minimizer arrays are read-only.
     """
 
     def __init__(self, spec: YoungSpec, domain: GridDomain, **solver_kw):
@@ -288,19 +473,14 @@ class CapacityCache:
         self.domain = domain
         self.solver_kw = solver_kw
         self._store = {}
-        self._last = None
 
     def capacity(self, mask: SetMask) -> CapacityResult:
         key = mask.key()
         hit = self._store.get(key)
         if hit is not None:
             return hit
-        warm = None if self._last is None else self._last.copy()
-        res = capacity_variational(mask, self.spec, self.domain,
-                                   warm_start=warm, **self.solver_kw)
+        res = capacity_variational(mask, self.spec, self.domain, **self.solver_kw)
         self._store[key] = res
-        if not mask.is_empty():
-            self._last = res.minimizer.values
         return res
 
     def ball(self, r: float, center=None) -> CapacityResult:
@@ -437,7 +617,7 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
     if E.is_empty():
         u = GridFunction(domain, np.zeros(domain.shape))
-        return CapacityResult(0.0, u, 0, 0.0, True, "riesz-al")
+        return CapacityResult(0.0, u, 0, True, "riesz-al")
     if E.count > _MAX_CONSTRAINT_NODES:
         raise ConfigurationError(
             f"{E.count} constraint nodes exceed the dense-kernel cap "
@@ -536,4 +716,4 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     dens[inside] = f
     gf = GridFunction(domain, dens)
     gf.values.flags.writeable = False
-    return CapacityResult(value, gf, total_inner, 0.0, converged, "riesz-al")
+    return CapacityResult(value, gf, total_inner, converged, "riesz-al")

@@ -56,7 +56,7 @@ SCHEMA = {
     "young": _YOUNG_KEYS,
     "psi": {"mode": str, **_YOUNG_KEYS},
     "domain": {"n": int, "r": float, "resolution": int},
-    "run": {"scenario": str, "seed": int, "threads": int},
+    "run": {"scenario": str, "seed": int},
     "check-conditions": {"ceiling": float},
     "norm": {"shape": str, "amplitude": float, "tent_r": float, "sigma": float,
              "r_in": float, "r_out": float},
@@ -73,7 +73,7 @@ DEFAULTS = {
               "c0": None, "table": None},
     "psi": {"mode": "derived"},
     "domain": {"n": 2, "r": 1.0, "resolution": 128},
-    "run": {"scenario": None, "seed": 0, "threads": 1},
+    "run": {"scenario": None, "seed": 0},
     "check-conditions": {"ceiling": math.inf},
     "norm": {"shape": "tent", "amplitude": 1.0, "tent_r": 0.5, "sigma": 0.2,
              "r_in": 0.2, "r_out": 0.5},
@@ -372,9 +372,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, type=Path)
         sp.add_argument("--out", required=True, type=Path)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="recorded in the manifest; solves are"
-                             " deterministic single-process chains")
         sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -387,8 +384,6 @@ def main(argv=None) -> int:
         config["run"]["scenario"] = args.scenario
         if args.seed is not None:
             config["run"]["seed"] = args.seed
-        if args.threads is not None:
-            config["run"]["threads"] = args.threads
         return run(config, args.scenario, args.out, args.config.parent)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

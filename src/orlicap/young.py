@@ -17,6 +17,7 @@ numerical signature of failure).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -117,13 +118,19 @@ def load_table_csv(path) -> YoungSpec:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _knots(spec: YoungSpec):
-    """Table abscissae and values, without a knot at t = 0."""
+    """Table abscissae, values, log values and log slopes, without a knot at
+    t = 0; built once per spec and read-only."""
     ts = np.array([k[0] for k in spec.table])
     vs = np.array([k[1] for k in spec.table])
     if ts[0] == 0.0:
         ts, vs = ts[1:], vs[1:]
-    return ts, vs
+    log_vs = np.log(vs)
+    slopes = np.diff(log_vs) / np.diff(ts)
+    for arr in (ts, vs, log_vs, slopes):
+        arr.flags.writeable = False
+    return ts, vs, log_vs, slopes
 
 
 def _table_eval(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
@@ -133,8 +140,8 @@ def _table_eval(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
     Values below the first knot scale linearly through (0, 0) so that the
     interpolant is still a function vanishing at zero.
     """
-    ts, vs = _knots(spec)
-    np.exp(np.interp(t, ts, np.log(vs)), out=out)
+    ts, vs, log_vs, _ = _knots(spec)
+    np.exp(np.interp(t, ts, log_vs), out=out)
     below = np.divide(np.multiply(vs[0], t, out=tmp), ts[0], out=tmp)
     np.copyto(out, below, where=t < ts[0])
     np.copyto(out, np.inf, where=t > ts[-1])
@@ -142,11 +149,15 @@ def _table_eval(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
 
 
 def _table_prime(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
-                 tmp: np.ndarray) -> np.ndarray:
-    ts, vs = _knots(spec)
-    slopes = np.diff(np.log(vs)) / np.diff(ts)
-    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1)
-    np.multiply(_table_eval(spec, t, out, tmp), slopes[idx], out=out)
+                 scratch: np.ndarray) -> np.ndarray:
+    ts, vs, _, slopes = _knots(spec)
+    idx = np.searchsorted(ts, t, side="right")
+    idx -= 1
+    # mode="clip" clamps idx to the slopes' range and, unlike the default
+    # mode, writes into `out` without an intermediate copy
+    slope = np.take(slopes, idx, out=scratch[1], mode="clip")
+    del idx  # before _table_eval allocates np.interp's result
+    np.multiply(_table_eval(spec, t, out, scratch[0]), slope, out=out)
     np.copyto(out, vs[0] / ts[0], where=t < ts[0])
     np.copyto(out, np.inf, where=t > ts[-1])
     return out
@@ -276,7 +287,7 @@ def eval_phi_prime(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
                 extra = np.divide(th, B, out=B)
             out *= np.add(p, np.multiply(arr, extra, out=extra), out=extra)
         else:
-            _table_prime(spec, arr, out, scratch[0])
+            _table_prime(spec, arr, out, scratch)
     if not lo > 0:
         np.copyto(out, 0.0, where=arr == 0.0)
     return float(out[0]) if scalar else out

@@ -3,6 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from orlicap import (
     CapacityCache,
@@ -15,6 +19,7 @@ from orlicap import (
     capacity_variational,
     custom_table,
     exp_log,
+    exp_loglog,
     from_callable,
     gradient,
     gradient_magnitude,
@@ -23,8 +28,11 @@ from orlicap import (
     power_log,
     riesz_capacity_variational,
 )
-from orlicap.capacity import _RATIO_FLOOR, _EnergyWorkspace
-from orlicap.grid import GridFunction, SetMask
+from orlicap.averages import _node_index, snap_to_node
+from orlicap.capacity import (_RATIO_FLOOR, _EnergyWorkspace, _FreeHessian, _Galerkin,
+                              _Multigrid, _prolongation)
+from orlicap.grid import GridFunction, SetMask, level_mask
+from orlicap.strongtype import TestFunctionSpec, build_test_function
 from orlicap.young import eval_phi, eval_phi_prime
 
 
@@ -326,3 +334,142 @@ def test_workspace_gradient_matches_central_difference(lattice, spec):
     fd = (work.energy(v + eps * w) - work.energy(v - eps * w)) / (2.0 * eps)
     exact = float(np.sum(work.grad(v) * w))
     assert abs(fd - exact) <= 1e-5 * abs(exact)
+
+
+# ---------------------------------------------------------------------------
+# preconditioned CG engine
+# ---------------------------------------------------------------------------
+
+def quadratic_minimum(domain, mask):
+    """Minimal sum w |D+ u / h|^2 with u = 1 on `mask`, 0 on the boundary
+    band: the free-node linear system, assembled from scipy.sparse
+    difference matrices and solved by spsolve (2-D)."""
+    n = domain.resolution
+    step = sparse.diags([-np.ones(n), np.ones(n - 1)], [0, 1])  # zero extension
+    eye = sparse.identity(n)
+    diffs = [sparse.kron(step, eye), sparse.kron(eye, step)]
+    weights = sparse.diags(domain.weights.ravel())
+    H = sum(D.T @ weights @ D for D in diffs).tocsr() / domain.h ** 2
+    free = ~(mask | domain.boundary_band).ravel()
+    u = mask.ravel().astype(float)
+    u[free] = spsolve(H[free][:, free].tocsc(), -(H[free][:, ~free] @ u[~free]))
+    return float(u @ (H @ u))
+
+
+def test_power2_matches_sparse_direct_solve(disc64):
+    E = ball_mask(disc64, 0.25)
+    res = capacity_variational(E, power(2), disc64)
+    assert res.converged
+    assert res.value == pytest.approx(quadratic_minimum(disc64, E.mask), rel=1e-10)
+
+
+@pytest.fixture(scope="module", params=[(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
+def multigrid(request):
+    dom = build_domain(request.param[0], 1.0, request.param[1])
+    free = ~(ball_mask(dom, 0.3).mask | dom.boundary_band)
+    return _Multigrid(_EnergyWorkspace(dom, power(2)), free), free
+
+
+def test_preconditioner_is_symmetric_positive_definite(multigrid):
+    M, free = multigrid
+    assert M.levels  # at least one coarse level besides the factored one
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((2, np.count_nonzero(free)))
+    Ma, Mb = M(a), M(b)
+    assert float(Ma @ b) == pytest.approx(float(a @ Mb), rel=1e-12)
+    assert float(Ma @ a) > 0.0 and float(Mb @ b) > 0.0
+
+
+def test_lazy_levels_equal_their_matrices(multigrid):
+    M, free = multigrid
+    A = M.levels[0][0]
+    rows = A[0:A.shape[0]]
+    x = np.random.default_rng(4).standard_normal(A.shape[0])
+    assert isinstance(A, _FreeHessian)
+    assert np.allclose(A @ x, rows @ x, rtol=0.0, atol=1e-12 * np.abs(rows @ x).max())
+    assert (rows != rows.T).nnz == 0
+    P, _ = _prolongation(free)
+    G = _Galerkin(A, P)
+    explicit = (P.T @ rows @ P).toarray()
+    assert np.allclose(G[0:G.shape[0]].toarray(), explicit, rtol=0.0,
+                       atol=1e-12 * np.abs(explicit).max())
+    y = np.random.default_rng(5).standard_normal(G.shape[0])
+    assert np.allclose(G @ y, explicit @ y, rtol=0.0, atol=1e-9 * np.abs(explicit @ y).max())
+
+
+def average_level_set(domain, name, center, r, level):
+    """A level set that `capacitary_average` solves: {|u - u(x0)| > level}
+    on B(x0, r)."""
+    u = build_test_function(TestFunctionSpec(name), domain)
+    x0 = snap_to_node(domain, center)
+    ball = ball_mask(domain, r, x0)
+    w = np.where(ball.mask, np.abs(u.values - u.values[_node_index(domain, x0)]), 0.0)
+    return level_mask(GridFunction(domain, w), level)
+
+
+def test_coarse_operators_are_nonsingular(disc64):
+    # From the averages scenario (tent, centre spacing 0.276663).  Taking
+    # every coarse node some free node interpolates from, rather than only
+    # the cell parents of free nodes, made the first coarse operator of
+    # this mask exactly singular.
+    E = average_level_set(disc64, "tent", (-0.265625, -0.265625), 0.25, 2.0 ** -6)
+    free = ~(E.mask | disc64.boundary_band)
+    M = _Multigrid(_EnergyWorkspace(disc64, power_log(2, 1)), free)
+    assert len(M.levels) >= 2
+    for A, _, _, _ in M.levels[1:]:
+        eig = np.linalg.eigvalsh(A[0:A.shape[0]].toarray())
+        assert eig[0] > 1e-8 * eig[-1]
+    res = capacity_variational(E, power_log(2, 1), disc64)
+    assert res.converged
+    assert res.value == pytest.approx(7.704989305015243, rel=1e-6)
+
+
+def test_solve_ends_where_the_energy_stops_resolving():
+    # A 128^2 bump level set.  Near the optimum E stops changing in floating
+    # point while the gap stays above tol * E; steps that do not strictly
+    # lower E are refused, so the solve ends, converged, instead of looping
+    # to max_iter.  tol = 0 leaves only that stop.
+    dom = build_domain(2, 1.0, 128)
+    E = level_mask(build_test_function(TestFunctionSpec("bump"), dom), 2.0 ** -3)
+    res = capacity_variational(E, power_log(2, 1), dom, tol=0.0, max_iter=200)
+    assert res.converged and res.iterations < 60
+    assert res.lower < res.value == pytest.approx(13.785276411492461, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec,expected", [(power(3), 6.156896879772685),
+                                           (exp_loglog(3, 2, 0.5), 133.93335987627188)],
+                         ids=["power3", "exp_loglog"])
+def test_values_match_the_momentum_solver(spec, expected):
+    # `expected`: the projected-descent solver this one replaced, at tol 1e-8
+    dom = build_domain(2, 1.0, 48)
+    res = capacity_variational(ball_mask(dom, 0.25), spec, dom)
+    assert res.converged
+    assert res.value == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("n,res", [(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
+def test_lower_bound_brackets_the_capacity(n, res):
+    dom = build_domain(n, 1.0, res)
+    E = ball_mask(dom, 0.3)
+    loose = capacity_variational(E, power_log(2, 1), dom)
+    tight = capacity_variational(E, power_log(2, 1), dom, tol=1e-12)
+    assert loose.lower <= tight.value <= loose.value
+    assert tight.lower <= tight.value
+    assert loose.summary()["lower"] == loose.lower
+
+
+_CENTRES = [None, (-0.25, 0.0), (0.0, 0.25), (0.2, -0.2)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(history=st.lists(st.tuples(st.floats(0.1, 0.4), st.sampled_from(_CENTRES)),
+                        max_size=3),
+       target=st.tuples(st.floats(0.1, 0.4), st.sampled_from(_CENTRES)))
+def test_cached_value_does_not_depend_on_history(history, target):
+    dom = build_domain(2, 1.0, 32)
+    cache = CapacityCache(power(2), dom)
+    for r, centre in history:
+        cache.ball(r, centre)
+    seen = cache.ball(*target).value
+    fresh = CapacityCache(power(2), dom).ball(*target).value
+    assert np.float64(seen).tobytes() == np.float64(fresh).tobytes()

@@ -92,6 +92,28 @@ def test_capacity_scenario_matches_condenser(tmp_path):
     assert abs(payload["radial_oracle"] - exact) / exact < 0.005
 
 
+def test_capacity_json_carries_the_certified_bracket(tmp_path):
+    cfg = write(tmp_path, BASE + "\n[capacity]\nr = 0.25\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "capacity.json").read_text())
+    # the solve stops once no step lowers the energy in floating point, so
+    # the gap is bounded by that resolution rather than by tol * value
+    assert 0.0 < payload["lower"] <= payload["value"]
+    assert payload["value"] - payload["lower"] <= 1e-6 * payload["value"]
+
+
+def test_threads_is_no_longer_accepted(tmp_path):
+    cfg = write(tmp_path, BASE + "\n[run]\nthreads = 2\n[capacity]\nr = 0.2\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    cfg = write(tmp_path, BASE + "\n[capacity]\nr = 0.2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--config", str(cfg), "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_norm_scenario(tmp_path):
     cfg = write(tmp_path, BASE + "\n[norm]\nshape = tent\ntent_r = 0.5\n")
     out = tmp_path / "out"
@@ -144,11 +166,9 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_seed_flag_lands_in_manifest(tmp_path):
     cfg = write(tmp_path, BASE + "\n[capacity]\nr = 0.2\n")
     out = tmp_path / "out"
-    assert main(["capacity", "--config", str(cfg), "--out", str(out), "--seed", "9",
-                 "--threads", "2"]) == 0
+    assert main(["capacity", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["run"]["seed"] == 9
-    assert manifest["config"]["run"]["threads"] == 2
 
 
 def test_missing_config_gives_io_error(tmp_path):
