@@ -34,7 +34,7 @@ from .grid import (
     level_mask,
     zero_function,
 )
-from .norms import ModularValue, luxemburg_norm, modular, phi_inverse
+from .norms import ModularValue, luxemburg_norm, modular
 from .capacity import (
     BallEstimate,
     CapacityCache,

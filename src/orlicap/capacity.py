@@ -29,11 +29,14 @@ one boundary slab.  Its `energy` and `grad` keep two evaluation orders
 (raw differences for the energy, differences divided by h for the
 gradient); Phi and Phi' write into workspace buffers too (`out=` and
 `scratch=` of `young.eval_phi` / `eval_phi_prime`), so an evaluation
-allocates no lattice-sized array.  The same workspace applies the
-preconditioner's finest operator (`quadratic_grad`).  A `custom_table`
-whose last knot lies below the initial iterate's largest lattice gradient
-raises `NumericalError` before Phi is evaluated there; so does any other
+allocates no lattice-sized array.  A `custom_table` whose last knot lies
+below the initial iterate's largest lattice gradient raises
+`NumericalError` before Phi is evaluated there; so does any other
 non-finite initial energy or gradient, or final value.
+
+The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
+free-node Hessian, assembled in one vectorized pass over the lattice
+edges, and the Galerkin products below it, formed block by block.
 """
 
 from __future__ import annotations
@@ -158,203 +161,263 @@ class _EnergyWorkspace:
         """Gradient with respect to the node values; (energy, gradient) when
         `with_energy`, else the gradient alone, without evaluating Phi.
 
-        The gradient is a workspace buffer: the next `grad` or
-        `quadratic_grad` call overwrites it.
+        The gradient is a workspace buffer: the next `grad` call
+        overwrites it.
         """
-        s, t = self._gradient_norm(v), self._t
+        s, t, h, grad = self._gradient_norm(v), self._t, self.h, self._grad
         energy = self._weighted_phi_sum(s) if with_energy else None
         np.maximum(s, _RATIO_FLOOR, out=s)
         ratio = eval_phi_prime(self.spec, s, out=t, scratch=self._scratch)
         ratio /= s
-        grad = self._divergence(np.multiply(self.weights, ratio, out=s))  # frees t
-        return (energy, grad) if with_energy else grad
-
-    def quadratic_grad(self, v: np.ndarray) -> np.ndarray:
-        """Gradient of sum w |D+ v / h|^2, i.e. that quadratic's Hessian
-        times v; a workspace buffer, as for `grad`."""
+        flux = np.multiply(self.weights, ratio, out=s)  # frees t
+        # -sum_a D-_a(flux * d_a) / h over the per-axis difference buffers d_a
         for a, d in enumerate(self._diffs):
-            forward_difference(v, a, d)
-            d /= self.h
-        return self._divergence(np.multiply(2.0, self.weights, out=self._s))
-
-    def _divergence(self, ratio: np.ndarray) -> np.ndarray:
-        """-sum_a D-_a(ratio * d_a) / h over the per-axis difference buffers
-        d_a (overwritten), into the gradient buffer; `ratio` is not t."""
-        t, h, grad = self._t, self.h, self._grad
-        for a, d in enumerate(self._diffs):
-            np.multiply(ratio, d, out=d)
+            np.multiply(flux, d, out=d)
             backward_difference(d, a, t)
             t /= h
             if a:
                 grad -= t
             else:
                 np.subtract(0.0, t, out=grad)
-        return grad
+        return (energy, grad) if with_energy else grad
 
 
 _COARSE_MAX = 500  # unknowns at which the multigrid factorizes instead of coarsening
+# largest P kept as CSR, which applies 1.8-9x faster but takes 12 B an entry:
+# above a 3-D 48^3 first coarse P (55,296), below a 3-D 32^3 finest (110,784)
+_STORED_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 15  # entries of P^T A formed at once while building P^T A P
 
 
-class _FreeHessian:
-    """The Hessian of sum w |D+ u / h|^2 in the free-node values.
+def _free_hessian(domain: GridDomain, free: np.ndarray) -> sparse.csr_matrix:
+    """The Hessian of sum w |D+ u / h|^2 in the free-node values, as CSR.
 
-    `H @ x` applies it on the lattice through the solve's workspace
-    (`quadratic_grad`, held nodes at 0), so it is never stored; `H[i:j]`
-    makes rows i..j-1 as CSR.  Each weighted lattice edge (x, x + e_a) adds
-    2 w(x) / h^2 times [[1, -1], [-1, 1]] on its free endpoints, and only
-    the diagonal term where the other endpoint is held.  Free nodes lie off
-    the lattice's first and last slabs (the boundary band), so every
-    neighbour is on the lattice.
+    Each weighted lattice edge (x, x + e_a) adds 2 w(x) / h^2 times
+    [[1, -1], [-1, 1]] on its free endpoints, and only the diagonal term
+    where the other endpoint is held.  One vectorized pass over the 2n + 1
+    flat offsets of the stencil, with a lattice map from node to free-node
+    number.  Free nodes lie off the lattice's first and last slabs (the
+    boundary band), so every neighbour is on the lattice.
     """
-
-    def __init__(self, work: _EnergyWorkspace, free: np.ndarray):
-        self._work = work
-        self._lattice = np.zeros(free.shape)
-        self._at = np.flatnonzero(free).astype(np.int32)  # increasing
-        self._steps = [math.prod(free.shape[a + 1:]) for a in range(free.ndim)]
-        self.shape = (self._at.size, self._at.size)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        self._lattice.reshape(-1)[self._at] = x
-        return self._work.quadratic_grad(self._lattice).reshape(-1)[self._at]
-
-    def __getitem__(self, rows: slice) -> sparse.csr_matrix:
-        at = self._at[rows]
-        # one column per flat offset, in increasing order, so each row is sorted
-        offsets = [-k for k in self._steps] + [0] + self._steps[::-1]
-        cols = np.empty((at.size, len(offsets)), dtype=np.int32)
-        vals = np.zeros(cols.shape)
-        centre = len(self._steps)
-        for j, k in enumerate(offsets):
-            nb = at + k
-            col = np.searchsorted(self._at, nb)  # nb's number if nb is free
-            if k == 0:
-                cols[:, j] = col
-                continue
+    at = np.flatnonzero(free)
+    number = np.full(free.size, -1, dtype=np.int32)
+    number[at] = np.arange(at.size, dtype=np.int32)
+    steps = [math.prod(free.shape[a + 1:]) for a in range(free.ndim)]
+    # one column per flat offset, in increasing order, so each row is sorted
+    offsets = [-k for k in steps] + [0] + steps[::-1]
+    cols = np.empty((at.size, len(offsets)), dtype=np.int32)
+    vals = np.zeros(cols.shape)
+    for j, k in enumerate(offsets):
+        cols[:, j] = number[at + k]
+        if k:
             # an edge's weight sits at its lower end
-            w = self._work.weights.reshape(-1)[at if k > 0 else nb] * (2.0 / self._work.h ** 2)
-            is_free = self._at[np.minimum(col, self._at.size - 1)] == nb
-            cols[:, j] = np.where(is_free & (w > 0), col, -1)
+            w = domain.weights.reshape(-1)[at + min(k, 0)] * (2.0 / domain.h ** 2)
+            cols[w == 0, j] = -1
             np.negative(w, out=vals[:, j])
-            vals[:, centre] += w
-        keep = cols >= 0
-        indptr = np.zeros(at.size + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return sparse.csr_matrix((vals[keep], cols[keep], indptr),
-                                 shape=(at.size, self.shape[1]))
+            vals[:, free.ndim] += w
+    keep = cols >= 0
+    indptr = np.zeros(at.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(at.size, at.size))
 
 
-class _Galerkin:
-    """P^T A P, applied through A and P and never stored; `G[i:j]` makes
-    rows i..j-1 as CSR from the rows of A under P's columns i..j-1."""
-
-    def __init__(self, A, P):
-        self._A, self._P, self._PT = A, P, P.T
-        self.shape = (P.shape[1], P.shape[1])
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._PT @ (self._A @ (self._P @ x))
-
-    def __getitem__(self, rows: slice) -> sparse.csr_matrix:
-        Q = self._P[:, rows]
-        hit = np.flatnonzero(np.diff(Q.indptr))
-        lo, hi = hit[0], hit[-1] + 1
-        return (Q[lo:hi].T.tocsr() @ self._A[lo:hi]) @ self._P
-
-
-def _prolongation(free: np.ndarray):
-    """Cell-centred linear prolongation onto the free nodes of a lattice.
+class _Prolongation:
+    """Cell-centred linear prolongation P onto the free nodes of a lattice.
 
     The coarse lattice has one node per 2^n block of cells; its unknowns are
     the cell parents of free nodes, and nothing else.  A fine node takes the
     tensor product over the axes of 3/4 of its parent and 1/4 of the
     parent's neighbour on its side; a weight that falls on a coarse node
-    outside that set is dropped (stored as a zero on the parent, so that
-    every row has 2^n entries).  Adding every coarse node a free node
+    outside that set is dropped.  Adding every coarse node a free node
     interpolates from instead can leave two coarse unknowns that one fine
     row alone sees, and a singular coarse operator.
-    Returns the (fine x coarse) CSR matrix and the coarse free set.
+
+    `rows(lo, hi)` makes P's rows lo..hi-1 as CSR, each with 2^n entries (a
+    dropped weight is a zero on the parent), for building P^T A P.  A P
+    with at most `_STORED_ENTRIES` entries is kept whole as CSR (`matrix`).
+    A larger one is never stored: `prolong` (P x) then interpolates axis by
+    axis on the coarse lattice, with zeros at the coarse nodes outside the
+    unknowns and off the lattice, which drops their weights, and `restrict`
+    (P^T y) is its adjoint.
     """
-    coords = [x.astype(np.int32) for x in np.nonzero(free)]
-    parents = tuple(x // 2 for x in coords)
-    coarse = np.zeros(tuple((s + 1) // 2 for s in free.shape), dtype=bool)
-    coarse[parents] = True
-    # coarse index with a border of -1, so that a neighbour off the lattice is absent
-    index = np.full(tuple(s + 2 for s in coarse.shape), -1, dtype=np.int32)
-    index[(slice(1, -1),) * free.ndim][coarse] = np.arange(np.count_nonzero(coarse))
-    sides = tuple(np.where(x % 2 == 0, q, q + 2) for x, q in zip(coords, parents))
-    parents = tuple(q + 1 for q in parents)
-    corners = list(itertools.product((False, True), repeat=free.ndim))
-    cols = np.empty((len(coords[0]), len(corners)), dtype=np.int32)
-    vals = np.empty(cols.shape)
-    for j, far in enumerate(corners):
-        cols[:, j] = index[tuple(s if f else q for f, q, s in zip(far, parents, sides))]
-        vals[:, j] = 0.25 ** sum(far) * 0.75 ** (free.ndim - sum(far))
-    absent = cols < 0
-    vals[absent] = 0.0
-    np.copyto(cols, cols[:, :1], where=absent)
-    indptr = np.arange(0, cols.size + 1, len(corners), dtype=np.int32)
-    return (sparse.csr_matrix((vals.reshape(-1), cols.reshape(-1), indptr),
-                              shape=(len(cols), np.count_nonzero(coarse))), coarse)
+
+    def __init__(self, free: np.ndarray):
+        self.fine_shape = free.shape
+        self.fine_at = np.flatnonzero(free)
+        self.coarse = np.zeros(tuple((s + 1) // 2 for s in free.shape), dtype=bool)
+        self.coarse[tuple(x // 2 for x in np.nonzero(free))] = True
+        # coarse unknown numbers on the lattice with a border of -1 (absent)
+        self._index = np.full(tuple(s + 2 for s in self.coarse.shape), -1, dtype=np.int32)
+        self._index[(slice(1, -1),) * free.ndim][self.coarse] = np.arange(
+            np.count_nonzero(self.coarse))
+        self.coarse_at = np.flatnonzero(self._index >= 0)
+        self.shape = (self.fine_at.size, self.coarse_at.size)
+        self.matrix = None
+        if self.shape[0] << free.ndim <= _STORED_ENTRIES:
+            self.matrix = self.rows(0, self.shape[0])
+            self._transpose = self.matrix.T  # a CSC view, made once
+
+    def prolong(self, x: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix @ x
+        y = np.zeros(self._index.shape)
+        y.reshape(-1)[self.coarse_at] = x
+        for a in reversed(range(y.ndim)):  # the smallest arrays first
+            # along axis a, fine cell 2q takes 3/4 of coarse node q and 1/4
+            # of q - 1, and fine cell 2q + 1 takes 3/4 of q and 1/4 of q + 1
+            # (coarse node q sits at q + 1 on the bordered lattice)
+            out = np.empty(y.shape[:a] + (self.fine_shape[a],) + y.shape[a + 1:])
+            coarse, fine = np.moveaxis(y, a, 0), np.moveaxis(out, a, 0)
+            coarse *= 0.25
+            for parity in (0, 1):
+                f = fine[parity::2]
+                np.multiply(coarse[1:len(f) + 1], 3.0, out=f)
+                f += coarse[2 * parity:2 * parity + len(f)]
+            y = out
+        return y.reshape(-1)[self.fine_at]
+
+    def restrict(self, r: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return self._transpose @ r
+        y = np.zeros(self.fine_shape)
+        y.reshape(-1)[self.fine_at] = r
+        for a in range(y.ndim):  # the largest array shrinks first: prolong's adjoint
+            out = np.zeros(y.shape[:a] + (self._index.shape[a],) + y.shape[a + 1:])
+            fine, coarse = np.moveaxis(y, a, 0), np.moveaxis(out, a, 0)
+            for parity in (0, 1):
+                f = fine[parity::2]
+                f *= 0.25
+                coarse[2 * parity:2 * parity + len(f)] += f
+                f *= 3.0
+                coarse[1:len(f) + 1] += f
+            y = out
+        return y.reshape(-1)[self.coarse_at]
+
+    def rows(self, lo: int, hi: int) -> sparse.csr_matrix:
+        """Rows lo..hi-1 of P, in a CSR matrix of P's shape whose other rows
+        are empty (all of P once stored)."""
+        if self.matrix is not None:
+            return self.matrix
+        f, n = self.fine_at[lo:hi], len(self.fine_shape)
+        # flat index of each corner on the bordered coarse lattice: the
+        # parent, then for each axis the same plus the step to the side
+        at = np.zeros((f.size, 1), dtype=f.dtype)
+        for a in range(n):
+            x = f // math.prod(self.fine_shape[a + 1:]) % self.fine_shape[a]
+            step = math.prod(self._index.shape[a + 1:])
+            at += ((x // 2 + 1) * step)[:, None]
+            side = ((x % 2) * (2 * step) - step)[:, None]
+            at = np.stack([at, at + side], axis=-1).reshape(f.size, -1)
+        cols = self._index.reshape(-1)[at]
+        absent = cols < 0
+        far = np.array([sum(c) for c in itertools.product((0, 1), repeat=n)])
+        vals = np.where(absent, 0.0, 0.25 ** far * 0.75 ** (n - far))
+        np.copyto(cols, cols[:, :1], where=absent)
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        indptr[lo + 1:hi + 1] = np.arange(1, f.size + 1) << n
+        indptr[hi + 1:] = cols.size
+        return sparse.csr_matrix((vals.reshape(-1), cols.reshape(-1), indptr), shape=self.shape)
+
+    def blocks(self, rows: int, radius: int):
+        """Runs i..j-1 of P's columns: whole coarse slabs (along the first
+        axis), at least one and at most about `rows` columns; each with the
+        fine rows lo..hi-1 that hold those columns of P and every fine node
+        within `radius` slabs of them."""
+        slab_of = self.coarse_at // math.prod(self._index.shape[1:]) - 1
+        edges = np.searchsorted(slab_of, np.arange(self.coarse.shape[0] + 1))
+        edges = edges[::max(1, rows // int(np.diff(edges).max()))].tolist() + [self.shape[1]]
+        fine_slab = math.prod(self.fine_shape[1:])
+        for i, j in zip(edges, edges[1:]):
+            if j > i:
+                lo, hi = np.searchsorted(self.fine_at, [
+                    max(2 * slab_of[i] - 1 - radius, 0) * fine_slab,
+                    (2 * slab_of[j - 1] + 3 + radius) * fine_slab])
+                yield i, j, int(lo), int(hi)
 
 
-def _scan(A, P, block: int):
-    """Diagonal and largest Gershgorin ratio max_i sum_j |a_ij| / a_ii of A,
-    and the Galerkin product P^T A P (None without P).
+def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int):
+    """P^T A P as CSR, and its largest Gershgorin ratio max_i sum_j |c_ij| / c_ii.
 
-    A is read one block of rows at a time (`A[i:j]`), so neither all of
-    A P nor all of A's rows are held at once.
+    A couples nodes at most `radius` apart along each axis.  The product is
+    formed one block of coarse rows at a time (`P.blocks`), from P's rows
+    on the fine slabs that the block's columns of P and their A-neighbours
+    reach, so no product with all of A and no copy of A is held.  A row of
+    P^T covers 4 fine nodes along each axis, so a row of P^T A has at most
+    (4 + 2 radius)^n entries; blocks are sized by that to about
+    `_BLOCK_ENTRIES`.
     """
-    n = A.shape[0]
-    C, diag, ratio = None, np.empty(n), 0.0
-    for i in range(0, n, block):
-        R = A[i:i + block]
-        d = diag[i:i + R.shape[0]] = R.diagonal(k=i)
-        ratio = max(ratio, float((abs(R).sum(axis=1).A1 / d).max()))
-        if P is not None:
-            part = P[i:i + R.shape[0]].T.tocsr() @ (R @ P)
-            C = part if C is None else C + part
-    return C, diag, ratio
+    block = _BLOCK_ENTRIES // (4 + 2 * radius) ** len(P.fine_shape)
+    # each block is written straight into arrays of the bound's size (a few
+    # entries too many at most), so the blocks and the whole are never held
+    # together
+    bound = _pattern_pairs(P.coarse, radius)
+    data, indices = np.empty(bound), np.empty(bound, dtype=np.int32)
+    indptr = np.zeros(P.shape[1] + 1, dtype=np.int32)
+    ratio = 0.0
+    for i, j, lo, hi in P.blocks(block, radius):
+        Q = P.rows(lo, hi)
+        B = (Q.T[i:j].tocsr() @ A) @ Q
+        start = indptr[i]
+        data[start:start + B.nnz] = B.data
+        indices[start:start + B.nnz] = B.indices
+        indptr[i + 1:j + 1] = B.indptr[1:] + start
+        # every row holds its positive diagonal, so no row is empty
+        row_abs = np.add.reduceat(np.abs(B.data), B.indptr[:-1])
+        ratio = max(ratio, float((row_abs / B.diagonal(k=i)).max()))
+    nnz = indptr[-1]
+    return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(P.shape[1],) * 2), ratio
+
+
+def _pattern_pairs(coarse: np.ndarray, radius: int) -> int:
+    """A bound on the entries of P^T A P: the pairs of coarse unknowns whose
+    lattice offset d has |d_a| <= 2 on every axis, and on at most one axis
+    when A has radius 1 (there a row of P^T A spans 6 fine cells along one
+    axis and 4 along the others, which reach coarse offsets 2 and 1)."""
+    padded = np.pad(coarse, 2)
+    total = 0
+    for d in itertools.product(range(-2, 3), repeat=coarse.ndim):
+        if radius == 1 and sum(abs(x) == 2 for x in d) > 1:
+            continue
+        shifted = padded[tuple(slice(2 + x, 2 + x + s) for x, s in zip(d, coarse.shape))]
+        total += np.count_nonzero(coarse & shifted)
+    return total
 
 
 class _Multigrid:
     """One symmetric V-cycle: an SPD approximate inverse of the free-node
     Hessian of sum w |D+ u / h|^2.
 
-    Levels are Galerkin operators A_(l+1) = P_l^T A_l P_l with
-    `_prolongation`, down to a sparse LU factor at the first level with at
-    most `_COARSE_MAX` unknowns.  The finest level (`_FreeHessian`) and the
-    first coarse one (`_Galerkin`) are applied through the lattice and
-    never stored: with 2^n-point prolongation the first coarse operator has
-    5^n-point rows, the largest object a solve would otherwise keep.  From
-    the second coarse level on, operators are CSR.  Each level smooths with
-    one damped Jacobi sweep before and one after the coarse correction; the
-    damping 4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep a contraction
-    in the energy norm, and both sweeps are the same symmetric operator, so
-    the V-cycle is symmetric.
+    Every level is a CSR matrix: the finest is `_free_hessian`, and each
+    next one the Galerkin operator P^T A P (`_galerkin`) with
+    `_Prolongation`, down to a sparse LU factor at the first level with at
+    most `_COARSE_MAX` unknowns.  Each level smooths with one damped Jacobi
+    sweep before and one after the coarse correction; the damping
+    4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep a contraction in the
+    energy norm, and both sweeps are the same symmetric operator, so the
+    V-cycle is symmetric.
     """
 
-    def __init__(self, work: _EnergyWorkspace, free: np.ndarray):
-        A = _FreeHessian(work, free)
-        block = 4096 >> free.ndim  # rows of A per block: about 4096 fine rows below them
+    def __init__(self, domain: GridDomain, free: np.ndarray):
+        A = _free_hessian(domain, free)
+        diag = A.diagonal()
+        # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
+        ratio = float((2.0 - (A @ np.ones(A.shape[0])) / diag).max())
+        radius = 1  # of the fine stencil; every coarse operator couples nodes up to 2 apart
         self.levels = []
         while A.shape[0] > _COARSE_MAX and free.size > 1:
-            P, free = _prolongation(free)
-            if self.levels:
-                C, diag, ratio = _scan(A, P, block)
-            else:  # the finest rows cost no product: take more at a time
-                _, diag, ratio = _scan(A, None, 4096)
-                C = _Galerkin(A, P)
-            self.levels.append((A, 4.0 / (3.0 * ratio) / diag, P, P.T))
-            A = C
-        self.coarse = splu(A[0:A.shape[0]].tocsc())
+            P = _Prolongation(free)
+            C, coarse_ratio = _galerkin(A, P, radius)
+            self.levels.append((A, 4.0 / (3.0 * ratio) / diag, P))
+            A, ratio, free, radius = C, coarse_ratio, P.coarse, 2
+            diag = A.diagonal()
+        self.coarse = splu(A.tocsc())
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
             return self.coarse.solve(b)
-        A, smooth, P, PT = self.levels[level]
+        A, smooth, P = self.levels[level]
         x = smooth * b
-        x += P @ self(PT @ (b - A @ x), level + 1)
+        x += P.prolong(self(P.restrict(b - A @ x), level + 1))
         r = A @ x
         x += np.multiply(smooth, np.subtract(b, r, out=r), out=r)
         return x
@@ -423,7 +486,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     while not converged and it < max_iter:
         it += 1
         if precondition is None:
-            precondition = _Multigrid(work, free)
+            precondition = _Multigrid(domain, free)
         z = precondition(-g)
         z_dot_g = float(np.dot(z, g))
         if d is not None:

@@ -35,6 +35,7 @@ from .strongtype import (
     build_test_function,
     derived_psi,
     explicit_psi,
+    psi_factor,
     verify_strong_type,
 )
 from .young import (
@@ -245,13 +246,11 @@ def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
         ceiling = config["check-conditions"]["ceiling"]
         pair = factored(phi_spec)
         psi = _psi_from(config, phi_spec, base_dir)
-        psi_part = (lambda t: np.asarray(psi(t), dtype=float)
-                    / pair.f_part(np.asarray(t, dtype=float)))
         reports = {
             "delta2": check_delta2(phi_spec, ceiling=ceiling),
             "delta2_plus": check_delta2_plus(phi_spec),
             "submultiplicative_f": check_submultiplicative_f(pair.f_part, ceiling=ceiling),
-            "pairing": check_pairing(pair.phi_part, psi_part, ceiling=ceiling),
+            "pairing": check_pairing(pair.phi_part, psi_factor(psi, pair), ceiling=ceiling),
         }
         payload = {name: _report_dict(rep) for name, rep in reports.items()}
         payload["all_passed"] = all(rep.passed for rep in reports.values())

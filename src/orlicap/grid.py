@@ -10,7 +10,6 @@ produce inside the ball.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,12 +215,8 @@ def level_mask(u: GridFunction, t: float) -> SetMask:
 
 
 # ---------------------------------------------------------------------------
-# I/O: CSV (x1..xn,value) and flat float64 binary with an {n, R, resolution}
-# header
+# I/O: CSV (x1..xn,value)
 # ---------------------------------------------------------------------------
-
-_BIN_HEADER = struct.Struct("<qdq")  # n, R, resolution
-
 
 def save_csv(u: GridFunction, path) -> None:
     dom = u.domain
@@ -230,33 +225,3 @@ def save_csv(u: GridFunction, path) -> None:
     header = ",".join([f"x{i + 1}" for i in range(dom.n)] + ["value"])
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
                comments="", fmt="%.17g")
-
-
-def load_csv(path, domain: GridDomain = None) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = data.shape[1] - 1
-    if domain is None:
-        resolution = round(data.shape[0] ** (1.0 / n))
-        if resolution ** n != data.shape[0]:
-            raise ValueError("row count is not a full lattice")
-        ax = np.unique(data[:, 0])
-        h = float(ax[1] - ax[0])
-        R = float(ax[-1] + h / 2.0)
-        domain = build_domain(n, R, resolution)
-    vals = data[:, -1].reshape(domain.shape)
-    return GridFunction(domain, vals)
-
-
-def save_binary(u: GridFunction, path) -> None:
-    dom = u.domain
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(dom.n, dom.R, dom.resolution))
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
-
-
-def load_binary(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        n, R, resolution = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    domain = build_domain(n, R, resolution)
-    return GridFunction(domain, raw.reshape(domain.shape).copy())

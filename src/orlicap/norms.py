@@ -63,26 +63,3 @@ def luxemburg_norm(u: GridFunction, spec: YoungSpec, rel_tol: float = 1e-12,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def phi_inverse(spec: YoungSpec, y: float, rel_tol: float = 1e-12) -> float:
-    """Inverse of the Young function by the same bracketing machinery."""
-    if y < 0:
-        raise ValueError("Young functions are nonnegative")
-    if y == 0.0:
-        return 0.0
-    hi = 1.0
-    n = 0
-    while eval_phi(spec, hi) < y:
-        hi *= 2.0
-        n += 1
-        if n > 200:
-            raise NumericalError("no bracket for the Young inverse")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if eval_phi(spec, mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -19,8 +19,10 @@ from .capacity import CapacityCache
 from .errors import ConfigurationError
 from .grid import GridDomain, GridFunction, from_callable, gradient_magnitude, integrate, level_mask
 from .young import (
+    FactoredPair,
     GridSpec,
     YoungSpec,
+    _growing,
     check_pairing,
     check_submultiplicative_f,
     eval_phi,
@@ -77,6 +79,14 @@ def derived_psi(phi_spec: YoungSpec) -> PsiSpec:
     psi = PsiSpec(fn, f"derived[{phi_spec.tag}]", "derived")
     _verify_increasing(fn, psi.tag)
     return psi
+
+
+def psi_factor(psi: PsiSpec, pair: FactoredPair) -> Callable:
+    """psi_part with Psi = f * psi_part, for the f of Phi's factorization
+    `pair`: the weight that the pairing condition checks against phi_part."""
+    def psi_part(t):
+        return np.asarray(psi(t), dtype=float) / pair.f_part(np.asarray(t, dtype=float))
+    return psi_part
 
 
 def explicit_psi(psi_spec: YoungSpec) -> PsiSpec:
@@ -318,23 +328,6 @@ class SuiteVerdict:
     per_function: dict = field(default_factory=dict)
 
 
-def _sweep_growing(values: Sequence[float], tail: int = 3, rel: float = 0.02) -> bool:
-    """Monotone growth of k_emp toward either end of the amplitude sweep.
-
-    An admissible weight makes k_emp peak inside the sweep and decay toward
-    both ends; a pairing violation shows up as a strict increase toward an
-    end gaining more than ~2% over the final octaves (measured: ~5-10% for
-    the log-against-log pair, identically flat for homogeneous pairs).
-    """
-    v = np.asarray(values, dtype=float)
-    if len(v) < tail:
-        return False
-    for end in (v[-tail:], v[:tail][::-1]):  # toward lambda->inf, lambda->0
-        if np.all(np.diff(end) > 0) and end[-1] > (1.0 + rel) * end[0] > 0:
-            return True
-    return False
-
-
 def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
                        psi: PsiSpec, domain: GridDomain,
                        lambdas: Sequence[float] = DEFAULT_LAMBDAS,
@@ -349,9 +342,7 @@ def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
     pair = factored(phi_spec)
     grid = condition_grid if condition_grid is not None else GridSpec()
     sub_rep = check_submultiplicative_f(pair.f_part, grid)
-    psi_part = (lambda t: np.asarray(psi(t), dtype=float)
-                / pair.f_part(np.asarray(t, dtype=float)))
-    pair_rep = check_pairing(pair.phi_part, psi_part, grid)
+    pair_rep = check_pairing(pair.phi_part, psi_factor(psi, pair), grid)
     conditions_ok = sub_rep.passed and pair_rep.passed
 
     if cache is None:
@@ -371,7 +362,7 @@ def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
         per_function[fn_spec.tag] = {
             "k_emp": ks,
             "max": max(finite) if finite else math.inf,
-            "growing": _sweep_growing(ks) or not all(map(math.isfinite, ks)),
+            "growing": _growing(ks, rel=0.02) or not all(map(math.isfinite, ks)),
         }
     max_k = max(info["max"] for info in per_function.values())
     stable = not any(info["growing"] for info in per_function.values())

@@ -422,19 +422,23 @@ def _decade_maxima(t: np.ndarray, values: np.ndarray):
     return np.array(out_d), np.array(out_m)
 
 
-def _growing(maxima: np.ndarray, tail: int = 3, rel: float = 0.10) -> bool:
-    """Detect unbounded growth at either grid end.
+def _growing(values, tail: int = 3, rel: float = 0.10) -> bool:
+    """Detect unbounded growth at either end of a sequence.
 
     A sequence converging to a finite limit is also monotone, so strict
-    increase alone is not evidence of divergence; require the maxima over
-    the last `tail` decades to increase strictly and gain more than `rel`
-    in total.  On the default 16-decade grid the genuinely divergent cases
-    (exponential, power-law, even logarithmic) gain upwards of 35% over
-    three decades, while saturating bounded ratios stay under ~5%.
+    increase alone is not evidence of divergence; require the last `tail`
+    values toward an end to increase strictly and gain more than `rel` in
+    total.  On the default 16-decade grid the per-decade maxima of
+    genuinely divergent ratios (exponential, power-law, even logarithmic)
+    gain upwards of 35% over three decades, while saturating bounded ratios
+    stay under ~5%.  Along a strong-type amplitude sweep, k_emp of an
+    admissible weight peaks inside and decays toward both ends, while a
+    pairing violation gains ~5-10% over the final octaves (rel = 0.02).
     """
-    if len(maxima) < tail:
+    v = np.asarray(values, dtype=float)
+    if len(v) < tail:
         return False
-    for end in (maxima[-tail:], maxima[:tail][::-1]):
+    for end in (v[-tail:], v[:tail][::-1]):
         if np.all(np.diff(end) > 0) and end[-1] > (1.0 + rel) * end[0] > 0:
             return True
     return False

@@ -29,8 +29,7 @@ from orlicap import (
     riesz_capacity_variational,
 )
 from orlicap.averages import _node_index, snap_to_node
-from orlicap.capacity import (_RATIO_FLOOR, _EnergyWorkspace, _FreeHessian, _Galerkin,
-                              _Multigrid, _prolongation)
+from orlicap.capacity import _RATIO_FLOOR, _EnergyWorkspace, _Multigrid
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import TestFunctionSpec, build_test_function
 from orlicap.young import eval_phi, eval_phi_prime
@@ -340,16 +339,28 @@ def test_workspace_gradient_matches_central_difference(lattice, spec):
 # preconditioned CG engine
 # ---------------------------------------------------------------------------
 
+def quadratic_form(domain):
+    """H with sum w |D+ u / h|^2 = u^T H u on the whole lattice, assembled
+    from scipy.sparse difference matrices (zero extension), one Kronecker
+    product per axis."""
+    n = domain.resolution
+    step = sparse.diags([-np.ones(n), np.ones(n - 1)], [0, 1])
+    eye = sparse.identity(n)
+    weights = sparse.diags(domain.weights.ravel())
+    H = 0
+    for a in range(domain.n):
+        D = step if a == 0 else eye
+        for b in range(1, domain.n):
+            D = sparse.kron(D, step if b == a else eye)
+        H = H + D.T @ weights @ D
+    return H.tocsr() / domain.h ** 2
+
+
 def quadratic_minimum(domain, mask):
     """Minimal sum w |D+ u / h|^2 with u = 1 on `mask`, 0 on the boundary
-    band: the free-node linear system, assembled from scipy.sparse
-    difference matrices and solved by spsolve (2-D)."""
-    n = domain.resolution
-    step = sparse.diags([-np.ones(n), np.ones(n - 1)], [0, 1])  # zero extension
-    eye = sparse.identity(n)
-    diffs = [sparse.kron(step, eye), sparse.kron(eye, step)]
-    weights = sparse.diags(domain.weights.ravel())
-    H = sum(D.T @ weights @ D for D in diffs).tocsr() / domain.h ** 2
+    band: the free-node linear system of `quadratic_form`, solved by
+    spsolve."""
+    H = quadratic_form(domain)
     free = ~(mask | domain.boundary_band).ravel()
     u = mask.ravel().astype(float)
     u[free] = spsolve(H[free][:, free].tocsc(), -(H[free][:, ~free] @ u[~free]))
@@ -367,11 +378,11 @@ def test_power2_matches_sparse_direct_solve(disc64):
 def multigrid(request):
     dom = build_domain(request.param[0], 1.0, request.param[1])
     free = ~(ball_mask(dom, 0.3).mask | dom.boundary_band)
-    return _Multigrid(_EnergyWorkspace(dom, power(2)), free), free
+    return _Multigrid(dom, free), free, dom
 
 
 def test_preconditioner_is_symmetric_positive_definite(multigrid):
-    M, free = multigrid
+    M, free, _ = multigrid
     assert M.levels  # at least one coarse level besides the factored one
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal((2, np.count_nonzero(free)))
@@ -380,21 +391,74 @@ def test_preconditioner_is_symmetric_positive_definite(multigrid):
     assert float(Ma @ a) > 0.0 and float(Mb @ b) > 0.0
 
 
-def test_lazy_levels_equal_their_matrices(multigrid):
-    M, free = multigrid
-    A = M.levels[0][0]
-    rows = A[0:A.shape[0]]
-    x = np.random.default_rng(4).standard_normal(A.shape[0])
-    assert isinstance(A, _FreeHessian)
-    assert np.allclose(A @ x, rows @ x, rtol=0.0, atol=1e-12 * np.abs(rows @ x).max())
-    assert (rows != rows.T).nnz == 0
-    P, _ = _prolongation(free)
-    G = _Galerkin(A, P)
-    explicit = (P.T @ rows @ P).toarray()
-    assert np.allclose(G[0:G.shape[0]].toarray(), explicit, rtol=0.0,
-                       atol=1e-12 * np.abs(explicit).max())
-    y = np.random.default_rng(5).standard_normal(G.shape[0])
-    assert np.allclose(G @ y, explicit @ y, rtol=0.0, atol=1e-9 * np.abs(explicit @ y).max())
+def interpolation_1d(size):
+    """Cell-centred linear interpolation from (size + 1) // 2 coarse cells:
+    fine cell i takes 3/4 of coarse cell i // 2 and 1/4 of its neighbour on
+    i's side, where there is one."""
+    T = sparse.lil_matrix((size, (size + 1) // 2))
+    for i in range(size):
+        q = i // 2
+        side = q - 1 if i % 2 == 0 else q + 1
+        T[i, q] = 0.75
+        if 0 <= side < T.shape[1]:
+            T[i, side] = 0.25
+    return T.tocsr()
+
+
+def prolongation(free):
+    """The multigrid's P: the tensor product of `interpolation_1d` on the
+    whole lattices, restricted to the free rows and to the coarse cells that
+    hold a free node's parent (a weight on any other coarse cell drops)."""
+    T = interpolation_1d(free.shape[0])
+    for size in free.shape[1:]:
+        T = sparse.kron(T, interpolation_1d(size))
+    coarse = np.zeros(tuple((s + 1) // 2 for s in free.shape), dtype=bool)
+    coarse[tuple(x // 2 for x in np.nonzero(free))] = True
+    return T.tocsr()[free.ravel()][:, coarse.ravel()].tocsr(), coarse
+
+
+def test_levels_are_galerkin_products(multigrid):
+    # every stored level against P^T A P built from independent
+    # scipy.sparse.kron assemblies of the Hessian and of P
+    M, free, dom = multigrid
+    A = 2.0 * quadratic_form(dom)[free.ravel()][:, free.ravel()]
+    rng = np.random.default_rng(4)
+    for stored, _, transfer in M.levels:
+        assert abs(stored - A).max() <= 1e-12 * abs(A).max()
+        P, free = prolongation(free)
+        x, y = rng.standard_normal(P.shape[1]), rng.standard_normal(P.shape[0])
+        assert np.allclose(transfer.prolong(x), P @ x, rtol=0.0,
+                           atol=1e-12 * np.abs(P @ x).max())
+        assert np.allclose(transfer.restrict(y), P.T @ y, rtol=0.0,
+                           atol=1e-12 * np.abs(P.T @ y).max())
+        A = (P.T @ A @ P).tocsr()
+    b = rng.standard_normal(A.shape[0])  # the coarsest level is factored
+    assert np.allclose(A @ M.coarse.solve(b), b, rtol=0.0, atol=1e-9 * np.abs(b).max())
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_multigrid_build_stays_within_the_old_peak():
+    dom = build_domain(3, 1.0, 32)
+    free = ~(ball_mask(dom, 0.3).mask | dom.boundary_band)
+    A, _, P = _Multigrid(dom, free).levels[0]  # also the warm-up
+    Q = P.rows(0, P.shape[0])
+    build = traced_peak(lambda: _Multigrid(dom, free))
+    # 4,989,930 B is this build's peak with the finest and first coarse
+    # levels applied lazily (numpy 2.4.6, scipy 1.17.1): storing every
+    # level may not cost more
+    assert build <= 4_990_000
+    # nor more than the first coarse level alone formed by whole products,
+    # a reference measured with the same libraries
+    assert build < traced_peak(lambda: (Q.T @ A) @ Q)
 
 
 def average_level_set(domain, name, center, r, level):
@@ -414,10 +478,10 @@ def test_coarse_operators_are_nonsingular(disc64):
     # this mask exactly singular.
     E = average_level_set(disc64, "tent", (-0.265625, -0.265625), 0.25, 2.0 ** -6)
     free = ~(E.mask | disc64.boundary_band)
-    M = _Multigrid(_EnergyWorkspace(disc64, power_log(2, 1)), free)
+    M = _Multigrid(disc64, free)
     assert len(M.levels) >= 2
-    for A, _, _, _ in M.levels[1:]:
-        eig = np.linalg.eigvalsh(A[0:A.shape[0]].toarray())
+    for A, _, _ in M.levels[1:]:
+        eig = np.linalg.eigvalsh(A.toarray())
         assert eig[0] > 1e-8 * eig[-1]
     res = capacity_variational(E, power_log(2, 1), disc64)
     assert res.converged

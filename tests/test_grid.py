@@ -14,8 +14,7 @@ from orlicap import (
     level_mask,
     zero_function,
 )
-from orlicap.grid import (SetMask, backward_difference, ball_mask, forward_difference,
-                          load_binary, load_csv, save_binary, save_csv)
+from orlicap.grid import SetMask, backward_difference, ball_mask, forward_difference, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -190,15 +189,8 @@ def test_csv_roundtrip(tmp_path, disc):
     u = tent(disc, 0.5)
     path = tmp_path / "u.csv"
     save_csv(u, path)
-    v = load_csv(path)
-    assert v.domain.key() == disc.key()
-    assert np.allclose(v.values, u.values, atol=1e-15)
-
-
-def test_binary_roundtrip(tmp_path, disc):
-    u = tent(disc, 0.5)
-    path = tmp_path / "u.bin"
-    save_binary(u, path)
-    v = load_binary(path)
-    assert v.domain.key() == disc.key()
-    assert np.array_equal(v.values, u.values)
+    assert path.read_text().splitlines()[0] == "x1,x2,value"
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    grids = np.meshgrid(*disc.axes, indexing="ij")
+    assert np.array_equal(data[:, :-1], np.column_stack([g.ravel() for g in grids]))
+    assert np.allclose(data[:, -1].reshape(disc.shape), u.values, atol=1e-15)
