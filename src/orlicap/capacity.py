@@ -37,15 +37,22 @@ non-finite initial energy or gradient, or final value.
 The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
 free-node Hessian, assembled in one vectorized pass over the lattice
 edges, and the Galerkin products below it, formed block by block.
+
+The Riesz capacity (`riesz_capacity_variational`) is a dense problem on
+the kernel |x - y|^(1-n) from the marked to the inside nodes, gathered
+from one table over lattice offsets.  It is solved through its Fenchel
+dual on one multiplier per marked node by spectral projected gradient;
+each iterate gives a dual lower bound and a feasible density, and the
+solve stops once their gap is at most tol * value.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -56,7 +63,8 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigurationError, NumericalError
 from .grid import (GridDomain, GridFunction, SetMask, backward_difference, ball_mask,
                    forward_difference)
-from .young import YoungSpec, check_delta2, check_delta2_plus, eval_phi, eval_phi_prime, factored
+from .young import (YoungSpec, check_delta2, check_delta2_plus, eval_phi, eval_phi_prime, factored,
+                    phi_prime_inverse)
 
 _RATIO_FLOOR = 1e-12  # clamp for phi(g)/g at the 0/0 singularity
 _EPS = float(np.finfo(float).eps)
@@ -69,7 +77,7 @@ class CapacityResult:
     iterations: int
     converged: bool
     method: str
-    lower: Optional[float] = None  # certified: capacity >= lower; None if not computed
+    lower: float  # certified: capacity >= lower
 
     def summary(self) -> dict:
         return {"value": self.value, "lower": self.lower, "iterations": self.iterations,
@@ -450,7 +458,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
     if E.is_empty():
         u = GridFunction(domain, np.zeros(domain.shape))
-        return CapacityResult(0.0, u, 0, True, "pcg-multigrid", lower=0.0)
+        return CapacityResult(0.0, u, 0, True, "pcg-multigrid", 0.0)
 
     free = ~(E.mask | domain.boundary_band)
     at = np.flatnonzero(free).astype(np.int32)
@@ -520,7 +528,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
         raise NumericalError(f"{spec.tag}: non-finite capacity energy {e_u}")
     gf = GridFunction(domain, u)
     gf.values.flags.writeable = False
-    return CapacityResult(e_u, gf, it, converged, "pcg-multigrid", lower=e_u - gap)
+    return CapacityResult(e_u, gf, it, converged, "pcg-multigrid", e_u - gap)
 
 
 class CapacityCache:
@@ -645,6 +653,10 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
 # ---------------------------------------------------------------------------
 
 _MAX_CONSTRAINT_NODES = 4096
+_KERNEL_ROWS = 64         # rows of the Riesz kernel gathered at once
+_NONMONOTONE = 10         # past dual values the Armijo test takes the max of
+_ARMIJO = 1e-4            # sufficient-decrease fraction of the projected slope
+_ALPHA_MIN, _ALPHA_MAX = 1e-30, 1e30  # Barzilai-Borwein step safeguards
 
 
 def _kernel_diagonal(n: int, h: float) -> float:
@@ -659,18 +671,52 @@ def _kernel_diagonal(n: int, h: float) -> float:
     return 4.0 * math.pi * rho / h ** 3
 
 
+def _riesz_kernel(domain: GridDomain, E: SetMask) -> np.ndarray:
+    """Riesz kernel A[j, i] = |x_j - y_i|^(1-n) h^n from marked nodes x_j to
+    inside nodes y_i, with the cell average `_kernel_diagonal` at x_j = y_i.
+
+    The kernel depends on x_j - y_i alone, so A is gathered, a block of rows
+    at a time, from one table over the lattice offsets (|k_1|, ..., |k_n|).
+    """
+    n, h = domain.n, domain.h
+    hn = h ** n
+    sq = np.ix_(*[np.square(np.arange(m) * h) for m in domain.shape])
+    with np.errstate(divide="ignore"):
+        table = np.sqrt(functools.reduce(np.add, sq)) ** (1 - n) * hn
+    table.flat[0] = _kernel_diagonal(n, h) * hn
+    steps = [st // table.itemsize for st in table.strides]
+    marked, inside = np.argwhere(E.mask), np.argwhere(domain.inside)
+    A = np.empty((len(marked), len(inside)))
+    for r0 in range(0, len(marked), _KERNEL_ROWS):
+        rows = marked[r0:r0 + _KERNEL_ROWS]
+        offset = np.zeros((len(rows), len(inside)), dtype=np.intp)
+        for ax in range(n):
+            offset += np.abs(rows[:, None, ax] - inside[None, :, ax]) * steps[ax]
+        np.take(table.ravel(), offset, out=A[r0:r0 + len(rows)])
+    return A
+
+
 def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
                                domain: GridDomain = None,
-                               feas_tol: float = 1e-6,
-                               max_outer: int = 60,
-                               inner_iter: int = 600) -> CapacityResult:
+                               tol: float = 1e-8,
+                               max_iter: int = 10_000) -> CapacityResult:
     """Riesz capacity: minimal modular of densities whose potential covers E.
 
-    Minimizes sum_i w_i Phi(f_i) over f >= 0 supported on the ball, subject
-    to (K f)_j >= 1 at every marked node, where K is the |y|^(1-n) kernel
-    with a cell-averaged diagonal.  Augmented-Lagrangian outer loop with
-    projected accelerated descent inside; the returned density is rescaled
-    so the constraint holds exactly.
+    The primal problem minimizes sum_i w Phi(f_i) over f >= 0 on the inside
+    nodes, subject to (A f)_j >= 1 at every marked node (`_riesz_kernel`).
+    The solve runs on its Fenchel dual over multipliers mu >= 0 on the
+    marked nodes: minimize  phi(mu) = sum_i w Phi*((A^T mu)_i / w) - sum mu,
+    whose gradient is A t - 1 with t = (Phi')^-1(A^T mu / w).  Each step is
+    a projected Barzilai-Borwein step with a nonmonotone Armijo search
+    against the last `_NONMONOTONE` values (spectral projected gradient,
+    Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).
+
+    Every iterate certifies a bracket: by weak duality -phi(mu) <= cap, with
+    Phi* bounded above from the bracket of `young.phi_prime_inverse`, and
+    the density t / min(A t) is feasible, so its modular bounds cap from
+    above.  `value` and `lower` are the best of each; the solve converges
+    once value - lower <= tol * value, and reports `converged=False` after
+    `max_iter` iterations or when no step lowers phi any more.
     """
     if domain is None:
         domain = E.domain
@@ -680,103 +726,77 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
     if E.is_empty():
         u = GridFunction(domain, np.zeros(domain.shape))
-        return CapacityResult(0.0, u, 0, True, "riesz-al")
+        return CapacityResult(0.0, u, 0, True, "riesz-dual", 0.0)
     if E.count > _MAX_CONSTRAINT_NODES:
         raise ConfigurationError(
             f"{E.count} constraint nodes exceed the dense-kernel cap "
             f"{_MAX_CONSTRAINT_NODES}")
 
-    inside = domain.inside
-    coords = np.stack(np.meshgrid(*domain.axes, indexing="ij"))
-    pts_in = coords[:, inside].T          # (N_in, n)
-    pts_e = coords[:, E.mask].T           # (N_e, n)
-    h = domain.h
-    hn = h ** domain.n
-    dist = np.sqrt(((pts_e[:, None, :] - pts_in[None, :, :]) ** 2).sum(axis=2))
-    with np.errstate(divide="ignore"):
-        A = dist ** (1 - domain.n) * hn
-    A[dist == 0.0] = _kernel_diagonal(domain.n, h) * hn
+    A = _riesz_kernel(domain, E)
+    w = domain.h ** domain.n
 
-    w = np.full(pts_in.shape[0], hn)
+    def dual(mu, t_prev):
+        """phi(mu), bounded above, and the densities t at mu."""
+        y = (A.T @ mu) / w
+        t_lo, t = phi_prime_inverse(spec, y, t_prev)
+        return w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
 
-    def objective(fv):
-        # extend below zero by the constant Phi(0) = 0; smooth since the
-        # density vanishes at 0, and momentum points may dip negative
-        return float(np.sum(w * eval_phi(spec, np.maximum(fv, 0.0))))
+    def search(mu, phi, t, d, slope, phi_ref):
+        """Nonmonotone Armijo search along d from mu; None once the step no
+        longer changes mu."""
+        lam = 1.0
+        while True:
+            mu_new = np.maximum(mu + lam * d, 0.0)
+            phi_new, t_new = dual(mu_new, t)
+            if phi_new <= phi_ref + _ARMIJO * lam * slope:
+                return mu_new, phi_new, t_new
+            # safeguarded minimizer of the quadratic through phi, slope, phi_new
+            quad_min = -0.5 * lam * lam * slope / (phi_new - phi - lam * slope)
+            lam = quad_min if 0.1 * lam <= quad_min <= 0.9 * lam else 0.5 * lam
+            if not lam * float(np.abs(d).max()) > _EPS * float(mu.max()):
+                return None
 
-    rho = 1.0 / max(objective(np.ones_like(w)), 1e-12)
-    mu = np.zeros(pts_e.shape[0])
-
-    ones_pot = A @ np.ones_like(w)
-    f = np.ones_like(w) / max(ones_pot.min(), 1e-12)
-
-    alpha = 1.0
-    total_inner = 0
-    converged = False
-    prev_viol = math.inf
-    for _ in range(max_outer):
-
-        def al_value_grad(fv, need_grad=True):
-            c = 1.0 - A @ fv
-            active = np.maximum(0.0, mu / rho + c)
-            val = (objective(fv) + 0.5 * rho * np.sum(active ** 2)
-                   - np.sum(mu ** 2) / (2.0 * rho))
-            if not need_grad:
-                return val, None
-            grad = (w * eval_phi_prime(spec, np.maximum(fv, 0.0))
-                    - rho * (A.T @ active))
-            return val, grad
-
-        e_f, g = al_value_grad(f)
-        y = f
-        f_prev = f
-        t_k = 1.0
-        hist = [e_f]
-        for _ in range(inner_iter):
-            total_inner += 1
-            v = np.maximum(y - alpha * g, 0.0)
-            e_v, _ = al_value_grad(v, need_grad=False)
-            if e_v <= e_f:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-                y = v + ((t_k - 1.0) / t_next) * (v - f_prev)
-                f_prev, f, e_f, t_k = f, v, e_v, t_next
-            else:
-                t_k = 1.0
-                _, g_f = al_value_grad(f)
-                accepted = False
-                while alpha > 1e-30:
-                    v = np.maximum(f - alpha * g_f, 0.0)
-                    e_v, _ = al_value_grad(v, need_grad=False)
-                    if e_v <= e_f:
-                        accepted = True
-                        break
-                    alpha *= 0.5
-                if not accepted:
-                    break
-                f_prev, f, e_f = f, v, e_v
-                y = f
-            hist.append(e_f)
-            if len(hist) > 10 and hist[-11] - hist[-1] < 1e-10 * max(abs(e_f), 1e-300):
-                break
-            _, g = al_value_grad(y)
-
-        c = 1.0 - A @ f
-        viol = float(np.maximum(c, 0.0).max())
-        mu = np.maximum(0.0, mu + rho * c)
-        if viol <= 0.5 * feas_tol:
-            converged = True
+    # start on the ray of mu = 1, scaled as if Phi* were homogeneous of
+    # degree q = p/(p-1), as it is for power(p)
+    mu = np.ones(E.count)
+    phi, t = dual(mu, None)
+    mu *= (E.count / ((phi + E.count) * spec.p / (spec.p - 1.0))) ** (spec.p - 1.0)
+    phi, t = dual(mu, t)
+    At = A @ t
+    g = At - 1.0
+    history = collections.deque([phi], maxlen=_NONMONOTONE)
+    value, f = math.inf, None
+    lower = -phi
+    alpha = float(mu.max() / np.abs(g).max())
+    it = 0
+    while True:
+        f_new = t / At.min()  # feasible: A f_new >= 1
+        v_new = w * float(eval_phi(spec, f_new).sum())
+        if v_new < value:
+            value, f = v_new, f_new
+        converged = value - lower <= tol * value
+        if converged or it >= max_iter:
             break
-        if viol > 0.25 * prev_viol:
-            rho *= 4.0
-        prev_viol = viol
+        it += 1
+        d = np.maximum(mu - alpha * g, 0.0) - mu
+        slope = float(g @ d)
+        step = search(mu, phi, t, d, slope, max(history)) if slope < 0.0 else None
+        if step is None:
+            break  # stationary to machine precision
+        mu_new, phi_new, t_new = step
+        At = A @ t_new
+        g_new = At - 1.0
+        s, r = mu_new - mu, g_new - g
+        sr = float(s @ r)
+        alpha = min(max(float(s @ s) / sr, _ALPHA_MIN), _ALPHA_MAX) if sr > 0 else _ALPHA_MAX
+        mu, phi, t, g = mu_new, phi_new, t_new, g_new
+        history.append(phi)
+        lower = max(lower, -phi)
 
-    pot = A @ f
-    m = pot.min()
-    if m < 1.0 and m > 0.0:
-        f = f / m
-    value = objective(f)
+    if not math.isfinite(value):
+        raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")
     dens = np.zeros(domain.shape)
-    dens[inside] = f
+    dens[domain.inside] = f
     gf = GridFunction(domain, dens)
     gf.values.flags.writeable = False
-    return CapacityResult(value, gf, total_inner, converged, "riesz-al")
+    return CapacityResult(value, gf, it, converged, "riesz-dual", lower)

@@ -293,6 +293,70 @@ def eval_phi_prime(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
     return float(out[0]) if scalar else out
 
 
+_INVERSE_RTOL = 1e-13    # width of the brackets of phi_prime_inverse, in log t
+_INVERSE_ROUNDS = 100    # evaluation rounds of phi_prime_inverse before it gives up
+
+
+def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
+    """Bracket [t_lo, t_hi] of the root t of Phi'(t) = y, for a 1-D array y >= 0.
+
+    Phi'(t_lo) <= y <= Phi'(t_hi) as evaluated by `eval_phi_prime`, and
+    t_hi <= t_lo * exp(_INVERSE_RTOL) unless `_INVERSE_ROUNDS` rounds run
+    out; y = 0 gives t_lo = t_hi = 0.  For `power` both ends are the closed
+    form (y/p)^(1/(p-1)), exact up to rounding.  Otherwise secant steps on
+    F(u) = log(Phi'(e^u) / y) start from u = log t0 (a previous root; where
+    it is not positive, from the closed form of `power(p)`), each pushed a
+    quarter of the width past the root it predicts so that the iterates
+    close in from both sides; a step that leaves the bracket found so far
+    bisects it.
+
+    By convexity the conjugate Phi*(y) = y t - Phi(t) at the root lies
+    below y * t_hi - Phi(t_lo), an upper bound that stays rigorous for
+    any bracket.
+    """
+    y = np.asarray(y, dtype=float)
+    p = spec.p
+    with np.errstate(divide="ignore", over="ignore"):
+        guess = np.power(y / p, 1.0 / (p - 1.0))
+    if spec.family == "power":
+        return guess, guess.copy()
+    if t0 is not None:
+        guess = np.where(t0 > 0, t0, guess)
+    t_lo, t_hi = np.zeros_like(y), np.zeros_like(y)
+    pos = np.flatnonzero(y > 0)
+    lo, hi = np.full(pos.size, -np.inf), np.full(pos.size, np.inf)
+    k = np.arange(pos.size)  # entries of pos still open
+    u = np.log(guess[pos])
+    f_prev = u_prev = None
+    slope = np.full(pos.size, p - 1.0)  # dF/du; p - 1 for power(p)
+    for _ in range(_INVERSE_ROUNDS):
+        t = np.exp(u)
+        d = eval_phi_prime(spec, t)
+        yk = y[pos[k]]
+        below, above = d <= yk, d >= yk
+        lo[k[below]], t_lo[pos[k[below]]] = u[below], t[below]
+        hi[k[above]], t_hi[pos[k[above]]] = u[above], t[above]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.log(d / yk)
+        f[np.isnan(f)] = np.inf  # Phi' at an overflowed t = inf
+        if f_prev is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = (f - f_prev) / (u - u_prev)
+            use = (np.abs(u - u_prev) > 1e-8) & (secant > 0) & np.isfinite(secant)
+            slope[k[use]] = secant[use]
+        keep = hi[k] - lo[k] > _INVERSE_RTOL
+        k, u, f = k[keep], u[keep], f[keep]
+        if k.size == 0:
+            break
+        step = np.clip(-f / slope[k], -8.0, 8.0)
+        step += np.where(f < 0, 0.25, -0.25) * _INVERSE_RTOL
+        u_prev, f_prev, u = u, f, u + step
+        a, b = lo[k], hi[k]
+        outside = ~((u > a) & (u < b))
+        u[outside] = np.where(np.isfinite(a + b), 0.5 * (a + b), u)[outside]
+    return t_lo, t_hi
+
+
 # ---------------------------------------------------------------------------
 # Factorization Phi = f * phi_part, Psi = f * psi_part
 # ---------------------------------------------------------------------------
@@ -395,6 +459,7 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec()
+_RATIO_ROWS = 64  # values of s per block of a 2-D ratio search
 
 
 @dataclass
@@ -529,28 +594,47 @@ def check_delta2_plus(spec_or_pair, grid: GridSpec = DEFAULT_GRID) -> ConditionR
 
 def _ratio_report(condition: str, num: Callable, den: Callable,
                   grid: GridSpec, ceiling: float) -> ConditionReport:
-    """2-D grid search for sup num(s,t)/den(s,t)."""
+    """2-D grid search for sup num(s,t)/den(s,t).
+
+    Sweeps _RATIO_ROWS values of s at a time, carrying the column and row
+    maxima, the first (row-major) strict maximum and the flags, so that no
+    array of the whole grid is held.  Non-finite ratios count as -inf and
+    set `truncated`; the first point where the denominator vanishes under a
+    positive numerator makes the report fail with c_emp = inf.
+    """
     pts = grid.points()
-    s = pts[:, None]
     t = pts[None, :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        numer = num(s, t)
-        denom = den(s, t)
-        ratio = numer / denom
-    bad = (denom == 0) & (numer > 0)
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    col_max = np.full(pts.size, -np.inf)
+    row_max = np.empty(pts.size)
+    c_emp, i, j = -np.inf, 0, 0
+    truncated, vanishes = False, None
+    for r0 in range(0, pts.size, _RATIO_ROWS):
+        s = pts[r0:r0 + _RATIO_ROWS, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            numer = num(s, t)
+            denom = den(s, t)
+            ratio = numer / denom
+        if vanishes is not None:
+            continue  # evaluated still, so that num and den raise as on the whole grid
+        bad = (denom == 0) & (numer > 0)
+        if np.any(bad):
+            bi, bj = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            vanishes = (r0 + bi, bj)
+            continue
+        ok = np.isfinite(ratio)
+        truncated |= not ok.all()
+        ratio = np.where(ok, ratio, -np.inf)
+        bi, bj = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        if ratio[bi, bj] > c_emp:
+            c_emp, i, j = float(ratio[bi, bj]), r0 + bi, bj
+        np.maximum(col_max, ratio.max(axis=0), out=col_max)
+        row_max[r0:r0 + len(s)] = ratio.max(axis=1)
+    if vanishes is not None:
+        i, j = vanishes
         return ConditionReport(condition, math.inf, (float(pts[i]), float(pts[j])),
                                False, True, False, ceiling, grid,
                                details={"denominator_vanishes": True})
-    ok = np.isfinite(ratio)
-    truncated = bool(np.any(~ok))
-    ratio = np.where(ok, ratio, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    c_emp = float(ratio[i, j])
     # trend along each axis: decade maxima of max over the other variable
-    col_max = ratio.max(axis=0)
-    row_max = ratio.max(axis=1)
     _, m_t = _decade_maxima(pts, col_max)
     _, m_s = _decade_maxima(pts, row_max)
     growing = _growing(m_t) or _growing(m_s)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import nnls
 from scipy.sparse.linalg import spsolve
 
 from orlicap import (
@@ -29,7 +31,8 @@ from orlicap import (
     riesz_capacity_variational,
 )
 from orlicap.averages import _node_index, snap_to_node
-from orlicap.capacity import _RATIO_FLOOR, _EnergyWorkspace, _Multigrid
+from orlicap.capacity import (_RATIO_FLOOR, _EnergyWorkspace, _Multigrid, _kernel_diagonal,
+                              _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import TestFunctionSpec, build_test_function
 from orlicap.young import eval_phi, eval_phi_prime
@@ -171,7 +174,72 @@ def test_estimate_requires_matching_exponent():
 
 def test_riesz_empty(disc64):
     empty = SetMask(disc64, np.zeros(disc64.shape, dtype=bool))
-    assert riesz_capacity_variational(empty, power(2), disc64).value == 0.0
+    res = riesz_capacity_variational(empty, power(2), disc64)
+    assert res.value == 0.0
+    assert res.lower == 0.0
+
+
+def coordinate_kernel(domain, E):
+    """The Riesz kernel from coordinate differences of the marked and the
+    inside nodes, with the cell-averaged diagonal."""
+    coords = np.stack(np.meshgrid(*domain.axes, indexing="ij"))
+    pts_in = coords[:, domain.inside].T
+    pts_e = coords[:, E.mask].T
+    hn = domain.h ** domain.n
+    dist = np.sqrt(((pts_e[:, None, :] - pts_in[None, :, :]) ** 2).sum(axis=2))
+    with np.errstate(divide="ignore"):
+        A = dist ** (1 - domain.n) * hn
+    A[dist == 0.0] = _kernel_diagonal(domain.n, domain.h) * hn
+    return A
+
+
+@pytest.mark.parametrize("n, res, r", [(2, 64, 0.3), (2, 32, 0.4), (3, 32, 0.3)])
+def test_riesz_kernel_table_is_bit_identical(n, res, r):
+    # h = 2/res is a power of two here, so coordinate differences are exact
+    dom = build_domain(n, 1.0, res)
+    E = ball_mask(dom, r)
+    table = _riesz_kernel(dom, E)
+    assert np.array_equal(table.view(np.int64), coordinate_kernel(dom, E).view(np.int64))
+
+
+@pytest.mark.parametrize("r", [0.1, 0.25])
+def test_riesz_power2_brackets_the_dual_qp_oracle(disc64, r):
+    # For power(2), Phi*(y) = y^2 / 4, so the dual is the QP
+    # min_{mu >= 0} mu^T Q mu / 2 - 1^T mu with Q = A A^T / (2w); with Q = L L^T
+    # it is the least-squares problem |L^T mu - L^-1 1| over mu >= 0
+    E = ball_mask(disc64, r)
+    A = coordinate_kernel(disc64, E)
+    w = disc64.h ** 2
+    Q = A @ A.T / (2.0 * w)
+    L = cholesky(Q, lower=True)
+    mu, _ = nnls(L.T, solve_triangular(L, np.ones(E.count), lower=True))
+    oracle = mu.sum() - 0.5 * mu @ Q @ mu
+    res = riesz_capacity_variational(E, power(2), disc64)
+    assert res.converged
+    slack = 1e-12 * oracle  # rounding of the oracle's own sums
+    assert res.lower - slack <= oracle <= res.value + slack
+    assert (res.value - res.lower) / res.value <= 1e-8
+
+
+@pytest.mark.parametrize("spec", [power_log(2, 1), exp_loglog(3, 2, 0.5)],
+                         ids=lambda s: s.family)
+def test_riesz_other_families_certify_and_grow(disc64, spec):
+    prev = 0.0
+    for r in (0.1, 0.2, 0.3):
+        res = riesz_capacity_variational(ball_mask(disc64, r), spec, disc64)
+        assert res.converged
+        assert 0.0 < res.lower <= res.value
+        assert (res.value - res.lower) / res.value <= 1e-8
+        assert res.value > prev
+        prev = res.value
+
+
+def test_riesz_nonconvergence_keeps_a_bracket(disc64):
+    res = riesz_capacity_variational(ball_mask(disc64, 0.25), power(2), disc64, max_iter=3)
+    assert not res.converged
+    assert res.iterations == 3
+    assert math.isfinite(res.lower) and math.isfinite(res.value)
+    assert res.lower <= res.value
 
 
 def test_riesz_monotone_and_feasible(disc64):
@@ -181,6 +249,9 @@ def test_riesz_monotone_and_feasible(disc64):
     assert small.converged and big.converged
     assert small.value <= big.value
     assert np.all(small.minimizer.values >= 0.0)
+    E = ball_mask(disc64, 0.1)
+    potential = coordinate_kernel(disc64, E) @ small.minimizer.values[disc64.inside]
+    assert potential.min() >= 1.0 - 1e-12
 
 
 def test_riesz_node_cap():

@@ -92,6 +92,25 @@ def test_capacity_scenario_matches_condenser(tmp_path):
     assert abs(payload["radial_oracle"] - exact) / exact < 0.005
 
 
+def test_riesz_capacity_writes_its_bracket(tmp_path):
+    cfg = write(tmp_path, BASE + "\n[capacity]\nr = 0.25\nmethod = riesz\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "capacity.json").read_text())
+    assert payload["converged"] is True
+    assert payload["method"] == "riesz-dual"
+    assert 0.0 < payload["lower"] <= payload["value"]
+    assert payload["value"] - payload["lower"] <= 1e-8 * payload["value"]
+
+
+def test_riesz_capacity_over_the_node_cap_exits_2(tmp_path):
+    text = BASE.replace("resolution = 64", "resolution = 128")
+    cfg = write(tmp_path, text + "\n[capacity]\nr = 0.6\nmethod = riesz\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "capacity.json").exists()
+
+
 def test_capacity_json_carries_the_certified_bracket(tmp_path):
     cfg = write(tmp_path, BASE + "\n[capacity]\nr = 0.25\n")
     out = tmp_path / "out"

@@ -22,7 +22,9 @@ from orlicap import (
     power,
     power_log,
 )
-from orlicap.young import E_E, FactoredPair, YoungSpec
+from orlicap.young import (DEFAULT_GRID, E_E, ConditionReport, FactoredPair, YoungSpec,
+                           _INVERSE_RTOL, _decade_maxima, _growing, _ratio_report,
+                           phi_prime_inverse)
 
 ALL_BUILTIN = [
     power(2),
@@ -457,3 +459,106 @@ def test_square_and_unit_shortcuts_are_bit_identical(spec, evaluate, reference):
         expected = reference(spec, t)
         got = evaluate(spec, t)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# row-blocked ratio search against the whole-grid one
+# ---------------------------------------------------------------------------
+
+def dense_ratio_report(condition, num, den, grid, ceiling):
+    """The 2-D ratio search on the whole grid at once: the reference for the
+    row-blocked `_ratio_report`."""
+    pts = grid.points()
+    s, t = pts[:, None], pts[None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        numer = num(s, t)
+        denom = den(s, t)
+        ratio = numer / denom
+    bad = (denom == 0) & (numer > 0)
+    if np.any(bad):
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return ConditionReport(condition, math.inf, (float(pts[i]), float(pts[j])),
+                               False, True, False, ceiling, grid,
+                               details={"denominator_vanishes": True})
+    ok = np.isfinite(ratio)
+    truncated = bool(np.any(~ok))
+    ratio = np.where(ok, ratio, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    c_emp = float(ratio[i, j])
+    _, m_t = _decade_maxima(pts, ratio.max(axis=0))
+    _, m_s = _decade_maxima(pts, ratio.max(axis=1))
+    growing = _growing(m_t) or _growing(m_s)
+    return ConditionReport(condition, c_emp, (float(pts[i]), float(pts[j])),
+                           (not growing) and c_emp <= ceiling, growing, truncated,
+                           ceiling, grid)
+
+
+def ratio_cases(spec):
+    pair = factored(spec)
+    return [("submultiplicative_f", lambda s, t: pair.f_part(s) * pair.f_part(t),
+             lambda s, t: pair.f_part(s * t)),
+            ("pairing", lambda s, t: pair.phi_part(s) * pair.psi_part(t + 0 * s),
+             lambda s, t: pair.phi_part(s * t))]
+
+
+@pytest.mark.parametrize("spec", [power(2), power_log(2, 1), power_log(3, 1),
+                                  exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
+def test_blocked_ratio_report_equals_the_dense_one(spec):
+    for condition, num, den in ratio_cases(spec):
+        args = (condition, num, den, DEFAULT_GRID, 2.0)
+        assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
+
+
+def test_blocked_ratio_report_flags_equal_the_dense_ones():
+    grid = GridSpec(1e-4, 1e4, 16)
+    overflow = (lambda s, t: np.exp(s) * t, lambda s, t: s + t)   # inf past s ~ 710
+    vanishes = (lambda s, t: s + t, lambda s, t: np.where(s * t > 50.0, 0.0, s * t))
+    ties = (lambda s, t: np.ones_like(s * t), lambda s, t: np.ones_like(s * t))
+    for num, den in (overflow, vanishes, ties):
+        args = ("pairing", num, den, grid, math.inf)
+        assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
+    assert _ratio_report("pairing", *overflow, grid, math.inf).truncated
+    assert _ratio_report("pairing", *vanishes, grid, math.inf).details["denominator_vanishes"]
+
+
+# ---------------------------------------------------------------------------
+# inverse of the density Phi'
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [power_log(2, 1), power_log(3, 1), power_log(1.5, 0.5),
+                                  exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
+def test_phi_prime_inverse_brackets_the_root(spec):
+    rng = np.random.default_rng(0)
+    y = np.concatenate([[0.0, 1e-12, 1e6], 10.0 ** rng.uniform(-4, 4, 500)])
+    t_lo, t_hi = phi_prime_inverse(spec, y)
+    assert t_lo[0] == t_hi[0] == 0.0
+    assert np.all(eval_phi_prime(spec, t_lo) <= y)
+    assert np.all(eval_phi_prime(spec, t_hi) >= y)
+    assert np.all(t_hi[1:] <= t_lo[1:] * math.exp(_INVERSE_RTOL))
+    # warm-started from the last roots, for nearby values, and from a
+    # start that is no root at all
+    y2 = y * (1.0 + 1e-3 * rng.standard_normal(y.size))
+    for start in (0.5 * (t_lo + t_hi), np.full(y.size, 1e3)):
+        lo2, hi2 = phi_prime_inverse(spec, y2, start)
+        assert np.all(eval_phi_prime(spec, lo2) <= y2)
+        assert np.all(eval_phi_prime(spec, hi2) >= y2)
+        assert np.all(hi2[1:] <= lo2[1:] * math.exp(_INVERSE_RTOL))
+
+
+def test_phi_prime_inverse_power_is_the_closed_form():
+    y = np.array([0.0, 0.5, 3.0, 1e8])
+    t_lo, t_hi = phi_prime_inverse(power(3), y)
+    assert np.array_equal(t_lo, t_hi)
+    np.testing.assert_allclose(3.0 * t_lo ** 2, y, rtol=1e-15)
+
+
+def test_conjugate_bound_from_the_bracket_is_above_the_sup():
+    # Phi*(y) = sup_t (y t - Phi(t)); y t_hi - Phi(t_lo) bounds it above
+    spec = power_log(2, 1)
+    y = np.array([0.3, 2.0, 50.0])
+    t_lo, t_hi = phi_prime_inverse(spec, y)
+    bound = y * t_hi - eval_phi(spec, t_lo)
+    t = np.geomspace(1e-6, 1e3, 200001)
+    sup = np.max(y[:, None] * t[None, :] - eval_phi(spec, t)[None, :], axis=1)
+    assert np.all(sup <= bound)
+    np.testing.assert_allclose(bound, sup, rtol=1e-8)
