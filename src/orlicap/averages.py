@@ -11,13 +11,13 @@ operator is restricted to a finite dyadic list, the resolvable range being
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .capacity import CapacityCache
-from .grid import GridDomain, GridFunction, SetMask, ball_mask, integrate
+from .grid import GridDomain, GridFunction, SetMask, ball_mask, check_ball_inside, integrate
 from .strongtype import PsiSpec, lhs_dyadic
 from .young import YoungSpec, eval_phi
 
@@ -37,17 +37,12 @@ def _node_index(domain: GridDomain, x0: np.ndarray) -> tuple:
                  for i in range(domain.n))
 
 
-def _check_ball_inside(domain: GridDomain, x0: np.ndarray, r: float) -> None:
-    if float(np.linalg.norm(x0)) + r >= domain.R - 2.0 * domain.h:
-        raise ValueError(f"B({x0}, {r}) does not fit inside B(0, R - 2h)")
-
-
 def capacitary_average(u: GridFunction, x0, r: float, phi_spec: YoungSpec,
                        psi: PsiSpec, cache: CapacityCache = None) -> float:
     """Normalized level-set integral of |u - u(x0)| over B(x0, r)."""
     domain = u.domain
     x0 = snap_to_node(domain, x0)
-    _check_ball_inside(domain, x0, r)
+    check_ball_inside(domain, x0, r)
     if cache is None:
         cache = CapacityCache(phi_spec, domain)
     ball = ball_mask(domain, r, x0)
@@ -162,7 +157,7 @@ def weak_type_sweep(F: GridFunction, phi_spec: YoungSpec,
         x0 = snap_to_node(domain, c)
         vals = []
         for r in radii:
-            _check_ball_inside(domain, x0, r)
+            check_ball_inside(domain, x0, r)
             ball = ball_mask(domain, r, x0)
             local = integrate(np.where(ball.mask, phi_of_F, 0.0), domain)
             vals.append(local / cache.capacity(ball).value)

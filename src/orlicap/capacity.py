@@ -539,10 +539,9 @@ class CapacityCache:
     objects; their minimizer arrays are read-only.
     """
 
-    def __init__(self, spec: YoungSpec, domain: GridDomain, **solver_kw):
+    def __init__(self, spec: YoungSpec, domain: GridDomain):
         self.spec = spec
         self.domain = domain
-        self.solver_kw = solver_kw
         self._store = {}
 
     def capacity(self, mask: SetMask) -> CapacityResult:
@@ -550,7 +549,7 @@ class CapacityCache:
         hit = self._store.get(key)
         if hit is not None:
             return hit
-        res = capacity_variational(mask, self.spec, self.domain, **self.solver_kw)
+        res = capacity_variational(mask, self.spec, self.domain)
         self._store[key] = res
         return res
 
@@ -561,10 +560,6 @@ class CapacityCache:
 # ---------------------------------------------------------------------------
 # 1-D radial oracle
 # ---------------------------------------------------------------------------
-
-def _sphere_area(n: int) -> float:
-    return 2.0 * math.pi if n == 2 else 4.0 * math.pi
-
 
 def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int,
                          nodes: int = 10_000, max_iter: int = 300) -> float:
@@ -579,7 +574,7 @@ def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int,
         raise ConfigurationError("need 0 < r < R")
     if n not in (2, 3):
         raise ConfigurationError("dimension must be 2 or 3")
-    omega = _sphere_area(n)
+    omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi  # |S^(n-1)|
     rho = np.linspace(r, R, nodes + 1)
     delta = (R - r) / nodes
     mid = 0.5 * (rho[:-1] + rho[1:])

@@ -28,7 +28,7 @@ from .capacity import (
     riesz_capacity_variational,
 )
 from .errors import ConfigurationError, NumericalError
-from .grid import GridDomain, ball_mask, build_domain, save_csv
+from .grid import GridDomain, ball_mask, build_domain, check_ball_inside, save_csv
 from .norms import luxemburg_norm, modular
 from .strongtype import (
     TestFunctionSpec,
@@ -47,8 +47,6 @@ from .young import (
     factored,
     load_table_csv,
 )
-
-SCENARIOS = ("check-conditions", "norm", "capacity", "strong-type", "averages")
 
 _YOUNG_KEYS = {"family": str, "p": float, "theta": float, "gamma": float,
                "c0": float, "table": str}
@@ -107,8 +105,6 @@ def load_config(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
@@ -134,21 +130,18 @@ def load_config(path: Path) -> dict:
 
 def _young_from(section: dict, base_dir: Path) -> YoungSpec:
     family = section.get("family", "power")
-    kw = {}
-    if section.get("p") is not None:
-        kw["p"] = section["p"]
-    if section.get("theta") is not None:
-        kw["theta"] = section["theta"]
-    if section.get("gamma") is not None:
-        kw["gamma"] = section["gamma"]
-    if section.get("c0") is not None:
-        kw["c0"] = section["c0"]
     if family == "custom_table":
         table = section.get("table")
         if not table:
             raise ConfigurationError("custom_table needs a table CSV path")
         return load_table_csv(base_dir / table)
-    return YoungSpec(family, **kw)
+    return YoungSpec(family, **{k: section[k] for k in ("p", "theta", "gamma", "c0")
+                                if section.get(k) is not None})
+
+
+def _domain(config: dict) -> GridDomain:
+    d = config["domain"]
+    return build_domain(d["n"], d["r"], d["resolution"])
 
 
 def _require_table_range(spec: YoungSpec, dom: GridDomain) -> None:
@@ -209,24 +202,141 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def _parse_functions(names: str, seed: int):
-    specs = []
-    for name in names.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name == "random_smooth":
-            specs.append(TestFunctionSpec("random_smooth", seed=seed))
-        else:
-            specs.append(TestFunctionSpec(name))
+    # the seed only reaches random_smooth
+    specs = [TestFunctionSpec(name.strip(), seed=seed)
+             for name in names.split(",") if name.strip()]
     if not specs:
         raise ConfigurationError("no test functions requested")
     return specs
 
 
-def _norm_function_spec(params: dict) -> TestFunctionSpec:
-    return TestFunctionSpec(params["shape"], amplitude=params["amplitude"],
-                            r=params["tent_r"], sigma=params["sigma"],
-                            r_in=params["r_in"], r_out=params["r_out"])
+def _check_conditions(config, phi_spec, base_dir, out_dir) -> int:
+    ceiling = config["check-conditions"]["ceiling"]
+    pair = factored(phi_spec)
+    psi = _psi_from(config, phi_spec, base_dir)
+    reports = {
+        "delta2": check_delta2(phi_spec, ceiling=ceiling),
+        "delta2_plus": check_delta2_plus(phi_spec),
+        "submultiplicative_f": check_submultiplicative_f(pair.f_part, ceiling=ceiling),
+        "pairing": check_pairing(pair.phi_part, psi_factor(psi, pair), ceiling=ceiling),
+    }
+    payload = {name: _report_dict(rep) for name, rep in reports.items()}
+    payload["all_passed"] = all(rep.passed for rep in reports.values())
+    _json_dump(payload, out_dir / "conditions.json")
+    return 0
+
+
+def _norm(config, phi_spec, base_dir, out_dir) -> int:
+    dom = _domain(config)
+    params = config["norm"]
+    fn_spec = TestFunctionSpec(params["shape"], amplitude=params["amplitude"],
+                               r=params["tent_r"], sigma=params["sigma"],
+                               r_in=params["r_in"], r_out=params["r_out"])
+    u = build_test_function(fn_spec, dom)
+    mod = modular(u, phi_spec)
+    _json_dump({"function": fn_spec.tag, "modular": mod.value,
+                "luxemburg_norm": luxemburg_norm(u, phi_spec)},
+               out_dir / "norm.json")
+    return 0
+
+
+def _capacity(config, phi_spec, base_dir, out_dir) -> int:
+    dom = _domain(config)
+    params = config["capacity"]
+    check_ball_inside(dom, np.zeros(dom.n), params["r"])
+    E = ball_mask(dom, params["r"])
+    if params["method"] == "variational":
+        _require_table_range(phi_spec, dom)
+        res = capacity_variational(E, phi_spec, dom)
+    elif params["method"] == "riesz":
+        res = riesz_capacity_variational(E, phi_spec, dom)
+    else:
+        raise ConfigurationError(f"unknown capacity method {params['method']!r}")
+    payload = res.summary()
+    payload["set"] = f"ball(r={params['r']:g})"
+    if params["radial_oracle"] and params["method"] == "variational":
+        payload["radial_oracle"] = capacity_ball_radial(
+            params["r"], phi_spec, dom.R, dom.n)
+    if params["estimate"]:
+        est = ball_capacity_estimate(params["r"], phi_spec, dom.R, dom.n)
+        payload["ball_estimate"] = {"F": est.F_value, "estimate": est.estimate}
+    _json_dump(payload, out_dir / "capacity.json")
+    if params["write_minimizer"]:
+        save_csv(res.minimizer, out_dir / "minimizer.csv")
+    return 0 if res.converged else 3
+
+
+def _strong_type(config, phi_spec, base_dir, out_dir) -> int:
+    dom = _domain(config)
+    _require_table_range(phi_spec, dom)
+    psi = _psi_from(config, phi_spec, base_dir)
+    params = config["strong-type"]
+    suite = _parse_functions(params["functions"], config["run"]["seed"])
+    lo, hi = params["lambda_min_exp"], params["lambda_max_exp"]
+    if lo > hi:
+        raise ConfigurationError(f"lambda_min_exp = {lo} exceeds lambda_max_exp = {hi}: "
+                                 "the amplitude sweep is empty")
+    reports, verdict = verify_strong_type(suite, phi_spec, psi, dom,
+                                          lambdas=[2.0 ** j for j in range(lo, hi + 1)])
+    with open(out_dir / "strongtype.csv", "w", encoding="utf-8") as fh:
+        fh.write("tag,lambda,k,level_capacity,psi_weight,lhs_partial\n")
+        for rep in reports:
+            for row in rep.levels:
+                fh.write(f"{rep.tag},{rep.amplitude:.12g},{row.k},"
+                         f"{row.capacity:.12g},{row.psi_weight:.12g},"
+                         f"{row.lhs_partial:.12g}\n")
+    _json_dump({"reports": [rep.summary() for rep in reports], "verdict": vars(verdict)},
+               out_dir / "strongtype.json")
+    return 0 if verdict.all_converged else 3
+
+
+def _averages(config, phi_spec, base_dir, out_dir) -> int:
+    dom = _domain(config)
+    _require_table_range(phi_spec, dom)
+    psi = _psi_from(config, phi_spec, base_dir)
+    params = config["averages"]
+    suite = _parse_functions(params["functions"], config["run"]["seed"])
+    if params["j_max"] < 0 or params["r0"] < 4.0 * dom.h:
+        raise ConfigurationError(
+            f"no radius r0 * 2^-j with 0 <= j <= j_max = {params['j_max']} reaches "
+            f"4h = {4.0 * dom.h!r}, the smallest the lattice resolves: the sweep is empty")
+    centers = default_centers(dom, params["center_spacing"])
+    for center in centers:
+        check_ball_inside(dom, center, params["r0"])
+    cache = CapacityCache(phi_spec, dom)
+    traces = []
+    rows = []
+    for fn_spec in suite:
+        u = build_test_function(fn_spec, dom)
+        L = grid_lipschitz(u)
+        for center in centers:
+            tr = average_trace(u, center, phi_spec, psi,
+                               j_max=params["j_max"], r0=params["r0"],
+                               epsilon=params["epsilon"], cache=cache)
+            traces.append({
+                "function": fn_spec.tag,
+                "center": list(tr.center),
+                "final": tr.final,
+                "passed": tr.passed,
+                "truncated": tr.truncated,
+                "lipschitz": L,
+            })
+            for r, v in zip(tr.radii, tr.values):
+                rows.append((fn_spec.tag, tr.center, r, v))
+    with open(out_dir / "traces.csv", "w", encoding="utf-8") as fh:
+        fh.write("tag,x0,r,average\n")
+        for tag, center, r, v in rows:
+            loc = "(" + " ".join(f"{c:.6g}" for c in center) + ")"
+            fh.write(f"{tag},{loc},{r:.12g},{v:.12g}\n")
+    _json_dump({"traces": traces,
+                "all_passed": all(t["passed"] for t in traces)},
+               out_dir / "verdict.json")
+    return 0
+
+
+# scenario name -> runner(config, Phi, config directory, output directory) -> exit code
+SCENARIOS = {"check-conditions": _check_conditions, "norm": _norm, "capacity": _capacity,
+             "strong-type": _strong_type, "averages": _averages}
 
 
 def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
@@ -234,132 +344,10 @@ def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
     if scenario not in SCENARIOS:
         raise ConfigurationError(f"unknown scenario {scenario!r}")
     phi_spec = _young_from(config["young"], base_dir)
-    seed = config["run"]["seed"]
-
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"version": __version__, "scenario": scenario, "config": config}
     _json_dump(manifest, out_dir / "manifest.json")
-
-    exit_code = 0
-
-    if scenario == "check-conditions":
-        ceiling = config["check-conditions"]["ceiling"]
-        pair = factored(phi_spec)
-        psi = _psi_from(config, phi_spec, base_dir)
-        reports = {
-            "delta2": check_delta2(phi_spec, ceiling=ceiling),
-            "delta2_plus": check_delta2_plus(phi_spec),
-            "submultiplicative_f": check_submultiplicative_f(pair.f_part, ceiling=ceiling),
-            "pairing": check_pairing(pair.phi_part, psi_factor(psi, pair), ceiling=ceiling),
-        }
-        payload = {name: _report_dict(rep) for name, rep in reports.items()}
-        payload["all_passed"] = all(rep.passed for rep in reports.values())
-        _json_dump(payload, out_dir / "conditions.json")
-
-    elif scenario == "norm":
-        dom = build_domain(config["domain"]["n"], config["domain"]["r"],
-                           config["domain"]["resolution"])
-        fn_spec = _norm_function_spec(config["norm"])
-        u = build_test_function(fn_spec, dom)
-        mod = modular(u, phi_spec)
-        _json_dump({"function": fn_spec.tag, "modular": mod.value,
-                    "luxemburg_norm": luxemburg_norm(u, phi_spec)},
-                   out_dir / "norm.json")
-
-    elif scenario == "capacity":
-        dom = build_domain(config["domain"]["n"], config["domain"]["r"],
-                           config["domain"]["resolution"])
-        params = config["capacity"]
-        E = ball_mask(dom, params["r"])
-        if params["method"] == "variational":
-            _require_table_range(phi_spec, dom)
-            res = capacity_variational(E, phi_spec, dom)
-        elif params["method"] == "riesz":
-            res = riesz_capacity_variational(E, phi_spec, dom)
-        else:
-            raise ConfigurationError(f"unknown capacity method {params['method']!r}")
-        payload = res.summary()
-        payload["set"] = f"ball(r={params['r']:g})"
-        if params["radial_oracle"] and params["method"] == "variational":
-            payload["radial_oracle"] = capacity_ball_radial(
-                params["r"], phi_spec, dom.R, dom.n)
-        if params["estimate"]:
-            est = ball_capacity_estimate(params["r"], phi_spec, dom.R, dom.n)
-            payload["ball_estimate"] = {"F": est.F_value, "estimate": est.estimate}
-        _json_dump(payload, out_dir / "capacity.json")
-        if params["write_minimizer"]:
-            save_csv(res.minimizer, out_dir / "minimizer.csv")
-        if not res.converged:
-            exit_code = 3
-
-    elif scenario == "strong-type":
-        dom = build_domain(config["domain"]["n"], config["domain"]["r"],
-                           config["domain"]["resolution"])
-        _require_table_range(phi_spec, dom)
-        psi = _psi_from(config, phi_spec, base_dir)
-        params = config["strong-type"]
-        suite = _parse_functions(params["functions"], seed)
-        lambdas = [2.0 ** j for j in range(params["lambda_min_exp"],
-                                           params["lambda_max_exp"] + 1)]
-        reports, verdict = verify_strong_type(suite, phi_spec, psi, dom,
-                                              lambdas=lambdas)
-        with open(out_dir / "strongtype.csv", "w", encoding="utf-8") as fh:
-            fh.write("tag,lambda,k,level_capacity,psi_weight,lhs_partial\n")
-            for rep in reports:
-                for row in rep.levels:
-                    fh.write(f"{rep.tag},{rep.amplitude:.12g},{row.k},"
-                             f"{row.capacity:.12g},{row.psi_weight:.12g},"
-                             f"{row.lhs_partial:.12g}\n")
-        _json_dump({
-            "reports": [rep.summary() for rep in reports],
-            "verdict": {
-                "max_k_emp": verdict.max_k_emp,
-                "stable": verdict.stable,
-                "all_converged": verdict.all_converged,
-                "conditions_ok": verdict.conditions_ok,
-                "per_function": verdict.per_function,
-            },
-        }, out_dir / "strongtype.json")
-        if not verdict.all_converged:
-            exit_code = 3
-
-    elif scenario == "averages":
-        dom = build_domain(config["domain"]["n"], config["domain"]["r"],
-                           config["domain"]["resolution"])
-        _require_table_range(phi_spec, dom)
-        psi = _psi_from(config, phi_spec, base_dir)
-        params = config["averages"]
-        suite = _parse_functions(params["functions"], seed)
-        cache = CapacityCache(phi_spec, dom)
-        traces = []
-        rows = []
-        for fn_spec in suite:
-            u = build_test_function(fn_spec, dom)
-            L = grid_lipschitz(u)
-            for center in default_centers(dom, params["center_spacing"]):
-                tr = average_trace(u, center, phi_spec, psi,
-                                   j_max=params["j_max"], r0=params["r0"],
-                                   epsilon=params["epsilon"], cache=cache)
-                traces.append({
-                    "function": fn_spec.tag,
-                    "center": list(tr.center),
-                    "final": tr.final,
-                    "passed": tr.passed,
-                    "truncated": tr.truncated,
-                    "lipschitz": L,
-                })
-                for r, v in zip(tr.radii, tr.values):
-                    rows.append((fn_spec.tag, tr.center, r, v))
-        with open(out_dir / "traces.csv", "w", encoding="utf-8") as fh:
-            fh.write("tag,x0,r,average\n")
-            for tag, center, r, v in rows:
-                loc = "(" + " ".join(f"{c:.6g}" for c in center) + ")"
-                fh.write(f"{tag},{loc},{r:.12g},{v:.12g}\n")
-        _json_dump({"traces": traces,
-                    "all_passed": all(t["passed"] for t in traces)},
-                   out_dir / "verdict.json")
-
-    return exit_code
+    return SCENARIOS[scenario](config, phi_spec, base_dir, out_dir)
 
 
 def main(argv=None) -> int:

@@ -30,15 +30,8 @@ class GridDomain:
     weights: np.ndarray    # h^n on inside nodes, 0 elsewhere
 
     @property
-    def interior(self) -> np.ndarray:
-        return ~self.boundary_band
-
-    @property
     def shape(self):
         return (self.resolution,) * self.n
-
-    def key(self) -> tuple:
-        return (self.n, self.R, self.resolution)
 
 
 def build_domain(n: int, R: float, resolution: int) -> GridDomain:
@@ -72,9 +65,6 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.domain.shape:
             raise ValueError("values shape does not match the domain lattice")
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self.values.copy())
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
@@ -125,6 +115,13 @@ def ball_mask(domain: GridDomain, r: float, center=None) -> SetMask:
         grids = np.meshgrid(*domain.axes, indexing="ij")
         dist = np.sqrt(sum((g - c[i]) ** 2 for i, g in enumerate(grids)))
     return SetMask(domain, dist <= r)
+
+
+def check_ball_inside(domain: GridDomain, center, r: float) -> None:
+    """ConfigurationError unless |center| + r < R - 2h, so that every node
+    of B(center, r) lies where SetMask accepts marked nodes."""
+    if float(np.linalg.norm(center)) + r >= domain.R - 2.0 * domain.h:
+        raise ConfigurationError(f"B({center}, {r}) does not fit inside B(0, R - 2h)")
 
 
 def _flat_pair(vals: np.ndarray, out: np.ndarray, axis: int):

@@ -10,8 +10,8 @@ amplitude sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import ConfigurationError
 from .grid import GridDomain, GridFunction, from_callable, gradient_magnitude, integrate, level_mask
 from .young import (
     FactoredPair,
-    GridSpec,
     YoungSpec,
     _growing,
     check_pairing,
@@ -100,49 +99,6 @@ def explicit_psi(psi_spec: YoungSpec) -> PsiSpec:
 # Test functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    __test__ = False  # "test function" in the variational sense, not pytest's
-
-    shape: str  # tent | bump | plateau | two_peak | random_smooth
-    amplitude: float = 1.0
-    r: float = 0.5
-    sigma: float = 0.2
-    r_in: float = 0.2
-    r_out: float = 0.5
-    seed: int = 0
-
-    @property
-    def tag(self) -> str:
-        if self.shape == "tent":
-            core = f"tent(r={self.r:g})"
-        elif self.shape == "bump":
-            core = f"bump(sigma={self.sigma:g})"
-        elif self.shape == "plateau":
-            core = f"plateau({self.r_in:g},{self.r_out:g})"
-        elif self.shape == "two_peak":
-            core = "two_peak"
-        elif self.shape == "random_smooth":
-            core = f"random_smooth(seed={self.seed})"
-        else:
-            raise ConfigurationError(f"unknown test-function shape {self.shape!r}")
-        return core if self.amplitude == 1.0 else f"{self.amplitude:g}*{core}"
-
-    def scaled(self, amplitude: float) -> "TestFunctionSpec":
-        return TestFunctionSpec(self.shape, amplitude, self.r, self.sigma,
-                                self.r_in, self.r_out, self.seed)
-
-
-def default_suite() -> List[TestFunctionSpec]:
-    return [
-        TestFunctionSpec("tent", r=0.5),
-        TestFunctionSpec("bump", sigma=0.2),
-        TestFunctionSpec("plateau", r_in=0.2, r_out=0.5),
-        TestFunctionSpec("two_peak"),
-        TestFunctionSpec("random_smooth", seed=7),
-    ]
-
-
 def _mollifier(dist, radius):
     s2 = np.clip((dist / radius) ** 2, 0.0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -150,43 +106,80 @@ def _mollifier(dist, radius):
     return np.where(s2 < 1.0, vals, 0.0)
 
 
+def _distance(stack, center):
+    return np.sqrt(np.sum((stack - center.reshape(-1, *([1] * (stack.ndim - 1)))) ** 2, axis=0))
+
+
+def _two_peak(spec, stack, dist):
+    c1 = np.zeros(len(stack)); c1[0] = -0.35
+    c2 = np.zeros(len(stack)); c2[0] = 0.35
+    return np.maximum(np.maximum(0.0, 1.0 - _distance(stack, c1) / 0.25),
+                      0.5 * np.maximum(0.0, 1.0 - _distance(stack, c2) / 0.2))
+
+
+def _random_smooth(spec, stack, dist):
+    rng = np.random.default_rng(spec.seed)
+    m = 6
+    centers = rng.uniform(-0.4, 0.4, size=(m, len(stack)))
+    amps = rng.uniform(0.3, 1.0, size=m)
+    sigmas = rng.uniform(0.1, 0.25, size=m)
+    vals = np.zeros(dist.shape)
+    for j in range(m):
+        vals += amps[j] * np.exp(-_distance(stack, centers[j]) ** 2 / (2.0 * sigmas[j] ** 2))
+    vals *= _mollifier(dist, 0.75)
+    peak = vals.max()
+    if peak > 0:
+        vals /= peak
+    return vals
+
+
+# shape -> (tag at amplitude 1, profile(spec, (n, ...) coordinate stack, |x|))
+SHAPES = {
+    "tent": (lambda s: f"tent(r={s.r:g})",
+             lambda s, x, d: np.maximum(0.0, 1.0 - d / s.r)),
+    "bump": (lambda s: f"bump(sigma={s.sigma:g})",
+             lambda s, x, d: _mollifier(d, 3.0 * s.sigma)),
+    "plateau": (lambda s: f"plateau({s.r_in:g},{s.r_out:g})",
+                lambda s, x, d: np.clip((s.r_out - d) / (s.r_out - s.r_in), 0.0, 1.0)),
+    "two_peak": (lambda s: "two_peak", _two_peak),
+    "random_smooth": (lambda s: f"random_smooth(seed={s.seed})", _random_smooth),
+}
+
+
+@dataclass(frozen=True)
+class TestFunctionSpec:
+    __test__ = False  # "test function" in the variational sense, not pytest's
+
+    shape: str  # a key of SHAPES
+    amplitude: float = 1.0
+    r: float = 0.5
+    sigma: float = 0.2
+    r_in: float = 0.2
+    r_out: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.shape not in SHAPES:
+            raise ConfigurationError(f"unknown test-function shape {self.shape!r}")
+
+    @property
+    def tag(self) -> str:
+        core = SHAPES[self.shape][0](self)
+        return core if self.amplitude == 1.0 else f"{self.amplitude:g}*{core}"
+
+
+def default_suite() -> List[TestFunctionSpec]:
+    """Every shape at its default parameters (the seed only reaches random_smooth)."""
+    return [TestFunctionSpec(shape, seed=7) for shape in SHAPES]
+
+
 def build_test_function(fn_spec: TestFunctionSpec, domain: GridDomain) -> GridFunction:
     limit = domain.R - 2.0 * domain.h
+    profile = SHAPES[fn_spec.shape][1]
 
     def sample(stack):
         dist = np.sqrt(np.sum(stack ** 2, axis=0))
-        if fn_spec.shape == "tent":
-            vals = np.maximum(0.0, 1.0 - dist / fn_spec.r)
-        elif fn_spec.shape == "bump":
-            vals = _mollifier(dist, 3.0 * fn_spec.sigma)
-        elif fn_spec.shape == "plateau":
-            ramp = (fn_spec.r_out - dist) / (fn_spec.r_out - fn_spec.r_in)
-            vals = np.clip(ramp, 0.0, 1.0)
-        elif fn_spec.shape == "two_peak":
-            c1 = np.zeros(domain.n); c1[0] = -0.35
-            c2 = np.zeros(domain.n); c2[0] = 0.35
-            d1 = np.sqrt(np.sum((stack - c1.reshape(-1, *([1] * domain.n))) ** 2, axis=0))
-            d2 = np.sqrt(np.sum((stack - c2.reshape(-1, *([1] * domain.n))) ** 2, axis=0))
-            vals = np.maximum(np.maximum(0.0, 1.0 - d1 / 0.25),
-                              0.5 * np.maximum(0.0, 1.0 - d2 / 0.2))
-        elif fn_spec.shape == "random_smooth":
-            rng = np.random.default_rng(fn_spec.seed)
-            m = 6
-            centers = rng.uniform(-0.4, 0.4, size=(m, domain.n))
-            amps = rng.uniform(0.3, 1.0, size=m)
-            sigmas = rng.uniform(0.1, 0.25, size=m)
-            vals = np.zeros(dist.shape)
-            for j in range(m):
-                dj = np.sqrt(np.sum(
-                    (stack - centers[j].reshape(-1, *([1] * domain.n))) ** 2, axis=0))
-                vals += amps[j] * np.exp(-dj ** 2 / (2.0 * sigmas[j] ** 2))
-            vals *= _mollifier(dist, 0.75)
-            peak = vals.max()
-            if peak > 0:
-                vals /= peak
-        else:
-            raise ConfigurationError(f"unknown test-function shape {fn_spec.shape!r}")
-        return fn_spec.amplitude * vals
+        return fn_spec.amplitude * profile(fn_spec, stack, dist)
 
     u = from_callable(domain, sample)
     support = np.abs(u.values) > 0
@@ -230,21 +223,27 @@ class StrongTypeReport:
                 "tail_bound": self.tail_bound, "converged": self.converged}
 
 
-def rhs_energy(u: GridFunction, phi_spec: YoungSpec,
-               domain: GridDomain = None) -> float:
+def rhs_energy(u: GridFunction, phi_spec: YoungSpec) -> float:
     """Gradient energy integral, the right-hand side of the inequality."""
-    if domain is None:
-        domain = u.domain
-    return integrate(eval_phi(phi_spec, gradient_magnitude(u)), domain)
+    return integrate(eval_phi(phi_spec, gradient_magnitude(u)), u.domain)
+
+
+def dyadic_levels(peak: float, psi: PsiSpec):
+    """Yield (k, Psi(2^(k+1)) - Psi(2^k)) for k from ceil(log2 peak) down
+    to floor(log2 peak) - TAIL_OCTAVES: the levels every dyadic sum over
+    {|u| > 2^k} resolves for a function with max |u| = peak > 0."""
+    top = math.log2(peak)
+    for k in range(math.ceil(top), math.floor(top) - TAIL_OCTAVES - 1, -1):
+        yield k, psi.weight(2.0 ** k, 2.0 ** (k + 1))
 
 
 def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
                cache: CapacityCache = None) -> StrongTypeReport:
     """Dyadic level-set sum approximating the capacitary integral.
 
-    Levels run from k_max = ceil(log2 max|u|) down 20 octaves; the
-    neglected lower levels are covered by the reported tail bound
-    capacity(support) * Psi(2^(k_min+1)), never silently dropped.
+    Levels come from dyadic_levels, k_max = ceil(log2 max|u|) down to
+    k_min; the neglected lower levels are covered by the reported tail
+    bound capacity(support) * Psi(2^(k_min+1)), never silently dropped.
     """
     domain = u.domain
     if cache is None:
@@ -259,22 +258,20 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
                                 k_emp=0.0, k_min=0, k_max=0, levels=[],
                                 tail_bound=0.0, converged=True)
 
-    k_max = math.ceil(math.log2(peak))
-    k_min = math.floor(math.log2(peak)) - TAIL_OCTAVES
     rows = []
     lhs = 0.0
     all_conv = True
-    for k in range(k_max, k_min - 1, -1):
+    for k, wgt in dyadic_levels(peak, psi):
         lvl = 2.0 ** k
         mask = level_mask(u, lvl)
         res = cache.capacity(mask)
-        wgt = psi.weight(2.0 ** k, 2.0 ** (k + 1))
         lhs += res.value * wgt
         all_conv &= res.converged
         rows.append(LevelRow(k=k, level=lvl, capacity=res.value,
                              psi_weight=wgt, lhs_partial=res.value * wgt,
                              nodes=mask.count, converged=res.converged))
     rows.reverse()
+    k_min, k_max = rows[0].k, rows[-1].k
 
     support = level_mask(u, peak * 1e-15)
     cap_support = cache.capacity(support).value
@@ -304,13 +301,10 @@ def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     peak = u.max_abs()
     if peak == 0.0:
         return 0.0, 0.0
-    k_max = math.ceil(math.log2(peak))
-    k_min = math.floor(math.log2(peak)) - TAIL_OCTAVES
     lower = upper = 0.0
-    for k in range(k_max, k_min - 1, -1):
+    for k, wgt in dyadic_levels(peak, psi):
         ts = 2.0 ** (k + np.arange(samples) / samples)
         caps = [cache.capacity(level_mask(u, t)).value for t in ts]
-        wgt = psi.weight(2.0 ** k, 2.0 ** (k + 1))
         lower += min(caps) * wgt
         upper += max(caps) * wgt
     return lower, upper
@@ -331,8 +325,7 @@ class SuiteVerdict:
 def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
                        psi: PsiSpec, domain: GridDomain,
                        lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                       cache: CapacityCache = None,
-                       condition_grid: GridSpec = None):
+                       cache: CapacityCache = None):
     """Run the amplitude sweep over a suite and assemble the verdict.
 
     The structural conditions on (f, phi, psi) are checked and reported;
@@ -340,9 +333,8 @@ def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
     the verdict just records that the hypotheses did not hold.
     """
     pair = factored(phi_spec)
-    grid = condition_grid if condition_grid is not None else GridSpec()
-    sub_rep = check_submultiplicative_f(pair.f_part, grid)
-    pair_rep = check_pairing(pair.phi_part, psi_factor(psi, pair), grid)
+    sub_rep = check_submultiplicative_f(pair.f_part)
+    pair_rep = check_pairing(pair.phi_part, psi_factor(psi, pair))
     conditions_ok = sub_rep.passed and pair_rep.passed
 
     if cache is None:
@@ -352,7 +344,7 @@ def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
     for fn_spec in suite:
         ks = []
         for lam in lambdas:
-            u = build_test_function(fn_spec.scaled(lam), domain)
+            u = build_test_function(replace(fn_spec, amplitude=lam), domain)
             rep = lhs_dyadic(u, phi_spec, psi, cache)
             rep.tag = fn_spec.tag
             rep.amplitude = lam

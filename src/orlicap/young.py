@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -368,16 +368,9 @@ class FactoredPair:
     f_part: Callable
     phi_part: Callable
     psi_part: Callable
-    phi_part_prime: Optional[Callable] = None
-    p: Optional[float] = None  # set when f_part(t) = t^p
+    phi_part_prime: Callable
+    p: float  # f_part(t) = t^p
     tag: str = "custom"
-
-    def phi(self, t):
-        return self.f_part(np.asarray(t, dtype=float)) * self.phi_part(np.asarray(t, dtype=float))
-
-    def psi(self, t):
-        arr = np.asarray(t, dtype=float)
-        return self.f_part(arr) * self.psi_part(arr)
 
 
 def derive_psi(phi_part: Callable) -> Callable:
@@ -545,15 +538,9 @@ def check_delta2_plus(spec_or_pair, grid: GridSpec = DEFAULT_GRID) -> ConditionR
         pair = factored(spec_or_pair)
     else:
         pair = spec_or_pair
-    if pair.p is None:
-        raise ConfigurationError("delta2+ needs a t^p * phi(t) factorization")
     t = grid.points()
     phi = np.asarray(pair.phi_part(t), dtype=float)
-    if pair.phi_part_prime is not None:
-        phip = np.asarray(pair.phi_part_prime(t), dtype=float)
-    else:
-        h = t * 1e-6
-        phip = (np.asarray(pair.phi_part(t + h)) - np.asarray(pair.phi_part(t - h))) / (2 * h)
+    phip = np.asarray(pair.phi_part_prime(t), dtype=float)
     if np.any(phi <= 0):
         raise ConfigurationError("phi factor must be positive")
 

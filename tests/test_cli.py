@@ -254,3 +254,40 @@ def test_table_short_of_one_over_h_exits_2(tmp_path, capsys):
     assert code == 2
     assert "below 1/h = 32.0" in capsys.readouterr().err
     assert not (out / "capacity.json").exists()
+
+
+SMALL = BASE.replace("resolution = 64", "resolution = 32")  # h = 1/16, R - 2h = 0.875
+
+
+@pytest.mark.parametrize("scenario, section, output", [
+    ("capacity", "[capacity]\nr = 0.99\n", "capacity.json"),
+    ("averages", "[averages]\nfunctions = tent\nr0 = 0.9\n", "verdict.json"),
+], ids=["capacity", "averages"])
+def test_ball_reaching_the_boundary_band_exits_2(tmp_path, capsys, scenario, section, output):
+    cfg = write(tmp_path, SMALL + section)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "does not fit inside B(0, R - 2h)" in capsys.readouterr().err
+    assert not (out / output).exists()
+
+
+@pytest.mark.parametrize("scenario, section, output", [
+    ("strong-type", "[strong-type]\nfunctions = tent\nlambda_min_exp = 2\nlambda_max_exp = 1\n",
+     "strongtype.json"),
+    ("averages", "[averages]\nfunctions = tent\nj_max = -1\n", "verdict.json"),
+    ("averages", "[averages]\nfunctions = tent\nr0 = 0.2\n", "verdict.json"),  # 4h = 0.25
+], ids=["lambda-exps", "j_max", "r0-below-4h"])
+def test_empty_sweep_exits_2(tmp_path, capsys, scenario, section, output):
+    cfg = write(tmp_path, SMALL + section)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "empty" in capsys.readouterr().err
+    assert not (out / output).exists()
+
+
+def test_unknown_norm_shape_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL + "\n[norm]\nshape = nope\n")
+    out = tmp_path / "out"
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown test-function shape 'nope'" in capsys.readouterr().err
+    assert not (out / "norm.json").exists()

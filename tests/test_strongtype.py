@@ -13,12 +13,16 @@ from orlicap import (
     truncation_H,
     zero_function,
 )
+from orlicap.errors import ConfigurationError
 from orlicap.strongtype import (
+    SHAPES,
+    TAIL_OCTAVES,
     TestFunctionSpec,
     build_test_function,
     default_suite,
     derived_psi,
     dyadic_darboux_sums,
+    dyadic_levels,
     explicit_psi,
     lhs_dyadic,
     rhs_energy,
@@ -52,6 +56,32 @@ def test_default_suite_has_five_shapes(disc):
     for fn in suite:
         u = build_test_function(fn, disc)
         assert u.max_abs() > 0
+
+
+def test_unknown_shape_is_rejected():
+    with pytest.raises(ConfigurationError, match="unknown test-function shape 'nope'"):
+        TestFunctionSpec("nope")
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_shape_table_drives_tag_and_build(disc, shape):
+    spec = TestFunctionSpec(shape)
+    assert spec.tag.startswith(shape)
+    u = build_test_function(spec, disc)
+    doubled = TestFunctionSpec(shape, amplitude=2.0)
+    assert doubled.tag == "2*" + spec.tag
+    assert np.array_equal(build_test_function(doubled, disc).values, 2.0 * u.values)
+
+
+@pytest.mark.parametrize("peak, top, bottom", [(1.0, 0, -TAIL_OCTAVES),
+                                               (3.0, 2, 1 - TAIL_OCTAVES),
+                                               (0.3, -1, -2 - TAIL_OCTAVES)])
+def test_dyadic_levels_run_from_the_peak_down(peak, top, bottom):
+    psi = derived_psi(power(2))
+    levels = list(dyadic_levels(peak, psi))
+    assert [k for k, _ in levels] == list(range(top, bottom - 1, -1))
+    for k, wgt in levels:
+        assert wgt == psi.weight(2.0 ** k, 2.0 ** (k + 1))
 
 
 def test_lhs_of_zero(disc, t2_cache):
