@@ -5,7 +5,6 @@ from .young import (
     E_E,
     ConditionReport,
     FactoredPair,
-    GridSpec,
     YoungSpec,
     check_delta2,
     check_delta2_plus,

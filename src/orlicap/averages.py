@@ -5,7 +5,7 @@ The average at (x0, r) is the dyadic level-set sum of |u - u(x0)| restricted
 to B(x0, r), normalized by the capacity of that ball.  Centers are snapped
 to grid nodes so u(x0) is unambiguous; the sup over radii of the maximal
 operator is restricted to a finite dyadic list, the resolvable range being
-[4h, domain size].
+[4h, domain size] (`smallest_radius`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .capacity import CapacityCache
+from .capacity import CapacityCache, cache_for
 from .grid import GridDomain, GridFunction, SetMask, ball_mask, check_ball_inside, integrate
 from .strongtype import PsiSpec, lhs_dyadic
 from .young import YoungSpec, eval_phi
@@ -32,6 +32,11 @@ def snap_to_node(domain: GridDomain, x0) -> np.ndarray:
     return np.array(snapped)
 
 
+def smallest_radius(domain: GridDomain) -> float:
+    """4h, the smallest ball radius the lattice resolves."""
+    return 4.0 * domain.h
+
+
 def _node_index(domain: GridDomain, x0: np.ndarray) -> tuple:
     return tuple(int(np.argmin(np.abs(domain.axes[i] - x0[i])))
                  for i in range(domain.n))
@@ -43,8 +48,7 @@ def capacitary_average(u: GridFunction, x0, r: float, phi_spec: YoungSpec,
     domain = u.domain
     x0 = snap_to_node(domain, x0)
     check_ball_inside(domain, x0, r)
-    if cache is None:
-        cache = CapacityCache(phi_spec, domain)
+    cache = cache_for(phi_spec, domain, cache)
     ball = ball_mask(domain, r, x0)
     u0 = u.values[_node_index(domain, x0)]
     w = GridFunction(domain, np.where(ball.mask, np.abs(u.values - u0), 0.0))
@@ -61,23 +65,21 @@ class AverageTrace:
     truncated: bool
     final: float
     passed: bool
-    epsilon: float
 
 
 def average_trace(u: GridFunction, x0, phi_spec: YoungSpec, psi: PsiSpec,
                   j_max: int, r0: float = 0.25, epsilon: float = 0.05,
                   cache: CapacityCache = None) -> AverageTrace:
     """Averages along r_j = 2^-j r0; verdict: final below epsilon and no
-    increase over the last three radii.  Radii under 4h are dropped with a
-    truncation flag (the grid cannot resolve them)."""
+    increase over the last three radii.  Radii under `smallest_radius` are
+    dropped with a truncation flag (the grid cannot resolve them)."""
     domain = u.domain
-    if cache is None:
-        cache = CapacityCache(phi_spec, domain)
+    cache = cache_for(phi_spec, domain, cache)
     radii, values = [], []
     truncated = False
     for j in range(j_max + 1):
         r = r0 * 2.0 ** (-j)
-        if r < 4.0 * domain.h:
+        if r < smallest_radius(domain):
             truncated = True
             break
         radii.append(r)
@@ -90,7 +92,7 @@ def average_trace(u: GridFunction, x0, phi_spec: YoungSpec, psi: PsiSpec,
     x0s = snap_to_node(domain, x0)
     return AverageTrace(center=tuple(float(c) for c in x0s), radii=radii,
                         values=values, truncated=truncated, final=final,
-                        passed=passed, epsilon=epsilon)
+                        passed=passed)
 
 
 def capacitary_maximal(F: GridFunction, x0, phi_spec: YoungSpec, psi: PsiSpec,
@@ -98,8 +100,7 @@ def capacitary_maximal(F: GridFunction, x0, phi_spec: YoungSpec, psi: PsiSpec,
     """Max of the capacitary averages over a finite radii list."""
     if not len(radii):
         raise ValueError("need at least one radius")
-    if cache is None:
-        cache = CapacityCache(phi_spec, F.domain)
+    cache = cache_for(phi_spec, F.domain, cache)
     return max(capacitary_average(F, x0, r, phi_spec, psi, cache) for r in radii)
 
 
@@ -147,8 +148,7 @@ def weak_type_sweep(F: GridFunction, phi_spec: YoungSpec,
     the modular of F, one row per threshold.
     """
     domain = F.domain
-    if cache is None:
-        cache = CapacityCache(phi_spec, domain)
+    cache = cache_for(phi_spec, domain, cache)
     phi_of_F = eval_phi(phi_spec, np.abs(F.values))
     total_modular = integrate(phi_of_F, domain)
 

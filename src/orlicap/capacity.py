@@ -18,21 +18,22 @@ at the iterate u and its gradient g.  The solve converges once
 gap <= tol * E, or once no step lowers E in floating point any more
 (stationary to machine precision; near the optimum E stops resolving
 progress before the gap reaches tol * E).  `CapacityResult.lower` is
-E - gap either way.  Every solve starts from the indicator of its set, so
-a value depends only on the set.
+E - gap either way; it is certified for the built-in families only, since
+a `custom_table`'s log-linear interpolant need not be convex.  Every solve
+starts from the indicator of its set, so a value depends only on the set.
 
 Each solve builds one `_EnergyWorkspace`: preallocated C-contiguous
 buffers on which the forward difference with zero extension
 (`grid.forward_difference`, the one used by `grid.gradient` too) and its
 adjoint are each one contiguous subtraction at the axis's flat offset plus
-one boundary slab.  Its `energy` and `grad` keep two evaluation orders
-(raw differences for the energy, differences divided by h for the
-gradient); Phi and Phi' write into workspace buffers too (`out=` and
-`scratch=` of `young.eval_phi` / `eval_phi_prime`), so an evaluation
-allocates no lattice-sized array.  A `custom_table` whose last knot lies
-below the initial iterate's largest lattice gradient raises
-`NumericalError` before Phi is evaluated there; so does any other
-non-finite initial energy or gradient, or final value.
+one boundary slab.  Its `energy` and `grad` share one evaluation order,
+|D+ v| = sqrt(sum d^2) / h on the undivided differences d; Phi and Phi'
+write into workspace buffers too (`out=` and `scratch=` of
+`young.eval_phi` / `eval_phi_prime`), so an evaluation allocates no
+lattice-sized array.  A `custom_table` whose last knot lies below the
+initial iterate's largest lattice gradient raises `NumericalError` before
+Phi is evaluated there; so does any other non-finite initial energy or
+gradient, or final value.
 
 The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
 free-node Hessian, assembled in one vectorized pass over the lattice
@@ -61,8 +62,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
-from .grid import (GridDomain, GridFunction, SetMask, backward_difference, ball_mask,
-                   forward_difference)
+from .grid import GridDomain, GridFunction, SetMask, backward_difference, forward_difference
 from .young import (YoungSpec, check_delta2, check_delta2_plus, eval_phi, eval_phi_prime, factored,
                     phi_prime_inverse)
 
@@ -77,7 +77,7 @@ class CapacityResult:
     iterations: int
     converged: bool
     method: str
-    lower: float  # certified: capacity >= lower
+    lower: float  # capacity >= lower, certified for the built-in (convex) families
 
     def summary(self) -> dict:
         return {"value": self.value, "lower": self.lower, "iterations": self.iterations,
@@ -110,84 +110,64 @@ def _require_delta2(spec: YoungSpec) -> None:
 class _EnergyWorkspace:
     """Energy sum w Phi(|D+ v|) and its gradient, on buffers kept for one solve.
 
-    Holds one difference buffer per axis, two arrays for |D+ v| and Phi or
-    Phi', the scratch pair that Phi and Phi' write their intermediates to,
-    and the gradient, so an evaluation allocates no lattice-sized array.
-    All are C-contiguous, as the difference kernels require of `v` too.
-    Squares are taken by np.square, which gives the bits of d * d.  The two
-    entry points keep two evaluation orders, each equal bit for bit to its
-    `np.diff` formula:
-
-    - `energy` takes sqrt(sum d*d) / h on the undivided differences d;
-    - `grad` divides each d by h first, then forms (w * Phi'(g) / g) * d and
-      takes its backward difference divided by h.
+    Holds one buffer per axis for the undivided differences d, two arrays
+    for |D+ v| and Phi or Phi', the scratch pair that Phi and Phi' write
+    their intermediates to, and the gradient, so an evaluation allocates no
+    lattice-sized array.  All are C-contiguous, as the difference kernels
+    require of `v` too.  |D+ v| = sqrt(sum d*d) / h is formed in one order
+    for `energy`, `grad` and `max_gradient` (np.square gives the bits of
+    d * d), and the gradient applies 1/h^2 once, in the flux
+    w Phi'(g) / (g h^2).
     """
 
     def __init__(self, domain: GridDomain, spec: YoungSpec):
         self.spec = spec
         self.h = domain.h
         self.weights = domain.weights
+        self._flux_weights = domain.weights / domain.h ** 2
         self._diffs = [np.empty(domain.shape) for _ in range(domain.n)]
         self._s = np.empty(domain.shape)
         self._t = np.empty(domain.shape)
         self._scratch = np.empty((2,) + domain.shape)
         self._grad = np.empty(domain.shape)
 
-    def _weighted_phi_sum(self, g: np.ndarray) -> float:
-        phi = eval_phi(self.spec, g, out=self._t, scratch=self._scratch)
-        return float(np.sum(np.multiply(self.weights, phi, out=phi)))
-
-    def energy(self, v: np.ndarray) -> float:
+    def _gradient_norm(self, v: np.ndarray) -> np.ndarray:
+        """|D+ v| in the s buffer; the per-axis buffers keep the differences."""
         s, t = self._s, self._t
-        for a in range(len(self._diffs)):
-            d = s if a == 0 else t
+        for a, d in enumerate(self._diffs):
             forward_difference(v, a, d)
-            np.square(d, out=d)
+            np.square(d, out=s if a == 0 else t)
             if a:
                 s += t
         np.sqrt(s, out=s)
         s /= self.h
-        return self._weighted_phi_sum(s)
+        return s
 
-    def _gradient_norm(self, v: np.ndarray) -> np.ndarray:
-        """|D+ v| in the gradient's order, in the s buffer; the per-axis
-        buffers keep the differences divided by h."""
-        s, t, h = self._s, self._t, self.h
-        for a, d in enumerate(self._diffs):
-            forward_difference(v, a, d)
-            d /= h
-            np.square(d, out=s if a == 0 else t)
-            if a:
-                s += t
-        return np.sqrt(s, out=s)
+    def energy(self, v: np.ndarray) -> float:
+        phi = eval_phi(self.spec, self._gradient_norm(v), out=self._t, scratch=self._scratch)
+        return float(np.sum(np.multiply(self.weights, phi, out=phi)))
 
     def max_gradient(self, v: np.ndarray) -> float:
-        """Largest |D+ v|, the argument `grad(v)` would give Phi and Phi'."""
+        """Largest |D+ v|, the argument `energy(v)` would give Phi."""
         return float(self._gradient_norm(v).max())
 
-    def grad(self, v: np.ndarray, with_energy: bool = False):
-        """Gradient with respect to the node values; (energy, gradient) when
-        `with_energy`, else the gradient alone, without evaluating Phi.
-
-        The gradient is a workspace buffer: the next `grad` call
-        overwrites it.
-        """
-        s, t, h, grad = self._gradient_norm(v), self._t, self.h, self._grad
-        energy = self._weighted_phi_sum(s) if with_energy else None
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the node values, in a workspace buffer
+        that the next `grad` call overwrites."""
+        s, t, grad = self._gradient_norm(v), self._t, self._grad
         np.maximum(s, _RATIO_FLOOR, out=s)
         ratio = eval_phi_prime(self.spec, s, out=t, scratch=self._scratch)
         ratio /= s
-        flux = np.multiply(self.weights, ratio, out=s)  # frees t
-        # -sum_a D-_a(flux * d_a) / h over the per-axis difference buffers d_a
+        flux = np.multiply(self._flux_weights, ratio, out=s)  # frees t
+        # -sum_a D-_a(flux * d_a) over the per-axis difference buffers d_a
         for a, d in enumerate(self._diffs):
             np.multiply(flux, d, out=d)
             backward_difference(d, a, t)
-            t /= h
             if a:
                 grad -= t
             else:
                 np.subtract(0.0, t, out=grad)
-        return (energy, grad) if with_energy else grad
+        return grad
 
 
 _COARSE_MAX = 500  # unknowns at which the multigrid factorizes instead of coarsening
@@ -471,7 +451,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
             raise NumericalError(
                 f"{spec.tag}: the initial lattice gradient reaches {g_max!r}, "
                 f"past the table's last knot {t_last!r}")
-    e_u, g = work.grad(u, with_energy=True)
+    e_u, g = work.energy(u), work.grad(u)
     if not (math.isfinite(e_u) and np.isfinite(g).all()):
         raise NumericalError(
             f"{spec.tag}: non-finite initial energy {e_u} or gradient; "
@@ -553,8 +533,15 @@ class CapacityCache:
         self._store[key] = res
         return res
 
-    def ball(self, r: float, center=None) -> CapacityResult:
-        return self.capacity(ball_mask(self.domain, r, center))
+
+def cache_for(spec: YoungSpec, domain: GridDomain, cache: CapacityCache = None) -> CapacityCache:
+    """`cache` if it solves for spec on domain, a new cache if it is None;
+    ValueError for a cache built for another Phi or domain."""
+    if cache is None:
+        return CapacityCache(spec, domain)
+    if cache.spec != spec or cache.domain is not domain:
+        raise ValueError("cache does not match spec/domain")
+    return cache
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averages import average_trace, default_centers, grid_lipschitz
+from .averages import average_trace, default_centers, grid_lipschitz, smallest_radius
 from .capacity import (
     CapacityCache,
     ball_capacity_estimate,
@@ -245,6 +245,9 @@ def _capacity(config, phi_spec, base_dir, out_dir) -> int:
     params = config["capacity"]
     check_ball_inside(dom, np.zeros(dom.n), params["r"])
     E = ball_mask(dom, params["r"])
+    if E.is_empty():
+        raise ConfigurationError(f"B(0, {params['r']}) marks no lattice node: the nearest "
+                                 f"lies at radius {float(dom.radius.min())!r}")
     if params["method"] == "variational":
         _require_table_range(phi_spec, dom)
         res = capacity_variational(E, phi_spec, dom)
@@ -296,10 +299,10 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
     psi = _psi_from(config, phi_spec, base_dir)
     params = config["averages"]
     suite = _parse_functions(params["functions"], config["run"]["seed"])
-    if params["j_max"] < 0 or params["r0"] < 4.0 * dom.h:
+    if params["j_max"] < 0 or params["r0"] < smallest_radius(dom):
         raise ConfigurationError(
             f"no radius r0 * 2^-j with 0 <= j <= j_max = {params['j_max']} reaches "
-            f"4h = {4.0 * dom.h!r}, the smallest the lattice resolves: the sweep is empty")
+            f"4h = {smallest_radius(dom)!r}, the smallest the lattice resolves: the sweep is empty")
     centers = default_centers(dom, params["center_spacing"])
     for center in centers:
         check_ball_inside(dom, center, params["r0"])

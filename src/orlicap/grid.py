@@ -33,6 +33,11 @@ class GridDomain:
     def shape(self):
         return (self.resolution,) * self.n
 
+    @property
+    def mark_radius(self) -> float:
+        """R - 2h: marked nodes and test-function supports lie strictly inside."""
+        return self.R - 2.0 * self.h
+
 
 def build_domain(n: int, R: float, resolution: int) -> GridDomain:
     if n not in (2, 3):
@@ -89,8 +94,7 @@ class SetMask:
         m = np.asarray(self.mask, dtype=bool)
         if m.shape != self.domain.shape:
             raise ValueError("mask shape does not match the domain lattice")
-        limit = self.domain.R - 2.0 * self.domain.h
-        if np.any(m & (self.domain.radius >= limit)):
+        if np.any(m & (self.domain.radius >= self.domain.mark_radius)):
             raise ValueError("marked nodes must lie strictly inside B(0, R - 2h)")
         m.flags.writeable = False
         object.__setattr__(self, "mask", m)
@@ -120,7 +124,7 @@ def ball_mask(domain: GridDomain, r: float, center=None) -> SetMask:
 def check_ball_inside(domain: GridDomain, center, r: float) -> None:
     """ConfigurationError unless |center| + r < R - 2h, so that every node
     of B(center, r) lies where SetMask accepts marked nodes."""
-    if float(np.linalg.norm(center)) + r >= domain.R - 2.0 * domain.h:
+    if float(np.linalg.norm(center)) + r >= domain.mark_radius:
         raise ConfigurationError(f"B({center}, {r}) does not fit inside B(0, R - 2h)")
 
 

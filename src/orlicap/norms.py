@@ -10,6 +10,9 @@ from .errors import NumericalError
 from .grid import GridDomain, GridFunction, integrate
 from .young import YoungSpec, eval_phi
 
+_REL_TOL = 1e-12      # relative width at which the bisection stops
+_MAX_DOUBLINGS = 200  # bracket doublings and halvings before giving up
+
 
 @dataclass(frozen=True)
 class ModularValue:
@@ -31,8 +34,7 @@ def _modular_scaled(u: GridFunction, spec: YoungSpec, s: float) -> float:
     return integrate(eval_phi(spec, np.abs(u.values) / s), u.domain)
 
 
-def luxemburg_norm(u: GridFunction, spec: YoungSpec, rel_tol: float = 1e-12,
-                   max_doublings: int = 200) -> float:
+def luxemburg_norm(u: GridFunction, spec: YoungSpec) -> float:
     """inf{ s : modular(u/s) <= 1 } by bracketing plus bisection.
 
     s -> modular(u/s) is strictly decreasing where positive, so the root of
@@ -47,16 +49,16 @@ def luxemburg_norm(u: GridFunction, spec: YoungSpec, rel_tol: float = 1e-12,
     while _modular_scaled(u, spec, hi) > 1.0:
         hi *= 2.0
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             raise NumericalError("no upper bracket for the Luxemburg norm")
     lo = hi
     while _modular_scaled(u, spec, lo) <= 1.0:
         lo *= 0.5
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             raise NumericalError("no lower bracket for the Luxemburg norm")
     # invariant: modular(u/lo) > 1 >= modular(u/hi)
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _modular_scaled(u, spec, mid) > 1.0:
             lo = mid

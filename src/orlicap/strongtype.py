@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .capacity import CapacityCache
+from .capacity import CapacityCache, cache_for
 from .errors import ConfigurationError
 from .grid import GridDomain, GridFunction, from_callable, gradient_magnitude, integrate, level_mask
 from .young import (
@@ -29,6 +29,7 @@ from .young import (
 )
 
 TAIL_OCTAVES = 20  # dyadic levels resolved below the peak before the tail bound
+DARBOUX_SAMPLES = 64  # level-set capacities sampled per octave by dyadic_darboux_sums
 
 
 def truncation_H(t):
@@ -49,7 +50,6 @@ class PsiSpec:
 
     fn: Callable
     tag: str
-    source: str  # "derived" | "explicit"
 
     def __call__(self, t):
         return self.fn(t)
@@ -75,7 +75,7 @@ def derived_psi(phi_spec: YoungSpec) -> PsiSpec:
         arr = np.asarray(t, dtype=float)
         return pair.f_part(arr) * pair.psi_part(arr)
 
-    psi = PsiSpec(fn, f"derived[{phi_spec.tag}]", "derived")
+    psi = PsiSpec(fn, f"derived[{phi_spec.tag}]")
     _verify_increasing(fn, psi.tag)
     return psi
 
@@ -90,7 +90,7 @@ def psi_factor(psi: PsiSpec, pair: FactoredPair) -> Callable:
 
 def explicit_psi(psi_spec: YoungSpec) -> PsiSpec:
     fn = lambda t: eval_phi(psi_spec, np.asarray(t, dtype=float))
-    psi = PsiSpec(fn, psi_spec.tag, "explicit")
+    psi = PsiSpec(fn, psi_spec.tag)
     _verify_increasing(fn, psi.tag)
     return psi
 
@@ -174,7 +174,6 @@ def default_suite() -> List[TestFunctionSpec]:
 
 
 def build_test_function(fn_spec: TestFunctionSpec, domain: GridDomain) -> GridFunction:
-    limit = domain.R - 2.0 * domain.h
     profile = SHAPES[fn_spec.shape][1]
 
     def sample(stack):
@@ -183,7 +182,7 @@ def build_test_function(fn_spec: TestFunctionSpec, domain: GridDomain) -> GridFu
 
     u = from_callable(domain, sample)
     support = np.abs(u.values) > 0
-    if np.any(support & (domain.radius >= limit)):
+    if np.any(support & (domain.radius >= domain.mark_radius)):
         raise ConfigurationError(
             f"{fn_spec.tag} is not compactly supported inside B(0, R - 2h)")
     return u
@@ -246,10 +245,7 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     bound capacity(support) * Psi(2^(k_min+1)), never silently dropped.
     """
     domain = u.domain
-    if cache is None:
-        cache = CapacityCache(phi_spec, domain)
-    elif cache.spec != phi_spec or cache.domain is not domain:
-        raise ValueError("cache does not match spec/domain")
+    cache = cache_for(phi_spec, domain, cache)
 
     peak = u.max_abs()
     rhs = rhs_energy(u, phi_spec)
@@ -287,23 +283,21 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
 
 
 def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
-                        cache: CapacityCache = None, samples: int = 64):
+                        cache: CapacityCache = None):
     """Lower/upper Darboux sums over the dyadic partition.
 
     The inf/sup of the level-set capacity within each dyadic interval are
-    estimated from `samples` geometric sample points; by nesting the sup
-    sits at the left endpoint, so the upper sum reproduces the dyadic sum
-    up to solver noise while the lower sum genuinely drops below it.
+    estimated from `DARBOUX_SAMPLES` geometric sample points; by nesting the
+    sup sits at the left endpoint, so the upper sum reproduces the dyadic
+    sum up to solver noise while the lower sum genuinely drops below it.
     """
-    domain = u.domain
-    if cache is None:
-        cache = CapacityCache(phi_spec, domain)
+    cache = cache_for(phi_spec, u.domain, cache)
     peak = u.max_abs()
     if peak == 0.0:
         return 0.0, 0.0
     lower = upper = 0.0
     for k, wgt in dyadic_levels(peak, psi):
-        ts = 2.0 ** (k + np.arange(samples) / samples)
+        ts = 2.0 ** (k + np.arange(DARBOUX_SAMPLES) / DARBOUX_SAMPLES)
         caps = [cache.capacity(level_mask(u, t)).value for t in ts]
         lower += min(caps) * wgt
         upper += max(caps) * wgt
@@ -337,8 +331,7 @@ def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
     pair_rep = check_pairing(pair.phi_part, psi_factor(psi, pair))
     conditions_ok = sub_rep.passed and pair_rep.passed
 
-    if cache is None:
-        cache = CapacityCache(phi_spec, domain)
+    cache = cache_for(phi_spec, domain, cache)
     reports = []
     per_function = {}
     for fn_spec in suite:

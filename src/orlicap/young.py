@@ -8,11 +8,11 @@ The built-in families all factor as f(t) * phi_part(t) with f(t) = t^p:
     exp_loglog  t^p * log(c0+t)^theta * exp(loglog(c0+t)^gamma)
 
 A companion weight is derived as psi_part(t) = 1 / phi_part(1/t), so that
-Psi(t) = f(t) * psi_part(t).  Condition checkers sample geometric grids and
-report the empirical constant plus a bounded/growing verdict for the trend
-at the grid ends (a supremum over (0, inf) is not computable; the
-conditions are asymptotic, so monotone growth toward a grid end is the
-numerical signature of failure).
+Psi(t) = f(t) * psi_part(t).  Condition checkers sample one geometric grid
+(`GRID`) and report the empirical constant plus a bounded/growing verdict
+for the trend at the grid ends (a supremum over (0, inf) is not
+computable; the conditions are asymptotic, so monotone growth toward a
+grid end is the numerical signature of failure).
 """
 
 from __future__ import annotations
@@ -433,25 +433,10 @@ def factored(spec: YoungSpec) -> FactoredPair:
 # Condition checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Geometric sample grid used by the checkers."""
-
-    t_min: float = 1e-8
-    t_max: float = 1e8
-    per_decade: int = 64
-
-    def points(self) -> np.ndarray:
-        decades = math.log10(self.t_max / self.t_min)
-        n = int(round(decades * self.per_decade)) + 1
-        return np.geomspace(self.t_min, self.t_max, n)
-
-    @property
-    def decades(self) -> float:
-        return math.log10(self.t_max / self.t_min)
-
-
-DEFAULT_GRID = GridSpec()
+# the checkers' geometric sample grid: 1e-8 to 1e8, 64 points per decade
+GRID = np.geomspace(1e-8, 1e8, 16 * 64 + 1)
+GRID.flags.writeable = False
+_GROWTH_TAIL = 3  # values toward a sequence end that _growing reads
 _RATIO_ROWS = 64  # values of s per block of a 2-D ratio search
 
 
@@ -463,8 +448,6 @@ class ConditionReport:
     passed: bool
     growing: bool
     truncated: bool = False
-    ceiling: float = math.inf
-    grid: GridSpec = field(default_factory=GridSpec)
     details: dict = field(default_factory=dict)
 
 
@@ -480,13 +463,13 @@ def _decade_maxima(t: np.ndarray, values: np.ndarray):
     return np.array(out_d), np.array(out_m)
 
 
-def _growing(values, tail: int = 3, rel: float = 0.10) -> bool:
+def _growing(values, rel: float = 0.10) -> bool:
     """Detect unbounded growth at either end of a sequence.
 
     A sequence converging to a finite limit is also monotone, so strict
-    increase alone is not evidence of divergence; require the last `tail`
-    values toward an end to increase strictly and gain more than `rel` in
-    total.  On the default 16-decade grid the per-decade maxima of
+    increase alone is not evidence of divergence; require the last
+    `_GROWTH_TAIL` values toward an end to increase strictly and gain more
+    than `rel` in total.  On the 16-decade `GRID` the per-decade maxima of
     genuinely divergent ratios (exponential, power-law, even logarithmic)
     gain upwards of 35% over three decades, while saturating bounded ratios
     stay under ~5%.  Along a strong-type amplitude sweep, k_emp of an
@@ -494,20 +477,17 @@ def _growing(values, tail: int = 3, rel: float = 0.10) -> bool:
     pairing violation gains ~5-10% over the final octaves (rel = 0.02).
     """
     v = np.asarray(values, dtype=float)
-    if len(v) < tail:
+    if len(v) < _GROWTH_TAIL:
         return False
-    for end in (v[-tail:], v[:tail][::-1]):
+    for end in (v[-_GROWTH_TAIL:], v[:_GROWTH_TAIL][::-1]):
         if np.all(np.diff(end) > 0) and end[-1] > (1.0 + rel) * end[0] > 0:
             return True
     return False
 
 
-def check_delta2(spec: YoungSpec, grid: GridSpec = DEFAULT_GRID,
-                 ceiling: float = math.inf) -> ConditionReport:
-    """Doubling ratio Phi(2t)/Phi(t) over a geometric grid."""
-    if grid.decades < 12:
-        raise ConfigurationError("delta2 grid must span at least 12 decades")
-    t = grid.points()
+def check_delta2(spec: YoungSpec, ceiling: float = math.inf) -> ConditionReport:
+    """Doubling ratio Phi(2t)/Phi(t) over `GRID`."""
+    t = GRID
     with np.errstate(over="ignore", invalid="ignore"):
         lo = eval_phi(spec, t)
         hi = eval_phi(spec, 2.0 * t)
@@ -516,18 +496,17 @@ def check_delta2(spec: YoungSpec, grid: GridSpec = DEFAULT_GRID,
     truncated = bool(np.any(~ok))
     t, ratio = t[ok], ratio[ok]
     if len(t) == 0:
-        return ConditionReport("delta2", math.inf, (math.nan, math.nan), False,
-                               True, True, ceiling, grid)
+        return ConditionReport("delta2", math.inf, (math.nan, math.nan), False, True, True)
     i = int(np.argmax(ratio))
     _, maxima = _decade_maxima(t, ratio)
     growing = _growing(maxima)
     c_emp = float(ratio[i])
     passed = (not growing) and c_emp <= ceiling
     return ConditionReport("delta2", c_emp, (float(t[i]), float(2 * t[i])),
-                           passed, growing, truncated, ceiling, grid)
+                           passed, growing, truncated)
 
 
-def check_delta2_plus(spec_or_pair, grid: GridSpec = DEFAULT_GRID) -> ConditionReport:
+def check_delta2_plus(spec_or_pair) -> ConditionReport:
     """Growth conditions on the factor phi of Phi(t) = t^p * phi(t).
 
     Four sub-criteria: bounded elasticity t*phi'/phi with a gap below p,
@@ -538,7 +517,7 @@ def check_delta2_plus(spec_or_pair, grid: GridSpec = DEFAULT_GRID) -> ConditionR
         pair = factored(spec_or_pair)
     else:
         pair = spec_or_pair
-    t = grid.points()
+    t = GRID
     phi = np.asarray(pair.phi_part(t), dtype=float)
     phip = np.asarray(pair.phi_part_prime(t), dtype=float)
     if np.any(phi <= 0):
@@ -564,8 +543,7 @@ def check_delta2_plus(spec_or_pair, grid: GridSpec = DEFAULT_GRID) -> ConditionR
     growing = not (phip_bounded and sq_bounded)
     i = int(np.argmax(elas))
     return ConditionReport(
-        "delta2_plus", elas_sup, (float(t[i]), float(t[i])), passed, growing,
-        False, math.inf, grid,
+        "delta2_plus", elas_sup, (float(t[i]), float(t[i])), passed, growing, False,
         details={
             "elasticity_sup": elas_sup,
             "elasticity_gap": gap,
@@ -580,8 +558,8 @@ def check_delta2_plus(spec_or_pair, grid: GridSpec = DEFAULT_GRID) -> ConditionR
 
 
 def _ratio_report(condition: str, num: Callable, den: Callable,
-                  grid: GridSpec, ceiling: float) -> ConditionReport:
-    """2-D grid search for sup num(s,t)/den(s,t).
+                  ceiling: float) -> ConditionReport:
+    """Search of `GRID` x `GRID` for sup num(s,t)/den(s,t).
 
     Sweeps _RATIO_ROWS values of s at a time, carrying the column and row
     maxima, the first (row-major) strict maximum and the flags, so that no
@@ -589,7 +567,7 @@ def _ratio_report(condition: str, num: Callable, den: Callable,
     set `truncated`; the first point where the denominator vanishes under a
     positive numerator makes the report fail with c_emp = inf.
     """
-    pts = grid.points()
+    pts = GRID
     t = pts[None, :]
     col_max = np.full(pts.size, -np.inf)
     row_max = np.empty(pts.size)
@@ -619,29 +597,26 @@ def _ratio_report(condition: str, num: Callable, den: Callable,
     if vanishes is not None:
         i, j = vanishes
         return ConditionReport(condition, math.inf, (float(pts[i]), float(pts[j])),
-                               False, True, False, ceiling, grid,
-                               details={"denominator_vanishes": True})
+                               False, True, False, details={"denominator_vanishes": True})
     # trend along each axis: decade maxima of max over the other variable
     _, m_t = _decade_maxima(pts, col_max)
     _, m_s = _decade_maxima(pts, row_max)
     growing = _growing(m_t) or _growing(m_s)
     passed = (not growing) and c_emp <= ceiling
     return ConditionReport(condition, c_emp, (float(pts[i]), float(pts[j])),
-                           passed, growing, truncated, ceiling, grid)
+                           passed, growing, truncated)
 
 
-def check_submultiplicative_f(f: Callable, grid: GridSpec = DEFAULT_GRID,
-                              ceiling: float = math.inf) -> ConditionReport:
-    """sup f(s) f(t) / f(st) over a 2-D geometric grid."""
+def check_submultiplicative_f(f: Callable, ceiling: float = math.inf) -> ConditionReport:
+    """sup f(s) f(t) / f(st) over `GRID` x `GRID`."""
     return _ratio_report("submultiplicative_f",
                          lambda s, t: f(s) * f(t),
-                         lambda s, t: f(s * t), grid, ceiling)
+                         lambda s, t: f(s * t), ceiling)
 
 
 def check_pairing(phi_part: Callable, psi_part: Callable,
-                  grid: GridSpec = DEFAULT_GRID,
                   ceiling: float = math.inf) -> ConditionReport:
-    """sup phi(s) psi(t) / phi(st) over a 2-D geometric grid."""
+    """sup phi(s) psi(t) / phi(st) over `GRID` x `GRID`."""
     return _ratio_report("pairing",
                          lambda s, t: phi_part(s) * psi_part(t + 0 * s),
-                         lambda s, t: phi_part(s * t), grid, ceiling)
+                         lambda s, t: phi_part(s * t), ceiling)

@@ -9,6 +9,7 @@ from orlicap import (
     build_domain,
     from_callable,
     power,
+    power_log,
     zero_function,
 )
 from orlicap.averages import (
@@ -165,3 +166,13 @@ def test_weak_type_sweep_band(t2, disc):
     assert all(a >= b for a, b in zip(caps, caps[1:]))
     assert all(math.isfinite(row.band_constant) for row in rows)
     assert rows[-1].set_nodes <= rows[0].set_nodes
+
+
+def test_weak_type_sweep_rejects_a_cache_for_another_phi_or_domain():
+    dom = build_domain(2, 1.0, 32)
+    u = build_test_function(TestFunctionSpec("tent"), dom)
+    for cache in (CapacityCache(power_log(2, 1), dom),
+                  CapacityCache(power(2), build_domain(2, 1.0, 32))):
+        with pytest.raises(ValueError, match="cache does not match"):
+            weak_type_sweep(u, power(2), thresholds=[0.05, 0.1], centers=default_centers(dom),
+                            radii=[0.25], cache=cache)

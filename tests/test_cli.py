@@ -271,6 +271,15 @@ def test_ball_reaching_the_boundary_band_exits_2(tmp_path, capsys, scenario, sec
     assert not (out / output).exists()
 
 
+def test_ball_marking_no_node_exits_2(tmp_path, capsys):
+    # at 32^2 the nearest node lies h sqrt(2) / 2 = 0.044 from the centre
+    cfg = write(tmp_path, SMALL + "[capacity]\nr = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "marks no lattice node" in capsys.readouterr().err
+    assert not (out / "capacity.json").exists()
+
+
 @pytest.mark.parametrize("scenario, section, output", [
     ("strong-type", "[strong-type]\nfunctions = tent\nlambda_min_exp = 2\nlambda_max_exp = 1\n",
      "strongtype.json"),

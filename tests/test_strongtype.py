@@ -159,7 +159,7 @@ def test_dyadic_darboux_sandwich(disc, t2_cache):
     psi = derived_psi(spec)
     u = build_test_function(TestFunctionSpec("tent", r=0.5), disc)
     rep = lhs_dyadic(u, spec, psi, t2_cache)
-    lower, upper = dyadic_darboux_sums(u, spec, psi, t2_cache, samples=64)
+    lower, upper = dyadic_darboux_sums(u, spec, psi, t2_cache)
     tol = 1e-6 * max(upper, 1.0)
     assert lower <= rep.lhs + tol
     assert rep.lhs <= upper + tol
@@ -210,5 +210,13 @@ def test_psi_must_increase():
     from orlicap.strongtype import _verify_increasing
     with pytest.raises(ConfigurationError):
         _verify_increasing(lambda t: -np.asarray(t, float), "neg")
-    assert explicit_psi(power_log(2, 1)).source == "explicit"
-    assert derived_psi(power_log(2, 1)).source == "derived"
+
+
+def test_darboux_sums_reject_a_cache_for_another_phi_or_domain():
+    dom = build_domain(2, 1.0, 32)
+    u = build_test_function(TestFunctionSpec("tent"), dom)
+    psi = derived_psi(power(2))
+    for cache in (CapacityCache(power_log(2, 1), dom),
+                  CapacityCache(power(2), build_domain(2, 1.0, 32))):
+        with pytest.raises(ValueError, match="cache does not match"):
+            dyadic_darboux_sums(u, power(2), psi, cache)

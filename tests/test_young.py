@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from orlicap import (
     ConfigurationError,
-    GridSpec,
     check_delta2,
     check_delta2_plus,
     check_pairing,
@@ -22,7 +21,7 @@ from orlicap import (
     power,
     power_log,
 )
-from orlicap.young import (DEFAULT_GRID, E_E, ConditionReport, FactoredPair, YoungSpec,
+from orlicap.young import (E_E, GRID, ConditionReport, FactoredPair, YoungSpec,
                            _INVERSE_RTOL, _decade_maxima, _growing, _ratio_report,
                            phi_prime_inverse)
 
@@ -153,11 +152,6 @@ def test_delta2_power_log_bounded_by_8():
     assert rep.passed
     assert rep.c_emp <= 8.0
     assert rep.c_emp == pytest.approx(4.9811, rel=1e-3)
-
-
-def test_delta2_needs_wide_grid():
-    with pytest.raises(ConfigurationError):
-        check_delta2(power(2), GridSpec(1e-4, 1e4, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +459,10 @@ def test_square_and_unit_shortcuts_are_bit_identical(spec, evaluate, reference):
 # row-blocked ratio search against the whole-grid one
 # ---------------------------------------------------------------------------
 
-def dense_ratio_report(condition, num, den, grid, ceiling):
+def dense_ratio_report(condition, num, den, ceiling):
     """The 2-D ratio search on the whole grid at once: the reference for the
     row-blocked `_ratio_report`."""
-    pts = grid.points()
+    pts = GRID
     s, t = pts[:, None], pts[None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         numer = num(s, t)
@@ -478,8 +472,7 @@ def dense_ratio_report(condition, num, den, grid, ceiling):
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         return ConditionReport(condition, math.inf, (float(pts[i]), float(pts[j])),
-                               False, True, False, ceiling, grid,
-                               details={"denominator_vanishes": True})
+                               False, True, False, details={"denominator_vanishes": True})
     ok = np.isfinite(ratio)
     truncated = bool(np.any(~ok))
     ratio = np.where(ok, ratio, -np.inf)
@@ -489,8 +482,7 @@ def dense_ratio_report(condition, num, den, grid, ceiling):
     _, m_s = _decade_maxima(pts, ratio.max(axis=1))
     growing = _growing(m_t) or _growing(m_s)
     return ConditionReport(condition, c_emp, (float(pts[i]), float(pts[j])),
-                           (not growing) and c_emp <= ceiling, growing, truncated,
-                           ceiling, grid)
+                           (not growing) and c_emp <= ceiling, growing, truncated)
 
 
 def ratio_cases(spec):
@@ -505,20 +497,19 @@ def ratio_cases(spec):
                                   exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
 def test_blocked_ratio_report_equals_the_dense_one(spec):
     for condition, num, den in ratio_cases(spec):
-        args = (condition, num, den, DEFAULT_GRID, 2.0)
+        args = (condition, num, den, 2.0)
         assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
 
 
 def test_blocked_ratio_report_flags_equal_the_dense_ones():
-    grid = GridSpec(1e-4, 1e4, 16)
     overflow = (lambda s, t: np.exp(s) * t, lambda s, t: s + t)   # inf past s ~ 710
     vanishes = (lambda s, t: s + t, lambda s, t: np.where(s * t > 50.0, 0.0, s * t))
     ties = (lambda s, t: np.ones_like(s * t), lambda s, t: np.ones_like(s * t))
     for num, den in (overflow, vanishes, ties):
-        args = ("pairing", num, den, grid, math.inf)
+        args = ("pairing", num, den, math.inf)
         assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
-    assert _ratio_report("pairing", *overflow, grid, math.inf).truncated
-    assert _ratio_report("pairing", *vanishes, grid, math.inf).details["denominator_vanishes"]
+    assert _ratio_report("pairing", *overflow, math.inf).truncated
+    assert _ratio_report("pairing", *vanishes, math.inf).details["denominator_vanishes"]
 
 
 # ---------------------------------------------------------------------------
