@@ -6,11 +6,10 @@ boundary band.  (The capacity asks for u >= 1 on the marked set; clipping
 to 1 never raises |D+ u|, so holding those nodes at exactly 1 loses
 nothing.)  The energy is convex, and the solve is nonlinear conjugate
 gradients (Polak-Ribiere+) preconditioned by one multigrid V-cycle on the
-Hessian of the quadratic energy sum w |D+ u / h|^2, the lattice version of
-the Laplacian preconditioning that `capacity_ball_radial` does in 1-D
-(Huang, Li & Liu, J. Sci. Comput. 32, 2007).  Each step takes a secant
-step on the directional derivative and halves it until the energy
-strictly drops.
+Hessian of the quadratic energy sum w |D+ u / h|^2, a Laplacian
+preconditioning (Huang, Li & Liu, J. Sci. Comput. 32, 2007).  Each step
+takes a secant step on the directional derivative and halves it until the
+energy strictly drops.
 
 The stop rule is a certificate: the minimizer lies in [0, 1], so for the
 convex energy  E(u*) >= E(u) - gap  with gap = sum_free (g u - min(0, g))
@@ -39,6 +38,9 @@ The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
 free-node Hessian, assembled in one vectorized pass over the lattice
 edges, and the Galerkin products below it, formed block by block.
 
+The radial oracle (`capacity_ball_radial`) is the exact minimum of the
+1-D discrete condenser problem, from its constant-flux condition.
+
 The Riesz capacity (`riesz_capacity_variational`) is a dense problem on
 the kernel |x - y|^(1-n) from the marked to the inside nodes, gathered
 from one table over lattice offsets.  It is solved through its Fenchel
@@ -58,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
-from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
@@ -548,63 +549,74 @@ def cache_for(spec: YoungSpec, domain: GridDomain, cache: CapacityCache = None) 
 # 1-D radial oracle
 # ---------------------------------------------------------------------------
 
+_RADIAL_TOL = 1e-12    # largest KKT residual, in logs, of a finished radial solve
+_RADIAL_TRIALS = 100   # Newton trial points a radial solve may evaluate
+
+
 def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int,
-                         nodes: int = 10_000, max_iter: int = 300) -> float:
+                         nodes: int = 10_000) -> float:
     """Condenser capacity of B(0,r) in B(0,R) from the radial reduction.
 
-    Minimizes omega * int_r^R Phi(|u'|) rho^(n-1) drho over profiles with
-    u(r) = 1, u(R) = 0, by descent preconditioned with the quadratic-energy
-    Hessian (a tridiagonal weighted Laplacian), which also makes the
-    quadratic family converge in one step.
+    The exact minimum, up to rounding, of sum_i w_i Phi(s_i) over the slopes
+    s_i >= 0 of a profile falling from 1 to 0 over `nodes` cells of width
+    delta, with w_i = omega rho_i^(n-1) delta at the midpoints and
+    delta sum s = 1.  The problem is convex, so the minimum has constant
+    flux w_i Phi'(s_i) = lambda delta, in closed form for `power(p)`.  Other
+    families start there and take Newton steps on (log s, log lambda), each
+    cell's slope of log Phi' in log s a secant through its last two iterates
+    (at least (p - 1) / 1000), halving a step until the largest residual
+    drops, down to `_RADIAL_TOL`.  A `custom_table` raises
+    ConfigurationError, since its log-linear interpolant is not convex; a
+    non-finite value or `_RADIAL_TRIALS` spent raises NumericalError.
     """
     if not 0 < r < R:
         raise ConfigurationError("need 0 < r < R")
     if n not in (2, 3):
         raise ConfigurationError("dimension must be 2 or 3")
+    if spec.family == "custom_table":
+        raise ConfigurationError(f"{spec.tag}: the radial oracle needs a convex Phi, and a "
+                                 "table's log-linear interpolant is not convex")
     omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi  # |S^(n-1)|
-    rho = np.linspace(r, R, nodes + 1)
     delta = (R - r) / nodes
-    mid = 0.5 * (rho[:-1] + rho[1:])
-    w = omega * mid ** (n - 1) * delta
+    rho = np.linspace(r, R, nodes + 1)
+    w = omega * (0.5 * (rho[:-1] + rho[1:])) ** (n - 1) * delta
+    x = np.log(w.min() / w) / (spec.p - 1.0)  # log s for power(p), up to a constant
+    if spec.family != "power":
+        log_flux = np.log(w / delta)
 
-    def energy(u):
-        s = np.abs(np.diff(u)) / delta
-        return float(np.sum(w * eval_phi(spec, s)))
+        def residual(x, mu):  # s, log Phi'(s), the flux and constraint residuals, their max
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                s = np.exp(x)
+                log_d = np.log(eval_phi_prime(spec, s))
+                F, G = log_d + log_flux - mu, float(np.log(delta * s.sum()))
+            return s, log_d, F, G, max(float(np.abs(F).max()), abs(G))
 
-    def grad_interior(u):
-        s = np.diff(u) / delta
-        sa = np.maximum(np.abs(s), _RATIO_FLOOR)
-        flux = w * eval_phi_prime(spec, sa) * np.sign(s) / delta
-        return flux[:-1] - flux[1:]
-
-    # banded SPD Hessian of the quadratic energy, interior unknowns only
-    m = nodes - 1
-    diag = 2.0 * (w[:-1] + w[1:]) / delta ** 2
-    off = -2.0 * w[1:-1] / delta ** 2
-    band = np.zeros((2, m))
-    band[0, 1:] = off
-    band[1, :] = diag
-
-    u = np.linspace(1.0, 0.0, nodes + 1)
-    e = energy(u)
-    for _ in range(max_iter):
-        g = grad_interior(u)
-        step_dir = solveh_banded(band, -g)
-        s = 1.0
-        while s > 1e-20:
-            trial = u.copy()
-            trial[1:-1] += s * step_dir
-            e_t = energy(trial)
-            if e_t < e:
-                break
-            s *= 0.5
-        else:
-            break
-        if e - e_t < 1e-13 * max(e_t, 1e-300):
-            u, e = trial, e_t
-            break
-        u, e = trial, e_t
-    return e
+        mu, alpha, slope, trials = 0.0, 1.0, np.full(nodes, spec.p - 1.0), 0
+        s, log_d, F, G, res = residual(x, mu)
+        while not res <= _RADIAL_TOL:  # also while res is NaN
+            if trials == _RADIAL_TRIALS:
+                raise NumericalError(f"{spec.tag}: the radial solve stopped at residual "
+                                     f"{res!r} after {trials} trial points")
+            if alpha == 1.0:  # a new direction: slope dx - dmu = -F, s.dx / sum s = -G
+                a = s / slope
+                dmu = (float(np.dot(a, F)) - G * float(s.sum())) / float(a.sum())
+                dx = (dmu - F) / slope
+            trial, trials = residual(x + alpha * dx, mu + alpha * dmu), trials + 1
+            if not trial[-1] < res:
+                alpha *= 0.5
+                continue
+            step = alpha * dx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = np.maximum((trial[1] - log_d) / step, 1e-3 * (spec.p - 1.0))
+            slope = np.where(np.abs(step) > 1e-10, secant, slope)  # a tiny move keeps its slope
+            x, mu, alpha = x + step, mu + alpha * dmu, 1.0
+            s, log_d, F, G, res = trial
+    s = np.exp(x)
+    s /= delta * s.sum()
+    value = float(np.dot(w, eval_phi(spec, s)))
+    if not math.isfinite(value):
+        raise NumericalError(f"{spec.tag}: non-finite radial capacity {value}")
+    return value
 
 
 def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallEstimate:

@@ -248,6 +248,10 @@ def _capacity(config, phi_spec, base_dir, out_dir) -> int:
     if E.is_empty():
         raise ConfigurationError(f"B(0, {params['r']}) marks no lattice node: the nearest "
                                  f"lies at radius {float(dom.radius.min())!r}")
+    oracle = params["radial_oracle"] and params["method"] == "variational"
+    if oracle and phi_spec.family == "custom_table":
+        raise ConfigurationError(f"{phi_spec.tag}: the radial oracle needs a convex Phi, and a "
+                                 "table's interpolant is not; set radial_oracle = false")
     if params["method"] == "variational":
         _require_table_range(phi_spec, dom)
         res = capacity_variational(E, phi_spec, dom)
@@ -257,7 +261,7 @@ def _capacity(config, phi_spec, base_dir, out_dir) -> int:
         raise ConfigurationError(f"unknown capacity method {params['method']!r}")
     payload = res.summary()
     payload["set"] = f"ball(r={params['r']:g})"
-    if params["radial_oracle"] and params["method"] == "variational":
+    if oracle:
         payload["radial_oracle"] = capacity_ball_radial(
             params["r"], phi_spec, dom.R, dom.n)
     if params["estimate"]:

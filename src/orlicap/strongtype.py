@@ -29,7 +29,6 @@ from .young import (
 )
 
 TAIL_OCTAVES = 20  # dyadic levels resolved below the peak before the tail bound
-DARBOUX_SAMPLES = 64  # level-set capacities sampled per octave by dyadic_darboux_sums
 
 
 def truncation_H(t):
@@ -284,12 +283,15 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
 
 def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
                         cache: CapacityCache = None):
-    """Lower/upper Darboux sums over the dyadic partition.
+    """Lower/upper Darboux sums of t -> cap({|u| > t}) over the dyadic partition.
 
-    The inf/sup of the level-set capacity within each dyadic interval are
-    estimated from `DARBOUX_SAMPLES` geometric sample points; by nesting the
-    sup sits at the left endpoint, so the upper sum reproduces the dyadic
-    sum up to solver noise while the lower sum genuinely drops below it.
+    Level sets are nested, so that function is non-increasing, and on the
+    lattice it is a step function.  On the octave (2^k, 2^(k+1)] its sup is
+    therefore cap({|u| > 2^k}), the set `lhs_dyadic` solves, and its inf is
+    the limit from the left at 2^(k+1), cap({|u| >= 2^(k+1)}): the next
+    level's set unless a node sits exactly on 2^(k+1), and empty in the top
+    octave.  Both sums are exact, with no sampling, and the upper sum is the
+    dyadic sum itself, added in the same order.
     """
     cache = cache_for(phi_spec, u.domain, cache)
     peak = u.max_abs()
@@ -297,10 +299,9 @@ def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
         return 0.0, 0.0
     lower = upper = 0.0
     for k, wgt in dyadic_levels(peak, psi):
-        ts = 2.0 ** (k + np.arange(DARBOUX_SAMPLES) / DARBOUX_SAMPLES)
-        caps = [cache.capacity(level_mask(u, t)).value for t in ts]
-        lower += min(caps) * wgt
-        upper += max(caps) * wgt
+        upper += cache.capacity(level_mask(u, 2.0 ** k)).value * wgt
+        # {|u| > the float below 2^(k+1)} is {|u| >= 2^(k+1)}
+        lower += cache.capacity(level_mask(u, np.nextafter(2.0 ** (k + 1), 0.0))).value * wgt
     return lower, upper
 
 

@@ -475,12 +475,15 @@ def _growing(values, rel: float = 0.10) -> bool:
     stay under ~5%.  Along a strong-type amplitude sweep, k_emp of an
     admissible weight peaks inside and decays toward both ends, while a
     pairing violation gains ~5-10% over the final octaves (rel = 0.02).
+
+    Values are compared, never subtracted, so two equal infinities (the -inf
+    maxima of decades with no finite ratio) do not increase.
     """
     v = np.asarray(values, dtype=float)
     if len(v) < _GROWTH_TAIL:
         return False
     for end in (v[-_GROWTH_TAIL:], v[:_GROWTH_TAIL][::-1]):
-        if np.all(np.diff(end) > 0) and end[-1] > (1.0 + rel) * end[0] > 0:
+        if np.all(end[1:] > end[:-1]) and end[-1] > (1.0 + rel) * end[0] > 0:
             return True
     return False
 

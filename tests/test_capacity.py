@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import nnls
+from scipy.optimize import brentq, nnls
 from scipy.sparse.linalg import spsolve
 
 from orlicap import (
@@ -35,7 +35,7 @@ from orlicap.capacity import (_RATIO_FLOOR, _EnergyWorkspace, _Multigrid, _kerne
                               _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import TestFunctionSpec, build_test_function
-from orlicap.young import eval_phi, eval_phi_prime
+from orlicap.young import eval_phi, eval_phi_prime, phi_prime_inverse
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,96 @@ def test_cross_oracle_grid_vs_radial(disc, spec, r):
     grid_val = capacity_variational(ball_mask(disc, r), spec, disc).value
     radial_val = capacity_ball_radial(r, spec, disc.R, disc.n)
     assert abs(grid_val - radial_val) / radial_val <= 0.05
+
+
+def continuous_condenser(p, n, r, R=1.0):
+    """p-capacity of B(0, r) in B(0, R) for Phi = t^p (Maz'ya, Sobolev
+    Spaces, 2nd ed., 2011, ch. 2)."""
+    omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi
+    if p == n:
+        return omega * math.log(R / r) ** (1 - n)
+    e = (p - n) / (p - 1)
+    return omega * abs((n - p) / (p - 1)) ** (p - 1) * abs(R ** e - r ** e) ** (1 - p)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [0.01, 0.25, 0.9])
+def test_radial_power_matches_the_continuous_condenser(p, n, r):
+    # the discrete minimum is a midpoint rule for int rho^(-(n-1)/(p-1));
+    # its error peaks near 7e-5 at p = 1.2, n = 3, r = 0.01
+    exact = continuous_condenser(p, n, r)
+    assert abs(capacity_ball_radial(r, power(p), 1.0, n) - exact) <= 1e-4 * exact
+
+
+# r = 0.25 in B(0, 1) on 10,000 cells, from the banded-Hessian descent that
+# the constant-flux solve replaced; it stopped on a 1e-13 relative decrease,
+# so it sits at or just above the discrete minimum
+RADIAL_DESCENT = [
+    (power_log(2, 1), 2, 6.46973234520581),
+    (power_log(2, 1), 3, 6.3466390516889835),
+    (power_log(3, 1), 2, 8.840134806455055),
+    (power_log(3, 1), 3, 9.36094784521659),
+    (exp_log(2, 0.5), 2, 15.004415543715929),
+    (exp_log(2, 0.5), 3, 14.470271512224926),
+    (exp_loglog(3, 2, 0.5), 2, 136.54514500787985),
+    (exp_loglog(3, 2, 0.5), 3, 143.25720123757168),
+]
+
+
+@pytest.mark.parametrize("spec, n, descent", RADIAL_DESCENT,
+                         ids=[f"{s.tag}-{n}d" for s, n, _ in RADIAL_DESCENT])
+def test_radial_agrees_with_the_descent_it_replaced(spec, n, descent):
+    val = capacity_ball_radial(0.25, spec, 1.0, n)
+    assert abs(val - descent) <= 5e-12 * descent
+    assert val <= descent * (1.0 + 1e-13)
+
+
+def radial_dual(spec, r, n, R=1.0, nodes=10_000):
+    """max over lambda of lambda - sum_i w_i Phi*(lambda delta / w_i), the
+    Lagrange dual of the discrete radial problem, with Phi* bounded above by
+    y t_hi - Phi(t_lo) from the bracket of `phi_prime_inverse`: a certified
+    lower bound on its minimum."""
+    omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi
+    delta = (R - r) / nodes
+    rho = np.linspace(r, R, nodes + 1)
+    w = omega * (0.5 * (rho[:-1] + rho[1:])) ** (n - 1) * delta
+
+    def slopes(log_lam):
+        return phi_prime_inverse(spec, math.exp(log_lam) * delta / w)
+
+    def constraint(log_lam):  # log(delta sum s): increasing, 0 at the maximizer
+        t_lo, t_hi = slopes(log_lam)
+        return math.log(delta * float((t_lo + t_hi).sum()) / 2.0)
+
+    log_lam = brentq(constraint, -50.0, 50.0, xtol=1e-14)
+    t_lo, t_hi = slopes(log_lam)
+    y = math.exp(log_lam) * delta / w
+    return math.exp(log_lam) - float(np.dot(w, y * t_hi - eval_phi(spec, t_lo)))
+
+
+@pytest.mark.parametrize("spec", [power(1.5), power(3), power_log(2, 1), power_log(3, 1),
+                                  exp_log(2, 0.5), exp_loglog(3, 2, 0.5)],
+                         ids=lambda s: s.tag)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [0.01, 0.25])
+def test_radial_value_meets_its_dual_bound(spec, n, r):
+    val = capacity_ball_radial(r, spec, 1.0, n)
+    gap = val - radial_dual(spec, r, n)
+    assert -1e-14 * val <= gap <= 1e-12 * val
+
+
+def test_radial_raises_once_its_trial_budget_is_spent(monkeypatch):
+    monkeypatch.setattr("orlicap.capacity._RADIAL_TRIALS", 2)
+    with pytest.raises(NumericalError, match="after 2 trial points"):
+        capacity_ball_radial(0.25, power_log(2, 1), 1.0, 2)
+    assert capacity_ball_radial(0.25, power(2), 1.0, 2) > 0  # the closed form takes none
+
+
+def test_radial_refuses_a_table():
+    t = np.linspace(0.0, 100.0, 201)
+    with pytest.raises(ConfigurationError, match="not convex"):
+        capacity_ball_radial(0.25, custom_table(np.column_stack([t, t ** 2])), 1.0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,18 @@ def test_table_short_of_one_over_h_exits_2(tmp_path, capsys):
     assert not (out / "capacity.json").exists()
 
 
+def test_table_with_the_radial_oracle_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the table reaches past every lattice gradient, so only the oracle refuses it
+    cfg = table_config(tmp_path, 1e3)
+    cfg.write_text(cfg.read_text().replace("radial_oracle = false", "radial_oracle = true"))
+    monkeypatch.setattr("orlicap.cli.capacity_variational",
+                        lambda *args: pytest.fail("solved before refusing the table"))
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "set radial_oracle = false" in capsys.readouterr().err
+    assert not (out / "capacity.json").exists()
+
+
 SMALL = BASE.replace("resolution = 64", "resolution = 32")  # h = 1/16, R - 2h = 0.875
 
 

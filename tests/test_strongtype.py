@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicap import (
     CapacityCache,
     GridFunction,
     build_domain,
     capacity_ball_radial,
+    capacity_variational,
+    level_mask,
     power,
     power_log,
     truncation_H,
@@ -164,6 +168,21 @@ def test_dyadic_darboux_sandwich(disc, t2_cache):
     assert lower <= rep.lhs + tol
     assert rep.lhs <= upper + tol
     assert lower < rep.lhs  # the inf within each octave is genuinely smaller
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)),
+       spec=st.sampled_from([power(2), power(3), power_log(2, 1)]),
+       level=st.floats(0.02, 0.98), octaves=st.floats(0.0, 1.0))
+def test_capacity_is_monotone_on_nested_level_sets(shape, spec, level, octaves):
+    # the solver's monotonicity, which the exact Darboux sums no longer
+    # sample: A = {|u| > t} lies inside B = {|u| > t 2^-octaves}
+    dom = build_domain(2, 1.0, 64)
+    u = build_test_function(TestFunctionSpec(shape, seed=7), dom)
+    a = capacity_variational(level_mask(u, level), spec, dom)
+    b = capacity_variational(level_mask(u, level * 2.0 ** -octaves), spec, dom)
+    assert a.value <= (1.0 + 1e-6) * b.value
+    assert a.lower <= b.value
 
 
 def test_lhs_rhs_vanish_only_at_zero(disc, t2_cache):

@@ -512,6 +512,19 @@ def test_blocked_ratio_report_flags_equal_the_dense_ones():
     assert _ratio_report("pairing", *vanishes, math.inf).details["denominator_vanishes"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_growing_compares_non_finite_maxima_without_a_warning():
+    inf = math.inf
+    assert not _growing([-inf, -inf, 1.0, 2.0])   # equal infinities do not increase
+    assert not _growing([inf, inf, inf])
+    assert not _growing([-inf, 1.0, 2.0])         # a tail from -inf gains no finite share
+    assert _growing([-inf, -inf, 1.0, 2.0, 4.0])
+    assert _growing([1.0, 2.0, inf])
+    # whole decades of GRID where exp(s) t overflows: two -inf decade maxima
+    report = _ratio_report("pairing", lambda s, t: np.exp(s) * t, lambda s, t: s + t, math.inf)
+    assert report.truncated and not report.growing
+
+
 # ---------------------------------------------------------------------------
 # inverse of the density Phi'
 # ---------------------------------------------------------------------------
