@@ -36,7 +36,15 @@ gradient, or final value.
 
 The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
 free-node Hessian, assembled in one vectorized pass over the lattice
-edges, and the Galerkin products below it, formed block by block.
+edges, and the Galerkin products below it, formed block by block.  Each
+lattice domain keeps the coarse levels of its own hierarchy, the one with
+no node marked, from its first solve until the domain is dropped.  A mask
+removes unknowns, and it changes only the Galerkin rows whose stencil
+reaches a removed unknown or a changed row of the level above (the dirty
+rows).  So each coarse level of a mask copies the domain's rows,
+restricted to the mask's unknowns, and forms the dirty rows alone.  A
+copied row sums the same products in the same order as it would from
+scratch, so every level equals the one built from scratch, bit for bit.
 
 The radial oracle (`capacity_ball_radial`) is the exact minimum of the
 1-D discrete condenser problem, from its constant-flux condition.
@@ -55,6 +63,7 @@ import collections
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +141,15 @@ class _EnergyWorkspace:
         self._scratch = np.empty((2,) + domain.shape)
         self._grad = np.empty(domain.shape)
 
-    def _gradient_norm(self, v: np.ndarray) -> np.ndarray:
-        """|D+ v| in the s buffer; the per-axis buffers keep the differences."""
+    def _gradient_norm(self, v: np.ndarray, keep: bool = False) -> np.ndarray:
+        """|D+ v| in the s buffer.  Each axis's differences are squared in
+        the buffer they are written to: the axis's own buffer with `keep`,
+        which then holds them, else the s or t buffer itself."""
         s, t = self._s, self._t
         for a, d in enumerate(self._diffs):
-            forward_difference(v, a, d)
-            np.square(d, out=s if a == 0 else t)
+            square = s if a == 0 else t
+            forward_difference(v, a, d if keep else square)
+            np.square(d if keep else square, out=square)
             if a:
                 s += t
         np.sqrt(s, out=s)
@@ -155,7 +167,7 @@ class _EnergyWorkspace:
     def grad(self, v: np.ndarray) -> np.ndarray:
         """Gradient with respect to the node values, in a workspace buffer
         that the next `grad` call overwrites."""
-        s, t, grad = self._gradient_norm(v), self._t, self._grad
+        s, t, grad = self._gradient_norm(v, keep=True), self._t, self._grad
         np.maximum(s, _RATIO_FLOOR, out=s)
         ratio = eval_phi_prime(self.spec, s, out=t, scratch=self._scratch)
         ratio /= s
@@ -176,6 +188,14 @@ _COARSE_MAX = 500  # unknowns at which the multigrid factorizes instead of coars
 # above a 3-D 48^3 first coarse P (55,296), below a 3-D 32^3 finest (110,784)
 _STORED_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 15  # entries of P^T A formed at once while building P^T A P
+_RUN_ENTRIES = 1 << 16    # entries of a level filtered or scanned at once
+# clean rows from which a mask's level is spliced from its domain's; below,
+# the splice's fixed costs outweigh the rows it copies (on 2-D lattices of
+# 64^2 and 128^2 and the 48^3 one), and every row is formed
+_CLEAN_MIN = 500
+# each lattice domain's coarse levels with no marked node, as (unknowns
+# lattice, CSR) pairs, made at its first multigrid build, dropped with it
+_DOMAIN_LEVELS = weakref.WeakKeyDictionary()
 
 
 def _free_hessian(domain: GridDomain, free: np.ndarray) -> sparse.csr_matrix:
@@ -221,13 +241,14 @@ class _Prolongation:
     interpolates from instead can leave two coarse unknowns that one fine
     row alone sees, and a singular coarse operator.
 
-    `rows(lo, hi)` makes P's rows lo..hi-1 as CSR, each with 2^n entries (a
-    dropped weight is a zero on the parent), for building P^T A P.  A P
-    with at most `_STORED_ENTRIES` entries is kept whole as CSR (`matrix`).
-    A larger one is never stored: `prolong` (P x) then interpolates axis by
-    axis on the coarse lattice, with zeros at the coarse nodes outside the
-    unknowns and off the lattice, which drops their weights, and `restrict`
-    (P^T y) is its adjoint.
+    `rows(at)` makes the rows of P in the index array `at` as CSR, each with
+    2^n entries (a dropped weight is a zero on the parent), for building
+    P^T A P.  A P with at most `_STORED_ENTRIES` entries is kept whole as
+    CSR (`matrix`).  A larger one is never stored: `prolong` (P x) then
+    interpolates axis by axis from the coarse lattice, with zeros at the
+    coarse nodes outside the unknowns, and `restrict` (P^T y) is its
+    adjoint, each axis one product with a 1-D transfer (`_transfers`); a
+    weight on a coarse node off the lattice has no entry there.
     """
 
     def __init__(self, free: np.ndarray):
@@ -240,81 +261,98 @@ class _Prolongation:
         self._index[(slice(1, -1),) * free.ndim][self.coarse] = np.arange(
             np.count_nonzero(self.coarse))
         self.coarse_at = np.flatnonzero(self._index >= 0)
+        self._coarse_at = np.flatnonzero(self.coarse)  # on the lattice without the border
         self.shape = (self.fine_at.size, self.coarse_at.size)
         self.matrix = None
         if self.shape[0] << free.ndim <= _STORED_ENTRIES:
             self.matrix = self.rows(0, self.shape[0])
             self._transpose = self.matrix.T  # a CSC view, made once
 
+    @functools.cached_property
+    def _transfers(self) -> tuple:
+        """Made at the first transfer: the fine lattice, zero off the free
+        nodes; the coarse one with its last axis first, zero off the
+        unknowns, and the unknowns' places on it; and per axis a the
+        restriction and the interpolation along a, as CSR.  Along an axis,
+        coarse cell q takes 1/4 of fine cell 2q + 2, 3/4 of 2q, 1/4 of
+        2q - 1 and 3/4 of 2q + 1, and fine cells 2q and 2q + 1 take 3/4 of q
+        and then 1/4 of q - 1 and of q + 1; each row sums its terms in that
+        order, starting from 0.  The matrix of an axis between the first and
+        the last is block-diagonal over the coarse axes before it; the last
+        axis is transferred across the lattice with that axis first."""
+        fine, coarse = self.fine_shape, self.coarse.shape
+        restrict, prolong = [], []
+        for a, (m, k) in enumerate(zip(fine, coarse)):
+            q, i = np.arange(k)[:, None], np.arange(m)[:, None]
+            lead = math.prod(coarse[:a]) if a < len(fine) - 1 else 1
+            restrict.append(_along(np.hstack([2 * q + 2, 2 * q, 2 * q - 1, 2 * q + 1]),
+                                   [0.25, 0.75, 0.25, 0.75], m, lead))
+            prolong.append(_along(np.hstack([i // 2, i // 2 + 2 * (i % 2) - 1]),
+                                  [0.75, 0.25], k, lead))
+        lines = math.prod(coarse[:-1])
+        at = self._coarse_at % coarse[-1] * lines + self._coarse_at // coarse[-1]
+        return np.zeros(fine), np.zeros(self.coarse.size), at, restrict, prolong
+
     def prolong(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix @ x
-        y = np.zeros(self._index.shape)
-        y.reshape(-1)[self.coarse_at] = x
-        for a in reversed(range(y.ndim)):  # the smallest arrays first
-            # along axis a, fine cell 2q takes 3/4 of coarse node q and 1/4
-            # of q - 1, and fine cell 2q + 1 takes 3/4 of q and 1/4 of q + 1
-            # (coarse node q sits at q + 1 on the bordered lattice)
-            out = np.empty(y.shape[:a] + (self.fine_shape[a],) + y.shape[a + 1:])
-            coarse, fine = np.moveaxis(y, a, 0), np.moveaxis(out, a, 0)
-            coarse *= 0.25
-            for parity in (0, 1):
-                f = fine[parity::2]
-                np.multiply(coarse[1:len(f) + 1], 3.0, out=f)
-                f += coarse[2 * parity:2 * parity + len(f)]
-            y = out
+        _, y, at, _, steps = self._transfers
+        y[at] = x  # the other nodes stay zero
+        y = steps[-1] @ y.reshape(self.coarse.shape[-1], -1)  # the last axis first
+        y = np.ascontiguousarray(y.T)
+        for T in steps[-2::-1]:
+            y = T @ y.reshape(T.shape[1], -1)
         return y.reshape(-1)[self.fine_at]
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self._transpose @ r
-        y = np.zeros(self.fine_shape)
-        y.reshape(-1)[self.fine_at] = r
-        for a in range(y.ndim):  # the largest array shrinks first: prolong's adjoint
-            out = np.zeros(y.shape[:a] + (self._index.shape[a],) + y.shape[a + 1:])
-            fine, coarse = np.moveaxis(y, a, 0), np.moveaxis(out, a, 0)
-            for parity in (0, 1):
-                f = fine[parity::2]
-                f *= 0.25
-                coarse[2 * parity:2 * parity + len(f)] += f
-                f *= 3.0
-                coarse[1:len(f) + 1] += f
-            y = out
-        return y.reshape(-1)[self.coarse_at]
+        y, _, at, steps, _ = self._transfers
+        y.reshape(-1)[self.fine_at] = r  # the other nodes stay zero
+        for R in steps[:-1]:  # the first axis first: prolong's adjoint
+            y = R @ y.reshape(R.shape[1], -1)
+        return (steps[-1] @ y.reshape(-1, self.fine_shape[-1]).T).reshape(-1)[at]
 
-    def rows(self, lo: int, hi: int) -> sparse.csr_matrix:
-        """Rows lo..hi-1 of P, in a CSR matrix of P's shape whose other rows
+    def rows(self, at, stop: int = None) -> sparse.csr_matrix:
+        """The rows of P in the sorted index array `at` (rows at..stop-1
+        when `stop` is given), in a CSR matrix of P's shape whose other rows
         are empty (all of P once stored)."""
         if self.matrix is not None:
             return self.matrix
-        f, n = self.fine_at[lo:hi], len(self.fine_shape)
+        if stop is not None:
+            at = np.arange(at, stop)
+        f, n = self.fine_at[at], len(self.fine_shape)
         # flat index of each corner on the bordered coarse lattice: the
         # parent, then for each axis the same plus the step to the side
-        at = np.zeros((f.size, 1), dtype=f.dtype)
+        corner = np.zeros((f.size, 1), dtype=f.dtype)
         for a in range(n):
             x = f // math.prod(self.fine_shape[a + 1:]) % self.fine_shape[a]
             step = math.prod(self._index.shape[a + 1:])
-            at += ((x // 2 + 1) * step)[:, None]
+            corner += ((x // 2 + 1) * step)[:, None]
             side = ((x % 2) * (2 * step) - step)[:, None]
-            at = np.stack([at, at + side], axis=-1).reshape(f.size, -1)
-        cols = self._index.reshape(-1)[at]
+            corner = np.stack([corner, corner + side], axis=-1).reshape(f.size, -1)
+        cols = self._index.reshape(-1)[corner]
         absent = cols < 0
         far = np.array([sum(c) for c in itertools.product((0, 1), repeat=n)])
         vals = np.where(absent, 0.0, 0.25 ** far * 0.75 ** (n - far))
         np.copyto(cols, cols[:, :1], where=absent)
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
-        indptr[lo + 1:hi + 1] = np.arange(1, f.size + 1) << n
-        indptr[hi + 1:] = cols.size
+        # row r starts after the 2^n entries of each row of `at` below it
+        bounds = np.diff(at, prepend=-1, append=self.shape[0])
+        indptr = np.repeat(np.arange(at.size + 1, dtype=np.int32) << n, bounds)
         return sparse.csr_matrix((vals.reshape(-1), cols.reshape(-1), indptr), shape=self.shape)
 
-    def blocks(self, rows: int, radius: int):
-        """Runs i..j-1 of P's columns: whole coarse slabs (along the first
-        axis), at least one and at most about `rows` columns; each with the
-        fine rows lo..hi-1 that hold those columns of P and every fine node
-        within `radius` slabs of them."""
-        slab_of = self.coarse_at // math.prod(self._index.shape[1:]) - 1
-        edges = np.searchsorted(slab_of, np.arange(self.coarse.shape[0] + 1))
-        edges = edges[::max(1, rows // int(np.diff(edges).max()))].tolist() + [self.shape[1]]
+    def blocks(self, rows: np.ndarray, size: int, radius: int):
+        """Runs i..j-1 of `rows`, a sorted array of P's columns, by whole
+        coarse slabs (along the first axis): as many slabs as hold at most
+        `size` columns, and at least one; each with the fine rows lo..hi-1
+        that hold those columns of P and every fine node within `radius`
+        slabs of them."""
+        slab_of = self.coarse_at[rows] // math.prod(self._index.shape[1:]) - 1
+        slabs = np.searchsorted(slab_of, np.arange(self.coarse.shape[0] + 1))
+        edges = [0]
+        while edges[-1] < rows.size:
+            last = slabs[np.searchsorted(slabs, edges[-1] + size, side="right") - 1]
+            edges.append(int(max(last, slabs[np.searchsorted(slabs, edges[-1], side="right")])))
         fine_slab = math.prod(self.fine_shape[1:])
         for i, j in zip(edges, edges[1:]):
             if j > i:
@@ -324,52 +362,206 @@ class _Prolongation:
                 yield i, j, int(lo), int(hi)
 
 
-def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int):
-    """P^T A P as CSR, and its largest Gershgorin ratio max_i sum_j |c_ij| / c_ii.
+def _along(cols: np.ndarray, vals: list, size: int, lead: int) -> sparse.csr_matrix:
+    """`lead` diagonal blocks of the matrix whose row r holds vals[j] in
+    column cols[r, j], for the columns in 0..size-1 and in that order, as
+    CSR: a 1-D transfer along one lattice axis, on every line of the axes
+    before it."""
+    keep = np.broadcast_to((cols >= 0) & (cols < size), (lead,) + cols.shape)
+    at = cols + size * np.arange(lead)[:, None, None]
+    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=-1), out=indptr[1:])
+    return sparse.csr_matrix((np.broadcast_to(vals, at.shape)[keep], at[keep].astype(np.int32),
+                              indptr), shape=(lead * cols.shape[0], lead * size))
+
+
+def _windows(Z: np.ndarray, radius: int, fine_shape: tuple = None) -> np.ndarray:
+    """The coarse cells c whose fine window 2c - 1 - radius .. 2c + 2 + radius
+    along every axis meets the fine lattice set Z; or, given the fine
+    lattice's shape, the fine nodes that such a window of a coarse cell of
+    Z covers.  Axis by axis, from running counts of Z."""
+    for a in range(Z.ndim):
+        if fine_shape is None:
+            c = np.arange((Z.shape[a] + 1) // 2)
+            lo, hi = 2 * c - 1 - radius, 2 * c + 3 + radius
+        else:  # node j lies in the windows of cells ceil((j - 2 - radius) / 2) .. (j + 1 + radius) // 2
+            j = np.arange(fine_shape[a])
+            lo, hi = -((2 + radius - j) // 2), (j + 1 + radius) // 2 + 1
+        count = np.cumsum(Z, axis=a, dtype=np.int32)
+        count = np.concatenate([np.zeros_like(count.take([0], axis=a)), count], axis=a)
+        lo, hi = np.clip(lo, 0, Z.shape[a]), np.clip(hi, 0, Z.shape[a])
+        Z = count.take(hi, axis=a) > count.take(lo, axis=a)
+    return Z
+
+
+def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int,
+              dirty: np.ndarray = None) -> sparse.csr_matrix:
+    """The rows of P^T A P at the coarse unknowns that the coarse lattice set
+    `dirty` holds (every row when it is None), as a CSR matrix of those rows.
 
     A couples nodes at most `radius` apart along each axis.  The product is
-    formed one block of coarse rows at a time (`P.blocks`), from P's rows
-    on the fine slabs that the block's columns of P and their A-neighbours
-    reach, so no product with all of A and no copy of A is held.  A row of
-    P^T covers 4 fine nodes along each axis, so a row of P^T A has at most
+    formed one block of coarse rows at a time (`P.blocks`), from the rows of
+    P that the block's columns of P and their A-neighbours reach, so no
+    product with all of A and no copy of A is held.  A row of P^T covers 4
+    fine nodes along each axis, so a row of P^T A has at most
     (4 + 2 radius)^n entries; blocks are sized by that to about
-    `_BLOCK_ENTRIES`.
+    `_BLOCK_ENTRIES`.  Each row of the product is a sum over its own row of
+    P^T alone, in the same order whichever block and which other rows of P
+    it is formed with, so a row comes out the same, entry order included,
+    whether it is formed alone or with every row.
     """
     block = _BLOCK_ENTRIES // (4 + 2 * radius) ** len(P.fine_shape)
+    if dirty is None:
+        rows, reached = np.arange(P.shape[1]), np.ones(P.shape[0], dtype=bool)
+    else:
+        dirty = dirty & P.coarse
+        rows = np.flatnonzero(dirty[P.coarse])
+        reached = _windows(dirty, radius, P.fine_shape).reshape(-1)[P.fine_at]
     # each block is written straight into arrays of the bound's size (a few
     # entries too many at most), so the blocks and the whole are never held
     # together
-    bound = _pattern_pairs(P.coarse, radius)
+    bound = _pattern_pairs(P.coarse, radius, dirty)
     data, indices = np.empty(bound), np.empty(bound, dtype=np.int32)
-    indptr = np.zeros(P.shape[1] + 1, dtype=np.int32)
-    ratio = 0.0
-    for i, j, lo, hi in P.blocks(block, radius):
-        Q = P.rows(lo, hi)
-        B = (Q.T[i:j].tocsr() @ A) @ Q
+    indptr = np.zeros(rows.size + 1, dtype=np.int32)
+    for i, j, lo, hi in P.blocks(rows, block, radius):
+        Q = P.rows(lo + np.flatnonzero(reached[lo:hi]))
+        B = (Q.T[rows[i:j]].tocsr() @ A) @ Q
         start = indptr[i]
         data[start:start + B.nnz] = B.data
         indices[start:start + B.nnz] = B.indices
         indptr[i + 1:j + 1] = B.indptr[1:] + start
-        # every row holds its positive diagonal, so no row is empty
-        row_abs = np.add.reduceat(np.abs(B.data), B.indptr[:-1])
-        ratio = max(ratio, float((row_abs / B.diagonal(k=i)).max()))
     nnz = indptr[-1]
-    return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(P.shape[1],) * 2), ratio
+    return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(rows.size, P.shape[1]))
 
 
-def _pattern_pairs(coarse: np.ndarray, radius: int) -> int:
-    """A bound on the entries of P^T A P: the pairs of coarse unknowns whose
-    lattice offset d has |d_a| <= 2 on every axis, and on at most one axis
-    when A has radius 1 (there a row of P^T A spans 6 fine cells along one
-    axis and 4 along the others, which reach coarse offsets 2 and 1)."""
+def _pattern_pairs(coarse: np.ndarray, radius: int, rows: np.ndarray = None) -> int:
+    """A bound on the entries of P^T A P in the rows at `rows` (a subset of
+    the coarse lattice set `coarse`; all of it when None): the pairs of
+    coarse unknowns whose lattice offset d has |d_a| <= 2 on every axis, and
+    on at most one axis when A has radius 1 (there a row of P^T A spans 6
+    fine cells along one axis and 4 along the others, which reach coarse
+    offsets 2 and 1)."""
     padded = np.pad(coarse, 2)
+    rows = coarse if rows is None else rows
     total = 0
     for d in itertools.product(range(-2, 3), repeat=coarse.ndim):
         if radius == 1 and sum(abs(x) == 2 for x in d) > 1:
             continue
         shifted = padded[tuple(slice(2 + x, 2 + x + s) for x, s in zip(d, coarse.shape))]
-        total += np.count_nonzero(coarse & shifted)
+        total += np.count_nonzero(rows & shifted)
     return total
+
+
+def _runs(indptr: np.ndarray):
+    """Row runs r0..r1-1 of a CSR matrix, of about `_RUN_ENTRIES` entries
+    each and at least one row."""
+    cuts = np.searchsorted(indptr, np.arange(_RUN_ENTRIES, indptr[-1], _RUN_ENTRIES))
+    edges = np.unique(np.r_[0, cuts, indptr.size - 1]).tolist()
+    return zip(edges, edges[1:])
+
+
+def _gershgorin(C: sparse.csr_matrix) -> float:
+    """max_i sum_j |c_ij| / c_ii over the rows of C, each of which holds its
+    positive diagonal; a run of rows at a time, so no copy of C's data is
+    held."""
+    ratio, diagonal = 0.0, C.diagonal()
+    for r0, r1 in _runs(C.indptr):
+        e0, e1 = C.indptr[r0], C.indptr[r1]
+        row_abs = np.add.reduceat(np.abs(C.data[e0:e1]), C.indptr[r0:r1] - e0)
+        ratio = max(ratio, float((row_abs / diagonal[r0:r1]).max()))
+    return ratio
+
+
+def _splice(base: sparse.csr_matrix, base_at: np.ndarray, at: np.ndarray,
+            dirty: np.ndarray, fresh: sparse.csr_matrix) -> sparse.csr_matrix:
+    """A level of a mask's hierarchy from the domain's level `base`.
+
+    `base_at` and `at` are the lattice sets of the domain's and the mask's
+    unknowns (at within base_at), and `dirty` a lattice set whose mask
+    unknowns take their rows from `fresh`, in order.  Every other row of the
+    mask is base's row, its entries filtered to the mask's columns and
+    renumbered through a lattice lookup, in base's entry order.  Base is
+    filtered a run of rows at a time (`_runs`) into arrays of a bound's
+    size, and each run's clean and fresh rows are merged by their sizes.
+    """
+    number = np.full(at.size, -1, dtype=np.int32)
+    number[np.flatnonzero(at)] = np.arange(np.count_nonzero(at), dtype=np.int32)
+    to_mask = number[np.flatnonzero(base_at)]  # -1: removed by the mask
+    stale = dirty[at]  # per mask unknown
+    clean = to_mask >= 0
+    clean[clean] = ~stale
+    counts = np.diff(base.indptr)
+    bound = int(counts[clean].sum()) + fresh.nnz
+    data, indices = np.empty(bound), np.empty(bound, dtype=np.int32)
+    indptr = np.zeros(stale.size + 1, dtype=np.int32)
+    m0 = f0 = 0  # the first mask row and the first fresh row of a run
+    for r0, r1 in _runs(base.indptr):
+        e0, e1 = base.indptr[r0], base.indptr[r1]
+        cols = to_mask[base.indices[e0:e1]]
+        keep = np.repeat(clean[r0:r1], counts[r0:r1])
+        keep &= cols >= 0
+        size = np.add.reduceat(keep, base.indptr[r0:r1] - e0, dtype=np.int32)[to_mask[r0:r1] >= 0]
+        m1 = m0 + size.size
+        redo = stale[m0:m1]
+        f1 = f0 + np.count_nonzero(redo)
+        size[redo] = np.diff(fresh.indptr[f0:f1 + 1])
+        np.cumsum(size, out=indptr[m0 + 1:m1 + 1])
+        start = indptr[m0]
+        indptr[m0 + 1:m1 + 1] += start
+        run = slice(start, indptr[m1])
+        slot = np.repeat(~redo, size)
+        data[run][slot] = base.data[e0:e1][keep]
+        indices[run][slot] = cols[keep]
+        data[run][~slot] = fresh.data[fresh.indptr[f0]:fresh.indptr[f1]]
+        indices[run][~slot] = fresh.indices[fresh.indptr[f0]:fresh.indptr[f1]]
+        m0, f0 = m1, f1
+    nnz = indptr[-1]
+    return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(stale.size,) * 2)
+
+
+def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
+    """Each level's operator, Gershgorin ratio and prolongation, from the
+    free-node Hessian down to the first level with at most `_COARSE_MAX`
+    unknowns (yielded with P = None).  Every coarse row is a Galerkin
+    product when `base` is None; otherwise a level with at least
+    `_CLEAN_MIN` clean rows is spliced from the domain's level in `base`,
+    and only its dirty rows are formed (see `_Multigrid`)."""
+    A = _free_hessian(domain, free)
+    # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
+    ratio = float((2.0 - (A @ np.ones(A.shape[0])) / A.diagonal()).max())
+    radius = 1  # of the fine stencil; every coarse operator couples nodes up to 2 apart
+    Z = ~(domain.boundary_band | free)  # the dirty rows and removed unknowns of a level
+    level = 0
+    while A.shape[0] > _COARSE_MAX and free.size > 1:
+        P = _Prolongation(free)
+        dirty = None
+        if base is not None:
+            base_at, base_C = base[level]
+            dirty = _windows(Z, radius)
+            Z = (dirty & P.coarse) | (base_at & ~P.coarse)
+            if np.count_nonzero(P.coarse & ~dirty) < _CLEAN_MIN:
+                dirty = None
+        C = _galerkin(A, P, radius, dirty)
+        if dirty is not None:
+            C = _splice(base_C, base_at, P.coarse, dirty, C)
+        yield A, ratio, P
+        A, ratio, free, radius, level = C, _gershgorin(C), P.coarse, 2, level + 1
+    yield A, ratio, None
+
+
+def _domain_levels(domain: GridDomain) -> list:
+    """The coarse levels of the domain's own hierarchy, the one with no
+    marked node, as (unknowns lattice, CSR) pairs; made at the first call
+    and kept in `_DOMAIN_LEVELS` until the domain is dropped."""
+    levels = _DOMAIN_LEVELS.get(domain)
+    if levels is None:
+        levels, at = [], None
+        for A, _, P in _levels(domain, ~domain.boundary_band):
+            if at is not None:
+                levels.append((at, A))
+            at = P.coarse if P is not None else None
+        _DOMAIN_LEVELS[domain] = levels
+    return levels
 
 
 class _Multigrid:
@@ -384,22 +576,38 @@ class _Multigrid:
     4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep a contraction in the
     energy norm, and both sweeps are the same symmetric operator, so the
     V-cycle is symmetric.
+
+    Unless `derive` is False, the coarse levels are derived from the
+    domain's hierarchy (`_domain_levels`), the one of the free set D with
+    no node marked.  A mask with free set F within D removes unknowns and
+    changes only the Galerkin rows that reach them:
+    - level 0 is the domain's restricted to F, since `_free_hessian` puts
+      every edge on the diagonal whatever holds the edge's other end.  It
+      is assembled from F, which costs no more than filtering the domain's
+      level 0, so the domain does not keep its largest level;
+    - with Z the lattice set of level l's dirty rows and of the domain's
+      level-l unknowns that the mask removed (Z = D \\ F on level 0), a row
+      c of level l + 1 is dirty when its fine window 2c - 1 .. 2c + 2 along
+      every axis, widened by the level's stencil radius (1 on level 0, 2
+      below), meets Z.
+    A clean row of P^T A P sums the products of the same entries of A and
+    P as the domain's row, in the same order, and drops only the columns of
+    coarse unknowns that the mask removed; a weight of P that the mask
+    drops adds a zero to the parent's sum, which leaves it as it is.  So a
+    clean row is the domain's row restricted to the mask's columns
+    (`_splice`), and `_galerkin` forms the dirty rows alone.  Every level
+    therefore equals the direct build's, entry order and bits included.  A
+    level with fewer than `_CLEAN_MIN` clean rows, the coarsest always
+    among them, is formed whole.
     """
 
-    def __init__(self, domain: GridDomain, free: np.ndarray):
-        A = _free_hessian(domain, free)
-        diag = A.diagonal()
-        # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
-        ratio = float((2.0 - (A @ np.ones(A.shape[0])) / diag).max())
-        radius = 1  # of the fine stencil; every coarse operator couples nodes up to 2 apart
+    def __init__(self, domain: GridDomain, free: np.ndarray, derive: bool = True):
         self.levels = []
-        while A.shape[0] > _COARSE_MAX and free.size > 1:
-            P = _Prolongation(free)
-            C, coarse_ratio = _galerkin(A, P, radius)
-            self.levels.append((A, 4.0 / (3.0 * ratio) / diag, P))
-            A, ratio, free, radius = C, coarse_ratio, P.coarse, 2
-            diag = A.diagonal()
-        self.coarse = splu(A.tocsc())
+        for A, ratio, P in _levels(domain, free, _domain_levels(domain) if derive else None):
+            if P is None:
+                self.coarse = splu(A.tocsc())
+            else:
+                self.levels.append((A, 4.0 / (3.0 * ratio) / A.diagonal(), P))
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):

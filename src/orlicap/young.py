@@ -560,10 +560,12 @@ def check_delta2_plus(spec_or_pair) -> ConditionReport:
         })
 
 
-def _ratio_report(condition: str, num: Callable, den: Callable,
+def _ratio_report(condition: str, num, den: Callable,
                   ceiling: float) -> ConditionReport:
     """Search of `GRID` x `GRID` for sup num(s,t)/den(s,t).
 
+    `num` is a function of (s, t), or a pair of arrays (a, b) on `GRID`
+    for the numerator a(s) b(t), whose factors are then evaluated once.
     Sweeps _RATIO_ROWS values of s at a time, carrying the column and row
     maxima, the first (row-major) strict maximum and the flags, so that no
     array of the whole grid is held.  Non-finite ratios count as -inf and
@@ -579,7 +581,7 @@ def _ratio_report(condition: str, num: Callable, den: Callable,
     for r0 in range(0, pts.size, _RATIO_ROWS):
         s = pts[r0:r0 + _RATIO_ROWS, None]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            numer = num(s, t)
+            numer = num(s, t) if callable(num) else num[0][r0:r0 + len(s), None] * num[1]
             denom = den(s, t)
             ratio = numer / denom
         if vanishes is not None:
@@ -610,16 +612,21 @@ def _ratio_report(condition: str, num: Callable, den: Callable,
                            passed, growing, truncated)
 
 
+def _on_grid(*fns: Callable) -> list:
+    """Each function's values on `GRID`, with the errors the ratio search
+    ignores."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [np.broadcast_to(fn(GRID), GRID.shape) for fn in fns]
+
+
 def check_submultiplicative_f(f: Callable, ceiling: float = math.inf) -> ConditionReport:
     """sup f(s) f(t) / f(st) over `GRID` x `GRID`."""
-    return _ratio_report("submultiplicative_f",
-                         lambda s, t: f(s) * f(t),
+    return _ratio_report("submultiplicative_f", _on_grid(f) * 2,
                          lambda s, t: f(s * t), ceiling)
 
 
 def check_pairing(phi_part: Callable, psi_part: Callable,
                   ceiling: float = math.inf) -> ConditionReport:
     """sup phi(s) psi(t) / phi(st) over `GRID` x `GRID`."""
-    return _ratio_report("pairing",
-                         lambda s, t: phi_part(s) * psi_part(t + 0 * s),
+    return _ratio_report("pairing", _on_grid(phi_part, psi_part),
                          lambda s, t: phi_part(s * t), ceiling)

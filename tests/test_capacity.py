@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,11 +32,12 @@ from orlicap import (
     power_log,
     riesz_capacity_variational,
 )
+from orlicap import capacity as capacity_module
 from orlicap.averages import _node_index, snap_to_node
-from orlicap.capacity import (_RATIO_FLOOR, _EnergyWorkspace, _Multigrid, _kernel_diagonal,
-                              _riesz_kernel)
+from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _Multigrid,
+                              _Prolongation, _kernel_diagonal, _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
-from orlicap.strongtype import TestFunctionSpec, build_test_function
+from orlicap.strongtype import SHAPES, TestFunctionSpec, build_test_function
 from orlicap.young import eval_phi, eval_phi_prime, phi_prime_inverse
 
 
@@ -633,6 +636,129 @@ def test_multigrid_build_stays_within_the_old_peak():
     # nor more than the first coarse level alone formed by whole products,
     # a reference measured with the same libraries
     assert build < traced_peak(lambda: (Q.T @ A) @ Q)
+
+
+def test_cold_build_with_its_domain_hierarchy_stays_within_its_peak():
+    # a fresh domain's first build also forms and keeps the domain's own
+    # hierarchy; the warm-up builds on another domain
+    warm = build_domain(3, 1.0, 32)
+    free = ~(ball_mask(warm, 0.3).mask | warm.boundary_band)
+    _Multigrid(warm, free)
+    dom = build_domain(3, 1.0, 32)
+    assert dom not in _DOMAIN_LEVELS
+    build = traced_peak(lambda: _Multigrid(dom, free))
+    # 6,557,475 B is the largest peak measured for this build when the
+    # domain hierarchy came in (6.54-6.56 MB over runs; numpy 2.4.6,
+    # scipy 1.17.1)
+    assert build <= 6_560_000
+    assert dom in _DOMAIN_LEVELS
+
+
+def test_domain_hierarchy_is_dropped_with_its_domain():
+    dom = build_domain(2, 1.0, 64)
+    _Multigrid(dom, ~(ball_mask(dom, 0.25).mask | dom.boundary_band))
+    domain, level = weakref.ref(dom), weakref.ref(_DOMAIN_LEVELS[dom][0][1])
+    del dom
+    gc.collect()
+    assert domain() is None and level() is None
+
+
+@pytest.fixture(scope="module")
+def hierarchy_lattices():
+    return {"2d-64": build_domain(2, 1.0, 64), "3d-32": build_domain(3, 1.0, 32),
+            "2d-128": build_domain(2, 1.0, 128)}
+
+
+@st.composite
+def marked_sets(draw):
+    """A kind of marked set and where it sits, for `marked_nodes`."""
+    kind = draw(st.sampled_from(["ball", "level", "node", "edge", "most"]))
+    return (kind, draw(st.tuples(*[st.floats(-0.7, 0.7)] * 3)), draw(st.floats(0.05, 0.95)),
+            draw(st.sampled_from(sorted(SHAPES))))
+
+
+def marked_nodes(domain, kind, centre, r, shape):
+    """A ball, a test-function level set, a single node, a ball cut off at
+    R - 2h, or all the nodes below R - 2h but a ball."""
+    allowed = domain.radius < domain.mark_radius
+    c = np.asarray(centre[:domain.n])
+    dist = np.sqrt(sum((g - x) ** 2 for g, x in zip(np.meshgrid(*domain.axes, indexing="ij"), c)))
+    if kind == "level":
+        u = build_test_function(TestFunctionSpec(shape), domain)
+        return level_mask(u, r * u.max_abs()).mask
+    if kind == "node":
+        return dist == dist[allowed].min()
+    return allowed & {"ball": dist <= 0.5 * r, "edge": dist <= r + 0.2,
+                      "most": dist > 0.3 * r}[kind]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(lattice=st.sampled_from(["2d-64", "3d-32", "2d-128"]),
+       sets=st.lists(marked_sets(), min_size=1, max_size=3), splice_all=st.booleans())
+def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets, splice_all):
+    # every level spliced from the domain's hierarchy equals the one formed
+    # with every Galerkin row, entry order included, whatever came before;
+    # with splice_all, so are the levels with few clean rows (the coarsest)
+    dom = hierarchy_lattices[lattice]
+    for args in sets:
+        free = ~(marked_nodes(dom, *args) | dom.boundary_band)
+        with pytest.MonkeyPatch.context() as patch:
+            if splice_all:
+                patch.setattr(capacity_module, "_CLEAN_MIN", 0)
+            derived = _Multigrid(dom, free)
+        direct = _Multigrid(dom, free, derive=False)
+        assert len(derived.levels) == len(direct.levels)
+        for (A, smooth, _), (B, damping, _) in zip(derived.levels, direct.levels):
+            for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data),
+                         (smooth, damping)):
+                assert same_bits(x, y)
+        b = np.random.default_rng(3).standard_normal(derived.coarse.shape[0])
+        assert same_bits(derived.coarse.solve(b), direct.coarse.solve(b))
+
+
+def bordered_transfers(P, x, y):
+    """P x and P^T y as lattice formulas on zero-bordered arrays, axis by
+    axis, new arrays at each step: the reference for the order of the
+    transfers' sums."""
+    c = np.zeros(P._index.shape)
+    c.reshape(-1)[P.coarse_at] = x
+    for a in reversed(range(c.ndim)):
+        out = np.empty(c.shape[:a] + (P.fine_shape[a],) + c.shape[a + 1:])
+        coarse, fine = np.moveaxis(c, a, 0), np.moveaxis(out, a, 0)
+        coarse *= 0.25
+        for parity in (0, 1):
+            f = fine[parity::2]
+            np.multiply(coarse[1:len(f) + 1], 3.0, out=f)
+            f += coarse[2 * parity:2 * parity + len(f)]
+        c = out
+    f = np.zeros(P.fine_shape)
+    f.reshape(-1)[P.fine_at] = y
+    for a in range(f.ndim):
+        out = np.zeros(f.shape[:a] + (P._index.shape[a],) + f.shape[a + 1:])
+        fine, coarse = np.moveaxis(f, a, 0), np.moveaxis(out, a, 0)
+        for parity in (0, 1):
+            g = fine[parity::2]
+            g *= 0.25
+            coarse[2 * parity:2 * parity + len(g)] += g
+            g *= 3.0
+            coarse[1:len(g) + 1] += g
+        f = out
+    return c.reshape(-1)[P.fine_at], f.reshape(-1)[P.coarse_at]
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (25, 26), (64, 64), (7, 10, 13), (32, 32, 32)])
+def test_transfers_sum_in_the_order_of_the_lattice_formulas(shape):
+    rng = np.random.default_rng(8)
+    P = _Prolongation(rng.random(shape) < 0.7)
+    P.matrix = None  # as for a P too large to store
+    for _ in range(2):  # the second call reuses the transfers' lattices
+        x, y = rng.standard_normal(P.shape[1]), rng.standard_normal(P.shape[0])
+        px, pty = bordered_transfers(P, x.copy(), y.copy())
+        assert same_bits(P.prolong(x), px) and same_bits(P.restrict(y), pty)
 
 
 def average_level_set(domain, name, center, r, level):

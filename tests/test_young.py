@@ -501,6 +501,18 @@ def test_blocked_ratio_report_equals_the_dense_one(spec):
         assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
 
 
+@pytest.mark.parametrize("spec", [power_log(2, 1), power(3), exp_log(2, 0.5)],
+                         ids=lambda s: s.tag)
+def test_checks_with_factors_evaluated_once_equal_the_dense_search(spec):
+    # check_submultiplicative_f and check_pairing evaluate f, phi and psi on
+    # GRID once; the dense search evaluates them at every point
+    pair = factored(spec)
+    for (condition, num, den), report in zip(ratio_cases(spec), (
+            check_submultiplicative_f(pair.f_part, 2.0),
+            check_pairing(pair.phi_part, pair.psi_part, 2.0))):
+        assert repr(report) == repr(dense_ratio_report(condition, num, den, 2.0))
+
+
 def test_blocked_ratio_report_flags_equal_the_dense_ones():
     overflow = (lambda s, t: np.exp(s) * t, lambda s, t: s + t)   # inf past s ~ 710
     vanishes = (lambda s, t: s + t, lambda s, t: np.where(s * t > 50.0, 0.0, s * t))
