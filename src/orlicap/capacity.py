@@ -46,6 +46,19 @@ restricted to the mask's unknowns, and forms the dirty rows alone.  A
 copied row sums the same products in the same order as it would from
 scratch, so every level equals the one built from scratch, bit for bit.
 
+Swapping the first two lattice axes maps the problem to itself, bit for
+bit, in 2-D and 3-D alike: `grid.build_domain` sums the squared
+coordinates as (x0^2 + x1^2) [+ x2^2], so radius, inside, boundary band
+and weights equal their swaps, and |D+ u|^2 sums d0^2 + d1^2 [+ d2^2], so
+the energy of u and of its swap are one sum over the nodes in another
+order.  Hence cap(M) = cap(swap(M)) exactly, and the certified bracket of
+one member holds for the other.  `CapacityCache` solves one canonical
+member of each pair {M, swap(M)} (the smaller `SetMask.key()` bytes) and
+serves the other with the swapped minimizer.  Other axis permutations are
+not used: in 3-D, the radius sum is not bit-symmetric under them.
+Reflections are not used either, since forward differences are not
+reflection-invariant.
+
 The radial oracle (`capacity_ball_radial`) is the exact minimum of the
 1-D discrete condenser problem, from its constant-flux condition.
 
@@ -64,7 +77,7 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -646,8 +659,9 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     _require_delta2(spec)
 
     if E.is_empty():
-        u = GridFunction(domain, np.zeros(domain.shape))
-        return CapacityResult(0.0, u, 0, True, "pcg-multigrid", 0.0)
+        u = np.zeros(domain.shape)
+        u.flags.writeable = False  # shared by a cache, as every minimizer
+        return CapacityResult(0.0, GridFunction(domain, u), 0, True, "pcg-multigrid", 0.0)
 
     free = ~(E.mask | domain.boundary_band)
     at = np.flatnonzero(free).astype(np.int32)
@@ -721,24 +735,53 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
 
 class CapacityCache:
-    """Memoizes capacity solves by mask content.
+    """Memoizes capacity solves by the orbit {M, swap(M)} of a mask M under
+    the swap of the first two lattice axes.
 
-    Every solve starts cold, so a cached value depends only on its mask,
-    never on the order of earlier lookups.  Cached results are shared
-    objects; their minimizer arrays are read-only.
+    The swap leaves the domain and the energy unchanged (see the module
+    docstring), so cap(M) = cap(swap(M)).  A miss solves the orbit's
+    canonical member, the one with the smaller `SetMask.key()` bytes (M
+    itself when M is symmetric), and stores it under its key; the other
+    member is served the same value, bracket, iterations and convergence
+    flag, with the minimizer's first two axes swapped in a read-only view.
+    The canonical member depends on the orbit alone and every solve starts
+    cold, so a cached value depends only on its mask, never on the order of
+    earlier lookups, and its `[lower, value]` certifies both members.
+    Cached results are shared objects; their minimizer arrays are read-only.
+
+    `lookups`, `hits` (served without a solve, twins included), `solves`
+    and `iterations` (summed over the solves) count this cache's work.
     """
 
     def __init__(self, spec: YoungSpec, domain: GridDomain):
         self.spec = spec
         self.domain = domain
         self._store = {}
+        self.lookups = self.hits = self.solves = self.iterations = 0
 
     def capacity(self, mask: SetMask) -> CapacityResult:
+        self.lookups += 1
         key = mask.key()
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        res = capacity_variational(mask, self.spec, self.domain)
+        res = self._store.get(key)
+        if res is not None:
+            self.hits += 1
+            return res
+        twin = SetMask(mask.domain, np.swapaxes(mask.mask, 0, 1))
+        twin_key = twin.key()
+        canonical = self._store.get(twin_key)
+        if canonical is not None:
+            self.hits += 1
+        else:
+            solved, solved_key = (twin, twin_key) if twin_key < key else (mask, key)
+            canonical = capacity_variational(solved, self.spec, self.domain)
+            self.solves += 1
+            self.iterations += canonical.iterations
+            self._store[solved_key] = canonical
+            if solved is mask:
+                return canonical
+        # a view of the read-only minimizer, so read-only too
+        swapped = GridFunction(self.domain, np.swapaxes(canonical.minimizer.values, 0, 1))
+        res = replace(canonical, minimizer=swapped)
         self._store[key] = res
         return res
 

@@ -91,7 +91,9 @@ class SetMask:
     mask: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
+        # C order, which the solve's flat-offset differences need; key() is
+        # the same for any memory order
+        m = np.ascontiguousarray(self.mask, dtype=bool)
         if m.shape != self.domain.shape:
             raise ValueError("mask shape does not match the domain lattice")
         if np.any(m & (self.domain.radius >= self.domain.mark_radius)):

@@ -136,6 +136,34 @@ def test_trace_truncates_small_radii(disc, t2):
     assert min(tr.radii) >= 4 * disc.h
 
 
+class RecordingCache(CapacityCache):
+    """A cache that keeps every mask it is asked for."""
+
+    def __init__(self, spec, domain):
+        super().__init__(spec, domain)
+        self.requested = []
+
+    def capacity(self, mask):
+        self.requested.append(mask.mask.copy())
+        return super().capacity(mask)
+
+
+def test_cache_solves_each_axis_swap_orbit_once():
+    # the default centres are symmetric under (a, b) -> (b, a) and tent is
+    # radial, so transposed centres ask for transposed masks
+    dom = build_domain(2, 1.0, 48)
+    u = build_test_function(TestFunctionSpec("tent", r=0.5), dom)
+    cache = RecordingCache(power(2), dom)
+    for center in default_centers(dom):
+        average_trace(u, center, power(2), PSI, j_max=0, cache=cache)
+    masks = {m.tobytes() for m in cache.requested}
+    orbits = {frozenset((m.tobytes(), np.swapaxes(m, 0, 1).tobytes())) for m in cache.requested}
+    assert len(orbits) < len(masks)
+    assert cache.lookups == len(cache.requested)
+    assert cache.solves == len(orbits) == cache.lookups - cache.hits
+    assert cache.iterations > cache.solves
+
+
 def test_maximal_zero(disc, t2):
     assert capacitary_maximal(zero_function(disc), (0.1, 0.0), power(2), PSI,
                               [0.25, 0.125], t2) == 0.0

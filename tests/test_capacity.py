@@ -37,7 +37,8 @@ from orlicap.averages import _node_index, snap_to_node
 from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _Multigrid,
                               _Prolongation, _kernel_diagonal, _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
-from orlicap.strongtype import SHAPES, TestFunctionSpec, build_test_function
+from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
+                                lhs_dyadic)
 from orlicap.young import eval_phi, eval_phi_prime, phi_prime_inverse
 
 
@@ -111,6 +112,27 @@ def test_cache_reuses_solves(disc64):
     a = cache.capacity(ball_mask(disc64, 0.2))
     b = cache.capacity(ball_mask(disc64, 0.2))
     assert a is b
+    assert (cache.lookups, cache.hits, cache.solves, cache.iterations) == (2, 1, 1, a.iterations)
+
+
+def test_fortran_ordered_inputs_solve_as_c_ordered(disc64):
+    # a mask or a function in another memory order has the same key, so it
+    # must give the C-ordered result, bit for bit, not a layout error
+    spec = power_log(2, 1)
+    E = ball_mask(disc64, 0.25, (0.1, -0.2))
+    F = SetMask(disc64, np.asfortranarray(E.mask))
+    assert F.key() == E.key()
+    a, b = capacity_variational(E, spec, disc64), capacity_variational(F, spec, disc64)
+    assert same_bits(a.minimizer.values, b.minimizer.values)
+    assert (a.value, a.lower, a.iterations) == (b.value, b.lower, b.iterations)
+    u = build_test_function(TestFunctionSpec("random_smooth"), disc64)
+    psi = derived_psi(spec)
+    c_rep = lhs_dyadic(u, spec, psi)
+    v = GridFunction(disc64, np.asfortranarray(u.values))
+    assert not v.values.flags.c_contiguous
+    f_rep = lhs_dyadic(v, spec, psi)
+    assert same_bits(np.float64(f_rep.lhs), np.float64(c_rep.lhs))
+    assert [r.capacity for r in f_rep.levels] == [r.capacity for r in c_rep.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +847,62 @@ def test_lower_bound_brackets_the_capacity(n, res):
 _CENTRES = [None, (-0.25, 0.0), (0.0, 0.25), (0.2, -0.2)]
 
 
+def swapped_ball(dom, r, centre, swap):
+    """B(centre, r), with its first two lattice axes swapped when `swap`."""
+    E = ball_mask(dom, r, centre)
+    return SetMask(dom, np.swapaxes(E.mask, 0, 1)) if swap else E
+
+
 @settings(max_examples=10, deadline=None)
-@given(history=st.lists(st.tuples(st.floats(0.1, 0.4), st.sampled_from(_CENTRES)),
+@given(history=st.lists(st.tuples(st.floats(0.1, 0.4), st.sampled_from(_CENTRES), st.booleans()),
                         max_size=3),
-       target=st.tuples(st.floats(0.1, 0.4), st.sampled_from(_CENTRES)))
-def test_cached_value_does_not_depend_on_history(history, target):
+       target=st.tuples(st.floats(0.1, 0.4), st.sampled_from(_CENTRES), st.booleans()),
+       twin_at=st.none() | st.integers(0, 3))
+def test_cached_value_does_not_depend_on_history(history, target, twin_at):
+    # the history may hold the target's swap, which the cache serves it from
     dom = build_domain(2, 1.0, 32)
+    if twin_at is not None:
+        r, centre, swap = target
+        history = history[:twin_at] + [(r, centre, not swap)] + history[twin_at:]
     cache = CapacityCache(power(2), dom)
-    for r, centre in history:
-        cache.capacity(ball_mask(dom, r, centre))
-    seen = cache.capacity(ball_mask(dom, *target)).value
-    fresh = CapacityCache(power(2), dom).capacity(ball_mask(dom, *target)).value
+    for args in history:
+        cache.capacity(swapped_ball(dom, *args))
+    seen = cache.capacity(swapped_ball(dom, *target)).value
+    fresh = CapacityCache(power(2), dom).capacity(swapped_ball(dom, *target)).value
     assert np.float64(seen).tobytes() == np.float64(fresh).tobytes()
+
+
+@pytest.fixture(scope="module")
+def swap_lattices():
+    return {2: build_domain(2, 1.0, 32), 3: build_domain(3, 1.0, 32)}
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from([2, 3]), kind=st.sampled_from(["ball", "level"]),
+       centre=st.tuples(*[st.floats(-0.7, 0.7)] * 3), r=st.floats(0.05, 0.95),
+       spec=st.sampled_from([power(2), power_log(2, 1)]))
+def test_a_mask_and_its_swap_share_one_solve(swap_lattices, n, kind, centre, r, spec):
+    # a ball at a random centre or a level set of random_smooth, and its
+    # swap: one solve, in either lookup order, serves both
+    dom = swap_lattices[n]
+    M = SetMask(dom, marked_nodes(dom, kind, centre, r, "random_smooth"))
+    T = SetMask(dom, np.swapaxes(M.mask, 0, 1))
+    pairs = []
+    for order in ((M, T), (T, M)):
+        cache = CapacityCache(spec, dom)
+        got = [cache.capacity(E) for E in order]
+        assert (cache.lookups, cache.hits, cache.solves) == (2, 1, 1)
+        pairs.append(got if order[0] is M else got[::-1])
+    direct = capacity_variational(M, spec, dom)
+    for a, b in pairs + [(pairs[0][0], pairs[1][0])]:
+        for x, y in ((a.value, b.value), (a.lower, b.lower)):
+            assert same_bits(np.float64(x), np.float64(y))
+        assert (a.converged, a.iterations) == (b.converged, b.iterations)
+    for a, b in pairs:
+        if M.key() == T.key():  # a symmetric mask is its own twin
+            assert a is b
+        else:
+            assert same_bits(np.swapaxes(a.minimizer.values, 0, 1), b.minimizer.values)
+        assert not (a.minimizer.values.flags.writeable or b.minimizer.values.flags.writeable)
+        # cap(M) = cap(T): a value solved through either lies in M's own bracket
+        assert direct.lower * (1.0 - 1e-12) <= a.value <= direct.value * (1.0 + 1e-12)

@@ -126,6 +126,17 @@ def test_gradient_ignores_the_memory_layout(n, resolution):
         assert np.array_equal(gradient(GridFunction(dom, layout)).view(np.int64), expected)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("resolution", [32, 33, 48])
+def test_domain_equals_its_swap_of_the_first_two_axes(n, resolution):
+    # the capacity cache serves a mask's swap from the mask's solve, which
+    # needs the lattice data to be symmetric bit for bit
+    dom = build_domain(n, 1.0, resolution)
+    for arr in (dom.radius, dom.inside, dom.boundary_band, dom.weights):
+        swapped = np.swapaxes(arr, 0, 1)
+        assert arr.dtype == swapped.dtype and arr.tobytes() == swapped.tobytes()
+
+
 def test_integrate_constant_is_area(disc):
     assert integrate(np.ones(disc.shape), disc) == pytest.approx(math.pi, rel=0.02)
 
