@@ -27,9 +27,7 @@ def snap_to_node(domain: GridDomain, x0) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (domain.n,):
         raise ValueError(f"center must have {domain.n} coordinates")
-    snapped = [domain.axes[i][int(np.argmin(np.abs(domain.axes[i] - x0[i])))]
-               for i in range(domain.n)]
-    return np.array(snapped)
+    return np.array([ax[i] for ax, i in zip(domain.axes, _node_index(domain, x0))])
 
 
 def smallest_radius(domain: GridDomain) -> float:

@@ -197,15 +197,11 @@ class _EnergyWorkspace:
 
 
 _COARSE_MAX = 500  # unknowns at which the multigrid factorizes instead of coarsening
-# largest P kept as CSR, which applies 1.8-9x faster but takes 12 B an entry:
-# above a 3-D 48^3 first coarse P (55,296), below a 3-D 32^3 finest (110,784)
+# largest P kept as CSR (12 B an entry): it applies faster than the per-axis transfers
+# on 2-D levels, and a 3-D finest P (110,784 entries at 32^3) is never held in memory
 _STORED_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 15  # entries of P^T A formed at once while building P^T A P
 _RUN_ENTRIES = 1 << 16    # entries of a level filtered or scanned at once
-# clean rows from which a mask's level is spliced from its domain's; below,
-# the splice's fixed costs outweigh the rows it copies (on 2-D lattices of
-# 64^2 and 128^2 and the 48^3 one), and every row is formed
-_CLEAN_MIN = 500
 # each lattice domain's coarse levels with no marked node, as (unknowns
 # lattice, CSR) pairs, made at its first multigrid build, dropped with it
 _DOMAIN_LEVELS = weakref.WeakKeyDictionary()
@@ -278,7 +274,7 @@ class _Prolongation:
         self.shape = (self.fine_at.size, self.coarse_at.size)
         self.matrix = None
         if self.shape[0] << free.ndim <= _STORED_ENTRIES:
-            self.matrix = self.rows(0, self.shape[0])
+            self.matrix = self.rows(np.arange(self.shape[0]))
             self._transpose = self.matrix.T  # a CSC view, made once
 
     @functools.cached_property
@@ -326,14 +322,11 @@ class _Prolongation:
             y = R @ y.reshape(R.shape[1], -1)
         return (steps[-1] @ y.reshape(-1, self.fine_shape[-1]).T).reshape(-1)[at]
 
-    def rows(self, at, stop: int = None) -> sparse.csr_matrix:
-        """The rows of P in the sorted index array `at` (rows at..stop-1
-        when `stop` is given), in a CSR matrix of P's shape whose other rows
-        are empty (all of P once stored)."""
+    def rows(self, at: np.ndarray) -> sparse.csr_matrix:
+        """The rows of P in the sorted index array `at`, in a CSR matrix of
+        P's shape whose other rows are empty (all of P once stored)."""
         if self.matrix is not None:
             return self.matrix
-        if stop is not None:
-            at = np.arange(at, stop)
         f, n = self.fine_at[at], len(self.fine_shape)
         # flat index of each corner on the bordered coarse lattice: the
         # parent, then for each axis the same plus the step to the side
@@ -408,9 +401,9 @@ def _windows(Z: np.ndarray, radius: int, fine_shape: tuple = None) -> np.ndarray
 
 
 def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int,
-              dirty: np.ndarray = None) -> sparse.csr_matrix:
-    """The rows of P^T A P at the coarse unknowns that the coarse lattice set
-    `dirty` holds (every row when it is None), as a CSR matrix of those rows.
+              dirty: np.ndarray) -> sparse.csr_matrix:
+    """The rows of P^T A P at the coarse unknowns in the lattice set
+    `dirty` (within P.coarse), as a CSR matrix of those rows.
 
     A couples nodes at most `radius` apart along each axis.  The product is
     formed one block of coarse rows at a time (`P.blocks`), from the rows of
@@ -424,12 +417,8 @@ def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int,
     whether it is formed alone or with every row.
     """
     block = _BLOCK_ENTRIES // (4 + 2 * radius) ** len(P.fine_shape)
-    if dirty is None:
-        rows, reached = np.arange(P.shape[1]), np.ones(P.shape[0], dtype=bool)
-    else:
-        dirty = dirty & P.coarse
-        rows = np.flatnonzero(dirty[P.coarse])
-        reached = _windows(dirty, radius, P.fine_shape).reshape(-1)[P.fine_at]
+    rows = np.flatnonzero(dirty[P.coarse])
+    reached = _windows(dirty, radius, P.fine_shape).reshape(-1)[P.fine_at]
     # each block is written straight into arrays of the bound's size (a few
     # entries too many at most), so the blocks and the whole are never held
     # together
@@ -447,15 +436,13 @@ def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int,
     return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(rows.size, P.shape[1]))
 
 
-def _pattern_pairs(coarse: np.ndarray, radius: int, rows: np.ndarray = None) -> int:
+def _pattern_pairs(coarse: np.ndarray, radius: int, rows: np.ndarray) -> int:
     """A bound on the entries of P^T A P in the rows at `rows` (a subset of
-    the coarse lattice set `coarse`; all of it when None): the pairs of
-    coarse unknowns whose lattice offset d has |d_a| <= 2 on every axis, and
-    on at most one axis when A has radius 1 (there a row of P^T A spans 6
-    fine cells along one axis and 4 along the others, which reach coarse
-    offsets 2 and 1)."""
+    the coarse lattice set `coarse`): the pairs of coarse unknowns whose
+    lattice offset d has |d_a| <= 2 on every axis, and on at most one axis
+    when A has radius 1 (there a row of P^T A spans 6 fine cells along one
+    axis and 4 along the others, which reach coarse offsets 2 and 1)."""
     padded = np.pad(coarse, 2)
-    rows = coarse if rows is None else rows
     total = 0
     for d in itertools.product(range(-2, 3), repeat=coarse.ndim):
         if radius == 1 and sum(abs(x) == 2 for x in d) > 1:
@@ -536,9 +523,9 @@ def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
     """Each level's operator, Gershgorin ratio and prolongation, from the
     free-node Hessian down to the first level with at most `_COARSE_MAX`
     unknowns (yielded with P = None).  Every coarse row is a Galerkin
-    product when `base` is None; otherwise a level with at least
-    `_CLEAN_MIN` clean rows is spliced from the domain's level in `base`,
-    and only its dirty rows are formed (see `_Multigrid`)."""
+    product when `base` is None; otherwise each coarse level is spliced
+    from the domain's level in `base`, and only its dirty rows are formed
+    (see `_Multigrid`)."""
     A = _free_hessian(domain, free)
     # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
     ratio = float((2.0 - (A @ np.ones(A.shape[0])) / A.diagonal()).max())
@@ -547,16 +534,13 @@ def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
     level = 0
     while A.shape[0] > _COARSE_MAX and free.size > 1:
         P = _Prolongation(free)
-        dirty = None
-        if base is not None:
+        if base is None:
+            C = _galerkin(A, P, radius, P.coarse)
+        else:
             base_at, base_C = base[level]
-            dirty = _windows(Z, radius)
-            Z = (dirty & P.coarse) | (base_at & ~P.coarse)
-            if np.count_nonzero(P.coarse & ~dirty) < _CLEAN_MIN:
-                dirty = None
-        C = _galerkin(A, P, radius, dirty)
-        if dirty is not None:
-            C = _splice(base_C, base_at, P.coarse, dirty, C)
+            dirty = _windows(Z, radius) & P.coarse
+            Z = dirty | (base_at & ~P.coarse)
+            C = _splice(base_C, base_at, P.coarse, dirty, _galerkin(A, P, radius, dirty))
         yield A, ratio, P
         A, ratio, free, radius, level = C, _gershgorin(C), P.coarse, 2, level + 1
     yield A, ratio, None
@@ -590,10 +574,10 @@ class _Multigrid:
     energy norm, and both sweeps are the same symmetric operator, so the
     V-cycle is symmetric.
 
-    Unless `derive` is False, the coarse levels are derived from the
-    domain's hierarchy (`_domain_levels`), the one of the free set D with
-    no node marked.  A mask with free set F within D removes unknowns and
-    changes only the Galerkin rows that reach them:
+    The coarse levels are derived from the domain's hierarchy
+    (`_domain_levels`), the one of the free set D with no node marked.  A
+    mask with free set F within D removes unknowns and changes only the
+    Galerkin rows that reach them:
     - level 0 is the domain's restricted to F, since `_free_hessian` puts
       every edge on the diagonal whatever holds the edge's other end.  It
       is assembled from F, which costs no more than filtering the domain's
@@ -609,14 +593,13 @@ class _Multigrid:
     drops adds a zero to the parent's sum, which leaves it as it is.  So a
     clean row is the domain's row restricted to the mask's columns
     (`_splice`), and `_galerkin` forms the dirty rows alone.  Every level
-    therefore equals the direct build's, entry order and bits included.  A
-    level with fewer than `_CLEAN_MIN` clean rows, the coarsest always
-    among them, is formed whole.
+    therefore equals the direct build's (`_levels` with no base), entry
+    order and bits included.
     """
 
-    def __init__(self, domain: GridDomain, free: np.ndarray, derive: bool = True):
+    def __init__(self, domain: GridDomain, free: np.ndarray):
         self.levels = []
-        for A, ratio, P in _levels(domain, free, _domain_levels(domain) if derive else None):
+        for A, ratio, P in _levels(domain, free, _domain_levels(domain)):
             if P is None:
                 self.coarse = splu(A.tocsc())
             else:
@@ -970,8 +953,9 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     if not _delta2_plus_ok(spec):
         raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
     if E.is_empty():
-        u = GridFunction(domain, np.zeros(domain.shape))
-        return CapacityResult(0.0, u, 0, True, "riesz-dual", 0.0)
+        u = np.zeros(domain.shape)
+        u.flags.writeable = False  # shared by a cache, as every minimizer
+        return CapacityResult(0.0, GridFunction(domain, u), 0, True, "riesz-dual", 0.0)
     if E.count > _MAX_CONSTRAINT_NODES:
         raise ConfigurationError(
             f"{E.count} constraint nodes exceed the dense-kernel cap "

@@ -91,9 +91,10 @@ class SetMask:
     mask: np.ndarray
 
     def __post_init__(self):
-        # C order, which the solve's flat-offset differences need; key() is
-        # the same for any memory order
-        m = np.ascontiguousarray(self.mask, dtype=bool)
+        # a C-ordered copy: the solve's flat-offset differences need C order
+        # (key() is the same for any memory order), and a later write to the
+        # caller's array neither fails nor changes a mask already in use
+        m = np.array(self.mask, dtype=bool, order="C")
         if m.shape != self.domain.shape:
             raise ValueError("mask shape does not match the domain lattice")
         if np.any(m & (self.domain.radius >= self.domain.mark_radius)):

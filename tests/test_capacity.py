@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import brentq, nnls
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from orlicap import (
     CapacityCache,
@@ -32,10 +32,9 @@ from orlicap import (
     power_log,
     riesz_capacity_variational,
 )
-from orlicap import capacity as capacity_module
 from orlicap.averages import _node_index, snap_to_node
-from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _Multigrid,
-                              _Prolongation, _kernel_diagonal, _riesz_kernel)
+from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _levels,
+                              _Multigrid, _Prolongation, _kernel_diagonal, _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic)
@@ -292,6 +291,7 @@ def test_riesz_empty(disc64):
     res = riesz_capacity_variational(empty, power(2), disc64)
     assert res.value == 0.0
     assert res.lower == 0.0
+    assert not res.minimizer.values.flags.writeable  # as every minimizer
 
 
 def coordinate_kernel(domain, E):
@@ -649,7 +649,7 @@ def test_multigrid_build_stays_within_the_old_peak():
     dom = build_domain(3, 1.0, 32)
     free = ~(ball_mask(dom, 0.3).mask | dom.boundary_band)
     A, _, P = _Multigrid(dom, free).levels[0]  # also the warm-up
-    Q = P.rows(0, P.shape[0])
+    Q = P.rows(np.arange(P.shape[0]))
     build = traced_peak(lambda: _Multigrid(dom, free))
     # 4,989,930 B is this build's peak with the finest and first coarse
     # levels applied lazily (numpy 2.4.6, scipy 1.17.1): storing every
@@ -720,26 +720,23 @@ def same_bits(a, b):
 
 @settings(max_examples=12, deadline=None)
 @given(lattice=st.sampled_from(["2d-64", "3d-32", "2d-128"]),
-       sets=st.lists(marked_sets(), min_size=1, max_size=3), splice_all=st.booleans())
-def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets, splice_all):
-    # every level spliced from the domain's hierarchy equals the one formed
-    # with every Galerkin row, entry order included, whatever came before;
-    # with splice_all, so are the levels with few clean rows (the coarsest)
+       sets=st.lists(marked_sets(), min_size=1, max_size=3))
+def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets):
+    # every level spliced from the domain's hierarchy, the coarsest
+    # included, equals the one formed with every Galerkin row, entry order
+    # included, whatever came before
     dom = hierarchy_lattices[lattice]
     for args in sets:
         free = ~(marked_nodes(dom, *args) | dom.boundary_band)
-        with pytest.MonkeyPatch.context() as patch:
-            if splice_all:
-                patch.setattr(capacity_module, "_CLEAN_MIN", 0)
-            derived = _Multigrid(dom, free)
-        direct = _Multigrid(dom, free, derive=False)
-        assert len(derived.levels) == len(direct.levels)
-        for (A, smooth, _), (B, damping, _) in zip(derived.levels, direct.levels):
+        derived = _Multigrid(dom, free)
+        *direct, (coarsest, _, _) = _levels(dom, free)
+        assert len(derived.levels) == len(direct)
+        for (A, smooth, _), (B, ratio, _) in zip(derived.levels, direct):
             for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data),
-                         (smooth, damping)):
+                         (smooth, 4.0 / (3.0 * ratio) / B.diagonal())):
                 assert same_bits(x, y)
-        b = np.random.default_rng(3).standard_normal(derived.coarse.shape[0])
-        assert same_bits(derived.coarse.solve(b), direct.coarse.solve(b))
+        b = np.random.default_rng(3).standard_normal(coarsest.shape[0])
+        assert same_bits(derived.coarse.solve(b), splu(coarsest.tocsc()).solve(b))
 
 
 def bordered_transfers(P, x, y):

@@ -190,6 +190,15 @@ def test_setmask_rejects_band_nodes(disc):
         SetMask(disc, bad)
 
 
+def test_setmask_keeps_its_own_copy(disc):
+    m = disc.radius < 0.3
+    E = SetMask(disc, m)
+    key = E.key()
+    assert m.flags.writeable and not E.mask.flags.writeable
+    m[0, 0], m[64, 64] = True, False  # the caller's array stays the caller's
+    assert E.key() == key and E.mask[64, 64]
+
+
 def test_ball_mask_count(disc):
     m = ball_mask(disc, 0.3)
     expected = math.pi * 0.3 ** 2 / disc.h ** 2
