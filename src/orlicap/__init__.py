@@ -31,9 +31,8 @@ from .grid import (
     gradient_magnitude,
     integrate,
     level_mask,
-    zero_function,
 )
-from .norms import ModularValue, luxemburg_norm, modular
+from .norms import luxemburg_norm, modular
 from .capacity import (
     BallEstimate,
     CapacityCache,
@@ -61,11 +60,9 @@ from .averages import (
     AverageTrace,
     average_trace,
     capacitary_average,
-    capacitary_maximal,
     default_centers,
     grid_lipschitz,
     snap_to_node,
-    weak_type_sweep,
 )
 
 __version__ = "0.1.0"

@@ -109,8 +109,6 @@ class CapacityResult:
 
 @dataclass(frozen=True)
 class BallEstimate:
-    r: float
-    R: float
     F_value: float
     estimate: float
 
@@ -873,7 +871,7 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
         return float(pair.phi_part(1.0 / s)) ** (-1.0 / (n - 1)) / s
 
     F, _ = quad(integrand, r, R, epsrel=1e-8, limit=200)
-    return BallEstimate(r=r, R=R, F_value=F, estimate=F ** (1 - n))
+    return BallEstimate(F_value=F, estimate=F ** (1 - n))
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,7 @@ def _norm(config, phi_spec, base_dir, out_dir) -> int:
                                r=params["tent_r"], sigma=params["sigma"],
                                r_in=params["r_in"], r_out=params["r_out"])
     u = build_test_function(fn_spec, dom)
-    mod = modular(u, phi_spec)
-    _json_dump({"function": fn_spec.tag, "modular": mod.value,
+    _json_dump({"function": fn_spec.tag, "modular": modular(u, phi_spec),
                 "luxemburg_norm": luxemburg_norm(u, phi_spec)},
                out_dir / "norm.json")
     return 0
@@ -303,7 +302,7 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
     psi = _psi_from(config, phi_spec, base_dir)
     params = config["averages"]
     suite = _parse_functions(params["functions"], config["run"]["seed"])
-    if params["j_max"] < 0 or params["r0"] < smallest_radius(dom):
+    if params["j_max"] < 0 or not params["r0"] >= smallest_radius(dom):
         raise ConfigurationError(
             f"no radius r0 * 2^-j with 0 <= j <= j_max = {params['j_max']} reaches "
             f"4h = {smallest_radius(dom)!r}, the smallest the lattice resolves: the sweep is empty")

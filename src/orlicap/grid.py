@@ -44,8 +44,8 @@ def build_domain(n: int, R: float, resolution: int) -> GridDomain:
         raise ConfigurationError(f"dimension must be 2 or 3, got {n}")
     if resolution < 32:
         raise ConfigurationError("need at least 32 nodes per diameter")
-    if R <= 0:
-        raise ConfigurationError("ball radius must be positive")
+    if not 0 < R < math.inf:
+        raise ConfigurationError("ball radius must be positive and finite")
     h = 2.0 * R / resolution
     ax = -R + (np.arange(resolution) + 0.5) * h
     axes = tuple(ax.copy() for _ in range(n))
@@ -73,10 +73,6 @@ class GridFunction:
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-
-def zero_function(domain: GridDomain) -> GridFunction:
-    return GridFunction(domain, np.zeros(domain.shape))
 
 
 def from_callable(domain: GridDomain, fn) -> GridFunction:

@@ -2,32 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
-from .grid import GridDomain, GridFunction, integrate
+from .grid import GridFunction, integrate
 from .young import YoungSpec, eval_phi
 
 _REL_TOL = 1e-12      # relative width at which the bisection stops
 _MAX_DOUBLINGS = 200  # bracket doublings and halvings before giving up
 
 
-@dataclass(frozen=True)
-class ModularValue:
-    value: float
-    spec: YoungSpec
-    domain: GridDomain
-
-    def __float__(self):
-        return self.value
-
-
-def modular(u: GridFunction, spec: YoungSpec) -> ModularValue:
+def modular(u: GridFunction, spec: YoungSpec) -> float:
     """Integral of Phi(|u|) over the ball."""
-    val = integrate(eval_phi(spec, np.abs(u.values)), u.domain)
-    return ModularValue(val, spec, u.domain)
+    return integrate(eval_phi(spec, np.abs(u.values)), u.domain)
 
 
 def _modular_scaled(u: GridFunction, spec: YoungSpec, s: float) -> float:

@@ -160,6 +160,9 @@ class TestFunctionSpec:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ConfigurationError(f"unknown test-function shape {self.shape!r}")
+        params = (self.amplitude, self.r, self.sigma, self.r_in, self.r_out)
+        if not all(map(math.isfinite, params)):
+            raise ConfigurationError("test-function parameters must be finite")
 
     @property
     def tag(self) -> str:

@@ -45,11 +45,15 @@ class YoungSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
+        if not all(map(math.isfinite, (self.p, self.theta, self.gamma, self.c0))):
+            raise ConfigurationError("p, theta, gamma and c0 must be finite")
         if self.family == "custom_table":
             if not self.table or len(self.table) < 2:
                 raise ConfigurationError("custom_table needs at least 2 knots")
             ts = np.array([k[0] for k in self.table], dtype=float)
             vs = np.array([k[1] for k in self.table], dtype=float)
+            if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+                raise ConfigurationError("table knots must be finite")
             if np.any(ts < 0) or np.any(vs < 0):
                 raise ConfigurationError("table knots must be nonnegative")
             if np.any(np.diff(ts) <= 0):
@@ -370,7 +374,6 @@ class FactoredPair:
     psi_part: Callable
     phi_part_prime: Callable
     p: float  # f_part(t) = t^p
-    tag: str = "custom"
 
 
 def derive_psi(phi_part: Callable) -> Callable:
@@ -426,7 +429,7 @@ def factored(spec: YoungSpec) -> FactoredPair:
 
     return FactoredPair(f_part=f_part, phi_part=phi_part,
                         psi_part=derive_psi(phi_part),
-                        phi_part_prime=phi_prime, p=p, tag=spec.tag)
+                        phi_part_prime=phi_prime, p=p)
 
 
 # ---------------------------------------------------------------------------

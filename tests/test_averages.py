@@ -10,16 +10,13 @@ from orlicap import (
     from_callable,
     power,
     power_log,
-    zero_function,
 )
 from orlicap.averages import (
     average_trace,
     capacitary_average,
-    capacitary_maximal,
     default_centers,
     grid_lipschitz,
     snap_to_node,
-    weak_type_sweep,
 )
 from orlicap.strongtype import TestFunctionSpec, build_test_function, derived_psi
 
@@ -72,12 +69,12 @@ def test_oscillation_bound(disc, t2):
     # Psi evaluated at the dyadic ceiling of the oscillation (and at most
     # Psi(osc) itself when the oscillation sits at a dyadic endpoint)
     u = build_test_function(TestFunctionSpec("tent", r=0.5), disc)
-    from orlicap.averages import _node_index
+    from orlicap.averages import _nearest_node
     from orlicap.grid import ball_mask
     for x0 in ((0.2, 0.0), (0.15, 0.15), (0.0, 0.0)):
         for r in (0.25, 0.125, 0.0625):
-            xs = snap_to_node(disc, x0)
-            u0 = u.values[_node_index(disc, xs)]
+            index, xs = _nearest_node(disc, x0)
+            u0 = u.values[index]
             osc = float(np.abs(u.values - u0)[ball_mask(disc, r, xs).mask].max())
             avg = capacitary_average(u, x0, r, power(2), PSI, t2)
             ceil = 2.0 ** math.ceil(math.log2(osc))
@@ -98,13 +95,13 @@ def test_average_invariant_under_constant_shift(disc, t2):
 
 
 def test_average_rejects_ball_outside(disc, t2):
-    u = zero_function(disc)
+    u = GridFunction(disc, np.zeros(disc.shape))
     with pytest.raises(ValueError):
         capacitary_average(u, (0.8, 0.0), 0.25, power(2), PSI, t2)
 
 
 def test_trace_zero_function(disc, t2):
-    tr = average_trace(zero_function(disc), (0.1, 0.0), power(2), PSI,
+    tr = average_trace(GridFunction(disc, np.zeros(disc.shape)), (0.1, 0.0), power(2), PSI,
                        j_max=2, cache=t2)
     assert all(v == 0.0 for v in tr.values)
     assert tr.passed
@@ -164,43 +161,16 @@ def test_cache_solves_each_axis_swap_orbit_once():
     assert cache.iterations > cache.solves
 
 
-def test_maximal_zero(disc, t2):
-    assert capacitary_maximal(zero_function(disc), (0.1, 0.0), power(2), PSI,
-                              [0.25, 0.125], t2) == 0.0
-
-
-def test_maximal_dominates_averages(disc, t2):
-    u = build_test_function(TestFunctionSpec("tent", r=0.5), disc)
-    radii = [0.25, 0.125, 0.0625]
-    x0 = (0.15, -0.1)
-    m = capacitary_maximal(u, x0, power(2), PSI, radii, t2)
-    for r in radii:
-        assert m >= capacitary_average(u, x0, r, power(2), PSI, t2)
-
-
 def test_default_centers_shape(disc):
     centers = default_centers(disc)
     assert len(centers) == 9
     assert all(len(c) == 2 for c in centers)
 
 
-def test_weak_type_sweep_band(t2, disc):
-    u = build_test_function(TestFunctionSpec("tent", r=0.5), disc)
-    centers = default_centers(disc, spacing=0.15)
-    rows = weak_type_sweep(u, power(2), thresholds=[0.5, 1.0, 2.0, 4.0],
-                           centers=centers, radii=[0.25, 0.125], cache=t2)
-    caps = [row.set_capacity for row in rows]
-    # super-level sets of the maximal average are nested, capacities decay
-    assert all(a >= b for a, b in zip(caps, caps[1:]))
-    assert all(math.isfinite(row.band_constant) for row in rows)
-    assert rows[-1].set_nodes <= rows[0].set_nodes
-
-
-def test_weak_type_sweep_rejects_a_cache_for_another_phi_or_domain():
+def test_average_trace_rejects_a_cache_for_another_phi_or_domain():
     dom = build_domain(2, 1.0, 32)
     u = build_test_function(TestFunctionSpec("tent"), dom)
     for cache in (CapacityCache(power_log(2, 1), dom),
                   CapacityCache(power(2), build_domain(2, 1.0, 32))):
         with pytest.raises(ValueError, match="cache does not match"):
-            weak_type_sweep(u, power(2), thresholds=[0.05, 0.1], centers=default_centers(dom),
-                            radii=[0.25], cache=cache)
+            average_trace(u, (0, 0), power(2), PSI, j_max=0, cache=cache)

@@ -32,7 +32,7 @@ from orlicap import (
     power_log,
     riesz_capacity_variational,
 )
-from orlicap.averages import _node_index, snap_to_node
+from orlicap.averages import _nearest_node
 from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _levels,
                               _Multigrid, _Prolongation, _kernel_diagonal, _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
@@ -784,9 +784,9 @@ def average_level_set(domain, name, center, r, level):
     """A level set that `capacitary_average` solves: {|u - u(x0)| > level}
     on B(x0, r)."""
     u = build_test_function(TestFunctionSpec(name), domain)
-    x0 = snap_to_node(domain, center)
+    index, x0 = _nearest_node(domain, center)
     ball = ball_mask(domain, r, x0)
-    w = np.where(ball.mask, np.abs(u.values - u.values[_node_index(domain, x0)]), 0.0)
+    w = np.where(ball.mask, np.abs(u.values - u.values[index]), 0.0)
     return level_mask(GridFunction(domain, w), level)
 
 

@@ -312,3 +312,30 @@ def test_unknown_norm_shape_exits_2(tmp_path, capsys):
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown test-function shape 'nope'" in capsys.readouterr().err
     assert not (out / "norm.json").exists()
+
+
+def nan_table(tmp_path):
+    t = np.geomspace(1e-3, 1e3, 50)
+    vals = t ** 2
+    vals[25] = math.nan
+    np.savetxt(tmp_path / "table.csv", np.column_stack([t, vals]), delimiter=",")
+    return "family = custom_table\ntable = table.csv"
+
+
+# each of these once ran to a silent NaN in norm.json, or crashed
+@pytest.mark.parametrize("scenario, edit, output", [
+    ("norm", lambda tmp: "family = power_log\np = 2.0\ntheta = nan", "norm.json"),
+    ("norm", nan_table, "norm.json"),
+    ("norm", lambda tmp: "family = power\np = inf", "norm.json"),
+    ("norm", lambda tmp: "family = power\np = 2.0\n[domain]\nr = nan", "norm.json"),
+    ("norm", lambda tmp: "family = power\np = 2.0\n[domain]\nr = inf", "norm.json"),
+    ("norm", lambda tmp: "family = power\np = 2.0\n[norm]\namplitude = nan", "norm.json"),
+    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nr0 = nan",
+     "verdict.json"),
+], ids=["theta-nan", "table-nan-knot", "p-inf", "r-nan", "r-inf", "amplitude-nan", "r0-nan"])
+def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit, output):
+    cfg = write(tmp_path, "[young]\n" + edit(tmp_path) + "\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (out / output).exists()

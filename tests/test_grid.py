@@ -12,7 +12,6 @@ from orlicap import (
     gradient_magnitude,
     integrate,
     level_mask,
-    zero_function,
 )
 from orlicap.grid import SetMask, backward_difference, ball_mask, forward_difference, save_csv
 
@@ -32,6 +31,12 @@ def test_build_domain_rejects_bad_dimension():
         build_domain(4, 1.0, 64)
     with pytest.raises(ConfigurationError):
         build_domain(2, 1.0, 16)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_build_domain_rejects_a_non_finite_radius(R):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        build_domain(2, R, 64)
 
 
 def test_interior_node_count_2d(disc):
@@ -58,7 +63,7 @@ def test_interior_nodes_have_neighbors(disc):
 
 
 def test_gradient_of_zero(disc):
-    assert np.all(gradient(zero_function(disc)) == 0.0)
+    assert np.all(gradient(GridFunction(disc, np.zeros(disc.shape))) == 0.0)
 
 
 def test_gradient_of_affine_is_exact(disc):
@@ -163,7 +168,7 @@ def test_integrate_linear_monotone(disc):
 
 
 def test_level_mask_empty_cases(disc):
-    assert level_mask(zero_function(disc), 1.0).is_empty()
+    assert level_mask(GridFunction(disc, np.zeros(disc.shape)), 1.0).is_empty()
     assert level_mask(tent(disc, 0.5), 1.5).is_empty()
 
 

@@ -15,7 +15,6 @@ from orlicap import (
     power,
     power_log,
     truncation_H,
-    zero_function,
 )
 from orlicap.errors import ConfigurationError
 from orlicap.strongtype import (
@@ -67,6 +66,13 @@ def test_unknown_shape_is_rejected():
         TestFunctionSpec("nope")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["amplitude", "r", "sigma", "r_in", "r_out"])
+def test_non_finite_test_function_parameters_rejected(key, bad):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        TestFunctionSpec("tent", **{key: bad})
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_shape_table_drives_tag_and_build(disc, shape):
     spec = TestFunctionSpec(shape)
@@ -89,7 +95,8 @@ def test_dyadic_levels_run_from_the_peak_down(peak, top, bottom):
 
 
 def test_lhs_of_zero(disc, t2_cache):
-    rep = lhs_dyadic(zero_function(disc), power(2), derived_psi(power(2)), t2_cache)
+    zero = GridFunction(disc, np.zeros(disc.shape))
+    rep = lhs_dyadic(zero, power(2), derived_psi(power(2)), t2_cache)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.k_emp == 0.0
 
 
@@ -107,7 +114,7 @@ def test_truncated_function_collapses_levels(disc, t2_cache):
 
 
 def test_rhs_zero(disc):
-    assert rhs_energy(zero_function(disc), power(2)) == 0.0
+    assert rhs_energy(GridFunction(disc, np.zeros(disc.shape)), power(2)) == 0.0
 
 
 def test_rhs_tent_energy(disc):

@@ -71,6 +71,15 @@ def test_exp_loglog_parameter_ranges():
         exp_loglog(2, 1, 0.5, c0=2.0)  # below e^e
 
 
+# each of these passed the range checks, which a NaN or an infinity can satisfy
+@pytest.mark.parametrize("family, key, bad", [
+    ("power", "p", math.inf), ("power_log", "theta", math.nan), ("power_log", "theta", math.inf),
+    ("exp_loglog", "c0", math.nan), ("exp_loglog", "c0", math.inf), ("power", "gamma", math.nan)])
+def test_non_finite_parameters_rejected(family, key, bad):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        YoungSpec(family, **{key: bad})
+
+
 @pytest.mark.parametrize("spec,t,expected", [
     (power(2), 3.0, 6.0),
     (power(3), 1.0, 3.0),
@@ -307,6 +316,13 @@ def test_custom_table_validation():
         custom_table([(1.0, 1.0), (0.5, 2.0)])
     with pytest.raises(ConfigurationError):
         custom_table([(0.5, 2.0), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("knot", [(math.nan, 5.0), (2.0, math.nan), (math.inf, 5.0),
+                                  (2.0, math.inf)])
+def test_custom_table_rejects_non_finite_knots(knot):
+    with pytest.raises(ConfigurationError, match="knots must be finite"):
+        custom_table([(0.5, 0.25), (1.0, 1.0), knot])
 
 
 def test_custom_table_interpolates():
