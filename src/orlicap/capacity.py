@@ -36,7 +36,11 @@ gradient, or final value.
 
 The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
 free-node Hessian, assembled in one vectorized pass over the lattice
-edges, and the Galerkin products below it, formed block by block.  Each
+edges, and the Galerkin products below it, formed block by block, down to
+a level of at most `_COARSE_MAX` (64) unknowns, kept as its dense inverse.
+The solve's dot products and that inverse's product run in numpy's own
+loops (`np.einsum`), never in BLAS, so a solve's bits do not depend on the
+BLAS thread count; the Riesz solve's dense kernel products still do.  Each
 lattice domain keeps the coarse levels of its own hierarchy, the one with
 no node marked, from its first solve until the domain is dropped.  A mask
 removes unknowns, and it changes only the Galerkin rows whose stencil
@@ -81,8 +85,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
 from .grid import GridDomain, GridFunction, SetMask, backward_difference, forward_difference
@@ -194,7 +196,7 @@ class _EnergyWorkspace:
         return grad
 
 
-_COARSE_MAX = 500  # unknowns at which the multigrid factorizes instead of coarsening
+_COARSE_MAX = 64  # unknowns at which the multigrid inverts a level instead of coarsening
 # largest P kept as CSR (12 B an entry): it applies faster than the per-axis transfers
 # on 2-D levels, and a 3-D finest P (110,784 entries at 32^3) is never held in memory
 _STORED_ENTRIES = 1 << 16
@@ -565,12 +567,13 @@ class _Multigrid:
 
     Every level is a CSR matrix: the finest is `_free_hessian`, and each
     next one the Galerkin operator P^T A P (`_galerkin`) with
-    `_Prolongation`, down to a sparse LU factor at the first level with at
-    most `_COARSE_MAX` unknowns.  Each level smooths with one damped Jacobi
-    sweep before and one after the coarse correction; the damping
-    4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep a contraction in the
-    energy norm, and both sweeps are the same symmetric operator, so the
-    V-cycle is symmetric.
+    `_Prolongation`, down to the first level with at most `_COARSE_MAX`
+    unknowns, which is inverted (`_coarse_inverse`).  Each level smooths
+    with one damped Jacobi sweep before and one after the coarse
+    correction; the damping 4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep
+    a contraction in the energy norm, and both sweeps are the same
+    symmetric operator, so the V-cycle is symmetric.  No step of the cycle
+    calls BLAS, so its bits do not depend on the BLAS thread count.
 
     The coarse levels are derived from the domain's hierarchy
     (`_domain_levels`), the one of the free set D with no node marked.  A
@@ -599,19 +602,39 @@ class _Multigrid:
         self.levels = []
         for A, ratio, P in _levels(domain, free, _domain_levels(domain)):
             if P is None:
-                self.coarse = splu(A.tocsc())
+                self.coarse = _coarse_inverse(A)
             else:
                 self.levels.append((A, 4.0 / (3.0 * ratio) / A.diagonal(), P))
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
-            return self.coarse.solve(b)
+            return np.einsum("ij,j->i", self.coarse, b)
         A, smooth, P = self.levels[level]
         x = smooth * b
         x += P.prolong(self(P.restrict(b - A @ x), level + 1))
         r = A @ x
         x += np.multiply(smooth, np.subtract(b, r, out=r), out=r)
         return x
+
+
+def _coarse_inverse(A: sparse.csr_matrix) -> np.ndarray:
+    """The inverse of the coarsest level A, dense and exactly symmetric,
+    applied by `_Multigrid` as one product in numpy's own loops.
+    NumericalError when A is not positive definite (Cholesky fails)."""
+    dense = A.toarray()
+    try:
+        np.linalg.cholesky(dense)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"the coarsest multigrid level ({A.shape[0]} unknowns) is not "
+                             "positive definite") from exc
+    inverse = np.linalg.inv(dense)
+    return 0.5 * (inverse + inverse.T)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a_i b_i in numpy's own loop: a threaded BLAS dot would add the
+    products in an order that depends on its thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _gap(g: np.ndarray, x: np.ndarray) -> float:
@@ -622,7 +645,7 @@ def _gap(g: np.ndarray, x: np.ndarray) -> float:
     never raises |D+ u|), and E is convex, so E(u*) >= E(x) + <g, u* - x>
     >= E(x) - <g, x> + sum min(0, g).
     """
-    return float(np.dot(g, x) - np.minimum(g, 0.0).sum())
+    return _dot(g, x) - float(np.minimum(g, 0.0).sum())
 
 
 def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
@@ -680,18 +703,18 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
         if precondition is None:
             precondition = _Multigrid(domain, free)
         z = precondition(-g)
-        z_dot_g = float(np.dot(z, g))
+        z_dot_g = _dot(z, g)
         if d is not None:
             # Polak-Ribiere+: beta = <z, r - r_prev> / <z_prev, r_prev>, r = -g
-            beta = max(0.0, (z_dot_g - float(np.dot(z, g_prev))) / z_dot_g_prev)
+            beta = max(0.0, (z_dot_g - _dot(z, g_prev)) / z_dot_g_prev)
             d *= beta
             d += z
-        if d is None or float(np.dot(d, g)) >= 0.0:  # first, or no descent: restart
-            d = z
-        slope = float(np.dot(d, g))
+            slope = _dot(d, g)
+        if d is None or slope >= 0.0:  # first, or no descent: restart
+            d, slope = z, z_dot_g
         g_prev, z_dot_g_prev = g, z_dot_g
         # secant on the directional derivative, between 0 and the last step
-        slope_t = float(np.dot(gradient(trial(alpha)), d))
+        slope_t = _dot(gradient(trial(alpha)), d)
         if math.isfinite(slope_t) and slope_t > slope:
             alpha *= slope / (slope - slope_t)
         # halve while the first-order decrease alpha |slope| could still show
@@ -869,6 +892,8 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
 
     def integrand(s):
         return float(pair.phi_part(1.0 / s)) ** (-1.0 / (n - 1)) / s
+
+    from scipy.integrate import quad  # loads about 200 modules, which no solve needs
 
     F, _ = quad(integrand, r, R, epsrel=1e-8, limit=200)
     return BallEstimate(F_value=F, estimate=F ** (1 - n))

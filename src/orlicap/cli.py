@@ -212,6 +212,9 @@ def _parse_functions(names: str, seed: int):
 
 def _check_conditions(config, phi_spec, base_dir, out_dir) -> int:
     ceiling = config["check-conditions"]["ceiling"]
+    if math.isnan(ceiling):
+        raise ConfigurationError("[check-conditions] ceiling = nan: no constant lies below it "
+                                 "(inf, the default, sets no ceiling)")
     pair = factored(phi_spec)
     psi = _psi_from(config, phi_spec, base_dir)
     reports = {
@@ -301,6 +304,8 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
     _require_table_range(phi_spec, dom)
     psi = _psi_from(config, phi_spec, base_dir)
     params = config["averages"]
+    if not params["epsilon"] > 0:  # also nan, which no average falls below
+        raise ConfigurationError(f"[averages] epsilon = {params['epsilon']!r}: need epsilon > 0")
     suite = _parse_functions(params["functions"], config["run"]["seed"])
     if params["j_max"] < 0 or not params["r0"] >= smallest_radius(dom):
         raise ConfigurationError(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import brentq, nnls
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
 from orlicap import (
     CapacityCache,
@@ -33,8 +33,8 @@ from orlicap import (
     riesz_capacity_variational,
 )
 from orlicap.averages import _nearest_node
-from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _levels,
-                              _Multigrid, _Prolongation, _kernel_diagonal, _riesz_kernel)
+from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _coarse_inverse,
+                              _levels, _Multigrid, _Prolongation, _kernel_diagonal, _riesz_kernel)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic)
@@ -582,7 +582,7 @@ def multigrid(request):
 
 def test_preconditioner_is_symmetric_positive_definite(multigrid):
     M, free, _ = multigrid
-    assert M.levels  # at least one coarse level besides the factored one
+    assert M.levels  # at least one coarse level besides the inverted one
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal((2, np.count_nonzero(free)))
     Ma, Mb = M(a), M(b)
@@ -631,8 +631,19 @@ def test_levels_are_galerkin_products(multigrid):
         assert np.allclose(transfer.restrict(y), P.T @ y, rtol=0.0,
                            atol=1e-12 * np.abs(P.T @ y).max())
         A = (P.T @ A @ P).tocsr()
-    b = rng.standard_normal(A.shape[0])  # the coarsest level is factored
-    assert np.allclose(A @ M.coarse.solve(b), b, rtol=0.0, atol=1e-9 * np.abs(b).max())
+    # the coarsest level is inverted, exactly symmetric, and the V-cycle
+    # applies that inverse on it
+    assert 0 < A.shape[0] <= 64 and same_bits(M.coarse, M.coarse.T)
+    b = rng.standard_normal(A.shape[0])
+    assert np.allclose(A @ M(b, len(M.levels)), b, rtol=0.0, atol=1e-9 * np.abs(b).max())
+
+
+def test_a_coarsest_level_that_is_not_positive_definite_raises():
+    indefinite = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        _coarse_inverse(indefinite)
+    assert np.allclose(_coarse_inverse(sparse.csr_matrix(np.diag([2.0, 4.0]))),
+                       np.diag([0.5, 0.25]))
 
 
 def traced_peak(fn):
@@ -735,8 +746,7 @@ def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets
             for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data),
                          (smooth, 4.0 / (3.0 * ratio) / B.diagonal())):
                 assert same_bits(x, y)
-        b = np.random.default_rng(3).standard_normal(coarsest.shape[0])
-        assert same_bits(derived.coarse.solve(b), splu(coarsest.tocsc()).solve(b))
+        assert same_bits(derived.coarse, _coarse_inverse(coarsest))
 
 
 def bordered_transfers(P, x, y):

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,10 +337,72 @@ def nan_table(tmp_path):
     ("norm", lambda tmp: "family = power\np = 2.0\n[norm]\namplitude = nan", "norm.json"),
     ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nr0 = nan",
      "verdict.json"),
-], ids=["theta-nan", "table-nan-knot", "p-inf", "r-nan", "r-inf", "amplitude-nan", "r0-nan"])
+    # these two ran to a wrong verdict with exit 0: every check failed
+    ("check-conditions", lambda tmp: "family = power\np = 2.0\n[check-conditions]\nceiling = nan",
+     "conditions.json"),
+    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nepsilon = nan",
+     "verdict.json"),
+], ids=["theta-nan", "table-nan-knot", "p-inf", "r-nan", "r-inf", "amplitude-nan", "r0-nan",
+        "ceiling-nan", "epsilon-nan"])
 def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit, output):
     cfg = write(tmp_path, "[young]\n" + edit(tmp_path) + "\n")
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (out / output).exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(args, cwd, **env):
+    """A fresh interpreter that imports orlicap from this checkout, with
+    `env` set before numpy loads."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path, **env))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 128^2 a BLAS dot of the ~12,000 free values runs on two threads
+    # and adds in another order, so the solve's reductions avoid BLAS
+    write(tmp_path, BASE.replace("resolution = 64", "resolution = 128").replace(
+        "family = power\n", "family = power_log\ntheta = 1.0\n")
+        + "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\nlambda_max_exp = 0\n")
+    outputs = []
+    for threads in ("1", "2"):
+        run_fresh(["-m", "orlicap.cli", "strong-type", "--config", "run.ini", "--out", threads],
+                  tmp_path, OPENBLAS_NUM_THREADS=threads)
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / threads).iterdir()})
+    assert sorted(outputs[0]) == ["manifest.json", "strongtype.csv", "strongtype.json"]
+    assert outputs[0] == outputs[1]
+
+
+def test_solves_load_neither_scipy_integrate_nor_sparse_linalg(tmp_path):
+    # each costs about 10-20 MB of a run's peak memory; only the ball
+    # estimate needs one, and it imports that itself
+    write(tmp_path, SMALL + "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\n"
+          "lambda_max_exp = 0\n[averages]\nfunctions = tent\nj_max = 0\n"
+          "[capacity]\nmethod = riesz\n")
+    write(tmp_path, SMALL + "[capacity]\nestimate = true\n", "estimate.ini")
+    loaded = run_fresh(["-c", textwrap.dedent("""
+        import sys
+        from orlicap.cli import main
+
+        def heavy():
+            return sorted(m for m in sys.modules
+                          if m.startswith(("scipy.integrate", "scipy.sparse.linalg")))
+
+        for scenario in ("strong-type", "averages", "capacity"):
+            assert main([scenario, "--config", "run.ini", "--out", scenario]) == 0
+        print(heavy())
+        assert main(["capacity", "--config", "estimate.ini", "--out", "estimate"]) == 0
+        print(heavy())
+        """)], tmp_path).splitlines()
+    assert loaded[0] == "[]"
+    assert "'scipy.integrate'" in loaded[1]
+    # F(r) = log(R / r) for power(2) in 2-D, and the estimate is 1 / F
+    estimate = json.loads((tmp_path / "estimate" / "capacity.json").read_text())["ball_estimate"]
+    assert estimate["estimate"] == pytest.approx(1.0 / math.log(4.0), rel=1e-8)
