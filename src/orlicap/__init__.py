@@ -27,8 +27,6 @@ from .grid import (
     ball_mask,
     build_domain,
     from_callable,
-    gradient,
-    gradient_magnitude,
     integrate,
     level_mask,
 )

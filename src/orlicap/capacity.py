@@ -23,11 +23,11 @@ starts from the indicator of its set, so a value depends only on the set.
 
 Each solve builds one `_EnergyWorkspace`: preallocated C-contiguous
 buffers on which the forward difference with zero extension
-(`grid.forward_difference`, the one used by `grid.gradient` too) and its
-adjoint are each one contiguous subtraction at the axis's flat offset plus
-one boundary slab.  Its `energy` and `grad` share one evaluation order,
-|D+ v| = sqrt(sum d^2) / h on the undivided differences d; Phi and Phi'
-write into workspace buffers too (`out=` and `scratch=` of
+(`grid.forward_difference`) and its adjoint are each one contiguous
+subtraction at the axis's flat offset plus one boundary slab
+(`strongtype.rhs_energy` is its `energy` at u).  Its `energy` and `grad`
+share one evaluation order, |D+ v| = sqrt(sum d^2) / h on the undivided
+differences d; Phi and Phi' write into workspace buffers too (`out=` and `scratch=` of
 `young.eval_phi` / `eval_phi_prime`), so an evaluation allocates no
 lattice-sized array.  A `custom_table` whose last knot lies below the
 initial iterate's largest lattice gradient raises `NumericalError` before
@@ -115,19 +115,24 @@ class BallEstimate:
     estimate: float
 
 
+# each check runs once per spec that passes it (lru_cache keeps no raise)
 @functools.lru_cache(maxsize=64)
-def _delta2_ok(spec: YoungSpec) -> bool:
-    return check_delta2(spec).passed
-
-
-@functools.lru_cache(maxsize=64)
-def _delta2_plus_ok(spec: YoungSpec) -> bool:
-    return check_delta2_plus(spec).passed
-
-
 def _require_delta2(spec: YoungSpec) -> None:
-    if not _delta2_ok(spec):
+    if not check_delta2(spec).passed:
         raise ConfigurationError(f"{spec.tag} fails the doubling condition")
+
+
+@functools.lru_cache(maxsize=64)
+def _require_delta2_plus(spec: YoungSpec) -> None:
+    if not check_delta2_plus(spec).passed:
+        raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
+
+
+def _read_only(domain: GridDomain, values: np.ndarray) -> GridFunction:
+    """A minimizer that a cache may share: its values are made read-only."""
+    gf = GridFunction(domain, values)
+    gf.values.flags.writeable = False
+    return gf
 
 
 class _EnergyWorkspace:
@@ -663,9 +668,8 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     _require_delta2(spec)
 
     if E.is_empty():
-        u = np.zeros(domain.shape)
-        u.flags.writeable = False  # shared by a cache, as every minimizer
-        return CapacityResult(0.0, GridFunction(domain, u), 0, True, "pcg-multigrid", 0.0)
+        return CapacityResult(0.0, _read_only(domain, np.zeros(domain.shape)), 0, True,
+                              "pcg-multigrid", 0.0)
 
     free = ~(E.mask | domain.boundary_band)
     at = np.flatnonzero(free).astype(np.int32)
@@ -733,9 +737,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
     if not math.isfinite(e_u):
         raise NumericalError(f"{spec.tag}: non-finite capacity energy {e_u}")
-    gf = GridFunction(domain, u)
-    gf.values.flags.writeable = False
-    return CapacityResult(e_u, gf, it, converged, "pcg-multigrid", e_u - gap)
+    return CapacityResult(e_u, _read_only(domain, u), it, converged, "pcg-multigrid", e_u - gap)
 
 
 class CapacityCache:
@@ -887,8 +889,7 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
     if pair.p != n:
         raise ConfigurationError(
             f"factorization exponent {pair.p} must equal the dimension {n}")
-    if not _delta2_plus_ok(spec):
-        raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
+    _require_delta2_plus(spec)
 
     def integrand(s):
         return float(pair.phi_part(1.0 / s)) ** (-1.0 / (n - 1)) / s
@@ -973,12 +974,10 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         domain = E.domain
     elif domain is not E.domain:
         raise ValueError("mask and domain do not match")
-    if not _delta2_plus_ok(spec):
-        raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
+    _require_delta2_plus(spec)
     if E.is_empty():
-        u = np.zeros(domain.shape)
-        u.flags.writeable = False  # shared by a cache, as every minimizer
-        return CapacityResult(0.0, GridFunction(domain, u), 0, True, "riesz-dual", 0.0)
+        return CapacityResult(0.0, _read_only(domain, np.zeros(domain.shape)), 0, True,
+                              "riesz-dual", 0.0)
     if E.count > _MAX_CONSTRAINT_NODES:
         raise ConfigurationError(
             f"{E.count} constraint nodes exceed the dense-kernel cap "
@@ -1049,6 +1048,4 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")
     dens = np.zeros(domain.shape)
     dens[domain.inside] = f
-    gf = GridFunction(domain, dens)
-    gf.values.flags.writeable = False
-    return CapacityResult(value, gf, it, converged, "riesz-dual", lower)
+    return CapacityResult(value, _read_only(domain, dens), it, converged, "riesz-dual", lower)

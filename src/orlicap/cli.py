@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -88,14 +89,9 @@ DEFAULTS = {
 def _coerce(raw: str, typ, section: str, key: str):
     try:
         if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return typ(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"[{section}] {key} = {raw!r}: not a {typ.__name__}") from exc
 
 
@@ -170,18 +166,6 @@ def _psi_from(cfg: dict, phi_spec: YoungSpec, base_dir: Path):
     raise ConfigurationError(f"psi mode must be derived or explicit, got {mode!r}")
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "condition": rep.condition,
-        "c_emp": rep.c_emp,
-        "worst_point": list(rep.worst_point),
-        "passed": rep.passed,
-        "growing": rep.growing,
-        "truncated": rep.truncated,
-        "details": rep.details,
-    }
-
-
 def _json_dump(obj, path: Path) -> None:
     def clean(x):
         if isinstance(x, dict):
@@ -223,7 +207,7 @@ def _check_conditions(config, phi_spec, base_dir, out_dir) -> int:
         "submultiplicative_f": check_submultiplicative_f(pair.f_part, ceiling=ceiling),
         "pairing": check_pairing(pair.phi_part, psi_factor(psi, pair), ceiling=ceiling),
     }
-    payload = {name: _report_dict(rep) for name, rep in reports.items()}
+    payload = {name: dataclasses.asdict(rep) for name, rep in reports.items()}
     payload["all_passed"] = all(rep.passed for rep in reports.values())
     _json_dump(payload, out_dir / "conditions.json")
     return 0
@@ -311,6 +295,9 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
         raise ConfigurationError(
             f"no radius r0 * 2^-j with 0 <= j <= j_max = {params['j_max']} reaches "
             f"4h = {smallest_radius(dom)!r}, the smallest the lattice resolves: the sweep is empty")
+    if not math.isfinite(params["center_spacing"]):
+        raise ConfigurationError(f"[averages] center_spacing = {params['center_spacing']!r}: "
+                                 "need a finite spacing")
     centers = default_centers(dom, params["center_spacing"])
     for center in centers:
         check_ball_inside(dom, center, params["r0"])

@@ -176,34 +176,11 @@ def backward_difference(vals: np.ndarray, axis: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def gradient(u: GridFunction) -> np.ndarray:
-    """Forward differences with zero extension; shape (n, *lattice)."""
-    vals = np.ascontiguousarray(u.values)
-    out = np.empty((u.domain.n,) + u.domain.shape)
-    for a in range(u.domain.n):
-        forward_difference(vals, a, out[a])
-        out[a] /= u.domain.h
-    return out
-
-
-def gradient_magnitude(u: GridFunction) -> np.ndarray:
-    g = gradient(u)
-    return np.sqrt(np.sum(g * g, axis=0))
-
-
-def integrate(field, domain: GridDomain = None) -> float:
-    """Quadrature-weighted sum over the ball."""
-    if isinstance(field, GridFunction):
-        if domain is not None and domain is not field.domain:
-            raise ValueError("field and domain do not match")
-        domain = field.domain
-        vals = field.values
-    else:
-        if domain is None:
-            raise ValueError("integrating a raw array needs the domain")
-        vals = np.asarray(field, dtype=float)
-        if vals.shape != domain.shape:
-            raise ValueError("field shape does not match the domain lattice")
+def integrate(field: np.ndarray, domain: GridDomain) -> float:
+    """Quadrature-weighted sum over the ball of an array on the domain's lattice."""
+    vals = np.asarray(field, dtype=float)
+    if vals.shape != domain.shape:
+        raise ValueError("field shape does not match the domain lattice")
     return float(np.sum(vals * domain.weights))
 
 

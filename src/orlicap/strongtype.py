@@ -15,9 +15,9 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .capacity import CapacityCache, cache_for
+from .capacity import CapacityCache, _EnergyWorkspace, cache_for
 from .errors import ConfigurationError
-from .grid import GridDomain, GridFunction, from_callable, gradient_magnitude, integrate, level_mask
+from .grid import GridDomain, GridFunction, from_callable, level_mask
 from .young import (
     FactoredPair,
     YoungSpec,
@@ -163,6 +163,10 @@ class TestFunctionSpec:
         params = (self.amplitude, self.r, self.sigma, self.r_in, self.r_out)
         if not all(map(math.isfinite, params)):
             raise ConfigurationError("test-function parameters must be finite")
+        if not (self.r > 0 and self.sigma > 0 and self.r_in < self.r_out):  # else 0/0 shapes
+            raise ConfigurationError(
+                f"test functions need r > 0, sigma > 0 and r_in < r_out; got r = {self.r!r}, "
+                f"sigma = {self.sigma!r}, r_in = {self.r_in!r}, r_out = {self.r_out!r}")
 
     @property
     def tag(self) -> str:
@@ -225,8 +229,9 @@ class StrongTypeReport:
 
 
 def rhs_energy(u: GridFunction, phi_spec: YoungSpec) -> float:
-    """Gradient energy integral, the right-hand side of the inequality."""
-    return integrate(eval_phi(phi_spec, gradient_magnitude(u)), u.domain)
+    """Gradient energy sum w Phi(|D+ u|), the right-hand side of the
+    inequality: the functional each level's capacity minimizes, at u."""
+    return _EnergyWorkspace(u.domain, phi_spec).energy(np.ascontiguousarray(u.values))
 
 
 def dyadic_levels(peak: float, psi: PsiSpec):

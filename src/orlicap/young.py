@@ -454,16 +454,11 @@ class ConditionReport:
     details: dict = field(default_factory=dict)
 
 
-def _decade_maxima(t: np.ndarray, values: np.ndarray):
-    """Max of `values` per decade of t, in increasing-decade order."""
-    dec = np.floor(np.log10(t)).astype(int)
-    out_d, out_m = [], []
-    for d in range(dec.min(), dec.max() + 1):
-        sel = dec == d
-        if np.any(sel):
-            out_d.append(d)
-            out_m.append(values[sel].max())
-    return np.array(out_d), np.array(out_m)
+def _decade_maxima(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Max of `values` per decade of an increasing t, in increasing-decade
+    order: one reduction over each run of equal floor(log10 t)."""
+    starts = np.flatnonzero(np.diff(np.floor(np.log10(t)), prepend=-np.inf))
+    return np.maximum.reduceat(values, starts)
 
 
 def _growing(values, rel: float = 0.10) -> bool:
@@ -504,8 +499,7 @@ def check_delta2(spec: YoungSpec, ceiling: float = math.inf) -> ConditionReport:
     if len(t) == 0:
         return ConditionReport("delta2", math.inf, (math.nan, math.nan), False, True, True)
     i = int(np.argmax(ratio))
-    _, maxima = _decade_maxima(t, ratio)
-    growing = _growing(maxima)
+    growing = _growing(_decade_maxima(t, ratio))
     c_emp = float(ratio[i])
     passed = (not growing) and c_emp <= ceiling
     return ConditionReport("delta2", c_emp, (float(t[i]), float(2 * t[i])),
@@ -534,16 +528,13 @@ def check_delta2_plus(spec_or_pair) -> ConditionReport:
 
     elas_sup = float(elas.max())
     gap = pair.p - elas_sup
-    _, elas_max = _decade_maxima(t, elas)
-    tail3 = elas_max[-3:]
+    tail3 = _decade_maxima(t, elas)[-3:]
     tail_ok = bool(np.all(np.diff(tail3) <= 1e-12 + 1e-9 * np.abs(tail3[:-1]))
                    and (elas_sup <= 1e-12 or tail3[-1] <= 0.9 * elas_sup))
 
-    _, phip_max = _decade_maxima(t, phip)
-    phip_bounded = not _growing(phip_max)
-    _, sq_max = _decade_maxima(t, sq_ratio)
-    _, sq_min = _decade_maxima(t, -sq_ratio)
-    sq_bounded = (not _growing(sq_max)) and (not _growing(sq_min)) and sq_ratio.min() > 0
+    phip_bounded = not _growing(_decade_maxima(t, phip))
+    sq_bounded = (not _growing(_decade_maxima(t, sq_ratio))
+                  and not _growing(_decade_maxima(t, -sq_ratio)) and sq_ratio.min() > 0)
 
     passed = (gap > 0) and phip_bounded and sq_bounded and tail_ok
     growing = not (phip_bounded and sq_bounded)
@@ -607,9 +598,7 @@ def _ratio_report(condition: str, num, den: Callable,
         return ConditionReport(condition, math.inf, (float(pts[i]), float(pts[j])),
                                False, True, False, details={"denominator_vanishes": True})
     # trend along each axis: decade maxima of max over the other variable
-    _, m_t = _decade_maxima(pts, col_max)
-    _, m_s = _decade_maxima(pts, row_max)
-    growing = _growing(m_t) or _growing(m_s)
+    growing = _growing(_decade_maxima(pts, col_max)) or _growing(_decade_maxima(pts, row_max))
     passed = (not growing) and c_emp <= ceiling
     return ConditionReport(condition, c_emp, (float(pts[i]), float(pts[j])),
                            passed, growing, truncated)

@@ -319,6 +319,15 @@ def test_unknown_norm_shape_exits_2(tmp_path, capsys):
     assert not (out / "norm.json").exists()
 
 
+def test_degenerate_norm_shape_exits_2(tmp_path, capsys):
+    # tent_r = 0 once wrote a zero function under a divide-by-zero warning
+    cfg = write(tmp_path, SMALL + "\n[norm]\nshape = tent\ntent_r = 0\n")
+    out = tmp_path / "out"
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "need r > 0" in capsys.readouterr().err
+    assert not (out / "norm.json").exists()
+
+
 def nan_table(tmp_path):
     t = np.geomspace(1e-3, 1e3, 50)
     vals = t ** 2
@@ -342,13 +351,22 @@ def nan_table(tmp_path):
      "conditions.json"),
     ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nepsilon = nan",
      "verdict.json"),
+    # these two exited 2 naming a ball that does not fit, not the spacing
+    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\n"
+                             "center_spacing = nan", "verdict.json"),
+    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\n"
+                             "center_spacing = inf", "verdict.json"),
 ], ids=["theta-nan", "table-nan-knot", "p-inf", "r-nan", "r-inf", "amplitude-nan", "r0-nan",
-        "ceiling-nan", "epsilon-nan"])
+        "ceiling-nan", "epsilon-nan", "center_spacing-nan", "center_spacing-inf"])
 def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit, output):
-    cfg = write(tmp_path, "[young]\n" + edit(tmp_path) + "\n")
+    text = edit(tmp_path)
+    cfg = write(tmp_path, "[young]\n" + text + "\n")
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if "center_spacing" in text:
+        assert "[averages] center_spacing" in err
     assert not (out / output).exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from orlicap import (
     build_domain,
     capacity_ball_radial,
     capacity_variational,
+    eval_phi,
+    exp_log,
     level_mask,
     power,
     power_log,
@@ -73,6 +76,17 @@ def test_non_finite_test_function_parameters_rejected(key, bad):
         TestFunctionSpec("tent", **{key: bad})
 
 
+# each once built a zero function, or a plateau that is the disc's
+# indicator, under a divide-by-zero warning
+@pytest.mark.parametrize("shape, params", [
+    ("tent", {"r": 0.0}), ("tent", {"r": -0.5}), ("bump", {"sigma": 0.0}),
+    ("bump", {"sigma": -0.2}), ("plateau", {"r_in": 0.5, "r_out": 0.5}),
+    ("plateau", {"r_in": 0.5, "r_out": 0.2})], ids=str)
+def test_degenerate_test_function_shapes_rejected(shape, params):
+    with pytest.raises(ConfigurationError, match="r > 0, sigma > 0 and r_in < r_out"):
+        TestFunctionSpec(shape, **params)
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_shape_table_drives_tag_and_build(disc, shape):
     spec = TestFunctionSpec(shape)
@@ -129,6 +143,44 @@ def test_rhs_scales_exactly_for_powers(disc, p, lam):
     base = rhs_energy(u, power(p))
     scaled = rhs_energy(GridFunction(disc, lam * u.values), power(p))
     assert scaled == pytest.approx(lam ** p * base, rel=1e-12)
+
+
+def divided_first_rhs(u, spec):
+    """sum w Phi(|grad u|) with each forward difference divided by h before
+    it is squared, the order the energy kernel does not use."""
+    dom = u.domain
+    g = [np.diff(u.values, axis=a, append=0.0) / dom.h for a in range(dom.n)]
+    return float(np.sum(eval_phi(spec, np.sqrt(np.sum(np.square(g), axis=0))) * dom.weights))
+
+
+@pytest.mark.parametrize("spec", [power(2), power_log(2, 1), exp_log(2, 0.5)],
+                         ids=lambda s: s.family)
+@pytest.mark.parametrize("resolution", [64, 96, 128])
+def test_rhs_equals_the_divided_first_energy(resolution, spec):
+    # where h is a power of 2 the two orders round alike; at h = 1/48 they may not
+    dom = build_domain(2, 1.0, resolution)
+    for fn_spec in default_suite():
+        for lam in (0.25, 1.0, 8.0):
+            u = build_test_function(replace(fn_spec, amplitude=lam), dom)
+            got, expected = rhs_energy(u, spec), divided_first_rhs(u, spec)
+            if resolution == 96:
+                assert got == pytest.approx(expected, rel=4e-16, abs=0.0)
+            else:
+                assert got == expected
+
+
+@pytest.mark.parametrize("n,resolution", [(2, 64), (3, 32)])
+def test_rhs_energy_ignores_the_memory_layout(n, resolution):
+    dom = build_domain(n, 1.0, resolution)
+    vals = np.random.default_rng(2).standard_normal(dom.shape)
+    vals[dom.boundary_band] = 0.0
+    spec = power_log(2, 1)
+    expected = rhs_energy(GridFunction(dom, vals), spec)
+    transposed_view = np.ascontiguousarray(vals.T).T
+    for layout in (np.asfortranarray(vals), transposed_view):
+        assert not layout.flags.c_contiguous
+        got = rhs_energy(GridFunction(dom, layout), spec)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def test_tent_lhs_against_radial_oracle():

@@ -472,6 +472,34 @@ def test_square_and_unit_shortcuts_are_bit_identical(spec, evaluate, reference):
 
 
 # ---------------------------------------------------------------------------
+# decade maxima against a loop over the decades
+# ---------------------------------------------------------------------------
+
+def decade_maxima_loop(t, values):
+    """Max of `values` over each decade of t that holds a point, in
+    increasing-decade order."""
+    dec = np.floor(np.log10(t)).astype(int)
+    return np.array([values[dec == d].max() for d in range(dec.min(), dec.max() + 1)
+                     if np.any(dec == d)])
+
+
+def test_decade_maxima_equal_the_loop_over_decades():
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(GRID.size)
+    values[[3, 200, 201, 640]] = -math.inf
+    values[[70, 900]] = math.nan
+    values[GRID >= 1e6] = -math.inf  # whole decades without a finite value
+    kept = rng.random(GRID.size) < 0.3  # a filtered GRID, as check_delta2 passes
+    kept[GRID < 1e-5] = False           # with the first decades dropped
+    for t, v in ((GRID, values), (GRID[kept], values[kept])):
+        got, expected = _decade_maxima(t, v), decade_maxima_loop(t, v)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    maxima = _decade_maxima(GRID, values)
+    assert len(maxima) == 17 and math.isnan(maxima[1])  # decades 1e-8 .. 1e8
+    assert np.array_equal(maxima[-3:], [-math.inf] * 3)
+
+
+# ---------------------------------------------------------------------------
 # row-blocked ratio search against the whole-grid one
 # ---------------------------------------------------------------------------
 
@@ -494,9 +522,8 @@ def dense_ratio_report(condition, num, den, ceiling):
     ratio = np.where(ok, ratio, -np.inf)
     i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     c_emp = float(ratio[i, j])
-    _, m_t = _decade_maxima(pts, ratio.max(axis=0))
-    _, m_s = _decade_maxima(pts, ratio.max(axis=1))
-    growing = _growing(m_t) or _growing(m_s)
+    growing = (_growing(decade_maxima_loop(pts, ratio.max(axis=0)))
+               or _growing(decade_maxima_loop(pts, ratio.max(axis=1))))
     return ConditionReport(condition, c_emp, (float(pts[i]), float(pts[j])),
                            (not growing) and c_emp <= ceiling, growing, truncated)
 
