@@ -36,11 +36,12 @@ gradient, or final value.
 
 The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
 free-node Hessian, assembled in one vectorized pass over the lattice
-edges, and the Galerkin products below it, formed block by block, down to
-a level of at most `_COARSE_MAX` (64) unknowns, kept as its dense inverse.
-The solve's dot products and that inverse's product run in numpy's own
-loops (`np.einsum`), never in BLAS, so a solve's bits do not depend on the
-BLAS thread count; the Riesz solve's dense kernel products still do.  Each
+edges, and the Galerkin products below it, down to a level of at most
+`_COARSE_MAX` (64) unknowns, kept as its dense inverse.  Sparse products
+run in scipy's own loops (`_matvec`), dot products and that inverse's
+product in numpy's (`np.einsum`), never in BLAS, so a solve's bits do not
+depend on the BLAS thread count; the Riesz solve's dense kernel products
+still do.  Each
 lattice domain keeps the coarse levels of its own hierarchy, the one with
 no node marked, from its first solve until the domain is dropped.  A mask
 removes unknowns, and it changes only the Galerkin rows whose stencil
@@ -85,6 +86,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, NumericalError
 from .grid import GridDomain, GridFunction, SetMask, backward_difference, forward_difference
@@ -256,13 +258,14 @@ class _Prolongation:
     row alone sees, and a singular coarse operator.
 
     `rows(at)` makes the rows of P in the index array `at` as CSR, each with
-    2^n entries (a dropped weight is a zero on the parent), for building
-    P^T A P.  A P with at most `_STORED_ENTRIES` entries is kept whole as
-    CSR (`matrix`).  A larger one is never stored: `prolong` (P x) then
-    interpolates axis by axis from the coarse lattice, with zeros at the
-    coarse nodes outside the unknowns, and `restrict` (P^T y) is its
-    adjoint, each axis one product with a 1-D transfer (`_transfers`); a
-    weight on a coarse node off the lattice has no entry there.
+    2^n entries (a dropped weight is a zero on the parent), for storing P
+    or building P^T A P block by block.  A P with at most `_STORED_ENTRIES`
+    entries is kept whole as CSR (`matrix`).  A larger one is never stored:
+    `prolong` (P x) then interpolates axis by axis from the coarse lattice,
+    with zeros at the coarse nodes outside the unknowns, and `restrict`
+    (P^T y) is its adjoint, each axis one product with a 1-D transfer
+    (`_transfers`); a weight on a coarse node off the lattice has no entry
+    there.
     """
 
     def __init__(self, free: np.ndarray):
@@ -280,7 +283,6 @@ class _Prolongation:
         self.matrix = None
         if self.shape[0] << free.ndim <= _STORED_ENTRIES:
             self.matrix = self.rows(np.arange(self.shape[0]))
-            self._transpose = self.matrix.T  # a CSC view, made once
 
     @functools.cached_property
     def _transfers(self) -> tuple:
@@ -309,7 +311,7 @@ class _Prolongation:
 
     def prolong(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
-            return self.matrix @ x
+            return _matvec(self.matrix, x)
         _, y, at, _, steps = self._transfers
         y[at] = x  # the other nodes stay zero
         y = steps[-1] @ y.reshape(self.coarse.shape[-1], -1)  # the last axis first
@@ -320,7 +322,7 @@ class _Prolongation:
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
-            return self._transpose @ r
+            return _matvec(self.matrix, r, transpose=True)
         y, _, at, steps, _ = self._transfers
         y.reshape(-1)[self.fine_at] = r  # the other nodes stay zero
         for R in steps[:-1]:  # the first axis first: prolong's adjoint
@@ -329,9 +331,7 @@ class _Prolongation:
 
     def rows(self, at: np.ndarray) -> sparse.csr_matrix:
         """The rows of P in the sorted index array `at`, in a CSR matrix of
-        P's shape whose other rows are empty (all of P once stored)."""
-        if self.matrix is not None:
-            return self.matrix
+        P's shape whose other rows are empty."""
         f, n = self.fine_at[at], len(self.fine_shape)
         # flat index of each corner on the bordered coarse lattice: the
         # parent, then for each axis the same plus the step to the side
@@ -410,19 +410,23 @@ def _galerkin(A: sparse.csr_matrix, P: _Prolongation, radius: int,
     """The rows of P^T A P at the coarse unknowns in the lattice set
     `dirty` (within P.coarse), as a CSR matrix of those rows.
 
-    A couples nodes at most `radius` apart along each axis.  The product is
-    formed one block of coarse rows at a time (`P.blocks`), from the rows of
-    P that the block's columns of P and their A-neighbours reach, so no
+    A stored P gives one product, (P^T)[rows] @ A @ P, from a CSR
+    transpose made for it.  Otherwise (the 3-D finest level) A couples
+    nodes at most `radius` apart along each axis, and the product is formed
+    one block of coarse rows at a time (`P.blocks`), from the rows of P
+    that the block's columns of P and their A-neighbours reach, so no
     product with all of A and no copy of A is held.  A row of P^T covers 4
     fine nodes along each axis, so a row of P^T A has at most
     (4 + 2 radius)^n entries; blocks are sized by that to about
     `_BLOCK_ENTRIES`.  Each row of the product is a sum over its own row of
     P^T alone, in the same order whichever block and which other rows of P
     it is formed with, so a row comes out the same, entry order included,
-    whether it is formed alone or with every row.
+    whether it is formed alone, in a block or with every row.
     """
-    block = _BLOCK_ENTRIES // (4 + 2 * radius) ** len(P.fine_shape)
     rows = np.flatnonzero(dirty[P.coarse])
+    if P.matrix is not None:
+        return P.matrix.T.tocsr()[rows] @ A @ P.matrix
+    block = _BLOCK_ENTRIES // (4 + 2 * radius) ** len(P.fine_shape)
     reached = _windows(dirty, radius, P.fine_shape).reshape(-1)[P.fine_at]
     # each block is written straight into arrays of the bound's size (a few
     # entries too many at most), so the blocks and the whole are never held
@@ -461,7 +465,7 @@ def _runs(indptr: np.ndarray):
     """Row runs r0..r1-1 of a CSR matrix, of about `_RUN_ENTRIES` entries
     each and at least one row."""
     cuts = np.searchsorted(indptr, np.arange(_RUN_ENTRIES, indptr[-1], _RUN_ENTRIES))
-    edges = np.unique(np.r_[0, cuts, indptr.size - 1]).tolist()
+    edges = sorted({0, *cuts.tolist(), indptr.size - 1})
     return zip(edges, edges[1:])
 
 
@@ -577,8 +581,10 @@ class _Multigrid:
     with one damped Jacobi sweep before and one after the coarse
     correction; the damping 4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep
     a contraction in the energy norm, and both sweeps are the same
-    symmetric operator, so the V-cycle is symmetric.  No step of the cycle
-    calls BLAS, so its bits do not depend on the BLAS thread count.
+    symmetric operator, so the V-cycle is symmetric.  Its products with a
+    level, a stored P and P^T call scipy's matvec loops directly
+    (`_matvec`); no step of the cycle calls BLAS, so its bits do not
+    depend on the BLAS thread count.
 
     The coarse levels are derived from the domain's hierarchy
     (`_domain_levels`), the one of the free set D with no node marked.  A
@@ -616,8 +622,8 @@ class _Multigrid:
             return np.einsum("ij,j->i", self.coarse, b)
         A, smooth, P = self.levels[level]
         x = smooth * b
-        x += P.prolong(self(P.restrict(b - A @ x), level + 1))
-        r = A @ x
+        x += P.prolong(self(P.restrict(b - _matvec(A, x)), level + 1))
+        r = _matvec(A, x)
         x += np.multiply(smooth, np.subtract(b, r, out=r), out=r)
         return x
 
@@ -634,6 +640,21 @@ def _coarse_inverse(A: sparse.csr_matrix) -> np.ndarray:
                              "positive definite") from exc
     inverse = np.linalg.inv(dense)
     return 0.5 * (inverse + inverse.T)
+
+
+def _matvec(M: sparse.csr_matrix, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """M x, or M^T x, in the loop that scipy's own `M @ x` (or `M.T @ x`,
+    whose CSC arrays are M's) ends in, so the bits are the same, without
+    the wrapper's checks and dispatch.  TypeError unless M's two index
+    arrays share one dtype and x is contiguous float64, which that loop
+    needs."""
+    if M.indptr.dtype != M.indices.dtype or x.dtype != np.float64 or not x.flags.c_contiguous:
+        raise TypeError("_matvec needs one index dtype and a contiguous float64 vector")
+    (rows, cols), kernel = ((M.shape[::-1], _sparsetools.csc_matvec) if transpose
+                            else (M.shape, _sparsetools.csr_matvec))
+    y = np.zeros(rows)
+    kernel(rows, cols, M.indptr, M.indices, M.data, x, y)  # adds M x (M^T x) to y
+    return y
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -672,7 +693,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
                               "pcg-multigrid", 0.0)
 
     free = ~(E.mask | domain.boundary_band)
-    at = np.flatnonzero(free).astype(np.int32)
+    at = np.flatnonzero(free)
     u = np.where(E.mask, 1.0, 0.0)
     work = _EnergyWorkspace(domain, spec)
     if spec.family == "custom_table":

@@ -269,6 +269,10 @@ def _strong_type(config, phi_spec, base_dir, out_dir) -> int:
     if lo > hi:
         raise ConfigurationError(f"lambda_min_exp = {lo} exceeds lambda_max_exp = {hi}: "
                                  "the amplitude sweep is empty")
+    # 2^e is a normal float for min_exp - 1 <= e <= max_exp - 1, that is -1022..1023
+    if lo < sys.float_info.min_exp - 1 or hi > sys.float_info.max_exp - 1:
+        raise ConfigurationError(f"lambda_min_exp = {lo}, lambda_max_exp = {hi}: each "
+                                 "amplitude 2^e needs -1022 <= e <= 1023")
     reports, verdict = verify_strong_type(suite, phi_spec, psi, dom,
                                           lambdas=[2.0 ** j for j in range(lo, hi + 1)])
     with open(out_dir / "strongtype.csv", "w", encoding="utf-8") as fh:

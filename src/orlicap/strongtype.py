@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .capacity import CapacityCache, _EnergyWorkspace, cache_for
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .grid import GridDomain, GridFunction, from_callable, level_mask
 from .young import (
     FactoredPair,
@@ -240,7 +240,8 @@ def dyadic_levels(peak: float, psi: PsiSpec):
     {|u| > 2^k} resolves for a function with max |u| = peak > 0."""
     top = math.log2(peak)
     for k in range(math.ceil(top), math.floor(top) - TAIL_OCTAVES - 1, -1):
-        yield k, psi.weight(2.0 ** k, 2.0 ** (k + 1))
+        level = 2.0 ** k
+        yield k, psi.weight(level, 2.0 * level)  # 2^(k+1), or inf past the float range
 
 
 def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
@@ -250,21 +251,33 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     Levels come from dyadic_levels, k_max = ceil(log2 max|u|) down to
     k_min; the neglected lower levels are covered by the reported tail
     bound capacity(support) * Psi(2^(k_min+1)), never silently dropped.
+    NumericalError when the rhs is not finite and positive, or a level's
+    weight or the sum is not finite (an amplitude near the float range's
+    edges).
     """
     domain = u.domain
     cache = cache_for(phi_spec, domain, cache)
 
     peak = u.max_abs()
-    rhs = rhs_energy(u, phi_spec)
+    # an amplitude near the float range's edges over- or underflows here,
+    # and is refused below, before any solve
+    with np.errstate(all="ignore"):
+        rhs = rhs_energy(u, phi_spec)
+        levels = list(dyadic_levels(peak, psi)) if peak > 0.0 else []
+        psi_tail = float(psi(2.0 ** (levels[-1][0] + 1))) if levels else 0.0
     if peak == 0.0:
         return StrongTypeReport(tag="zero", amplitude=1.0, lhs=0.0, rhs=rhs,
                                 k_emp=0.0, k_min=0, k_max=0, levels=[],
                                 tail_bound=0.0, converged=True)
+    # finite weights hold finite Psi values at every 2^k, psi_tail's included
+    if not (0.0 < rhs < math.inf and all(math.isfinite(wgt) for _, wgt in levels)):
+        raise NumericalError(f"max |u| = {peak!r}: the energy {rhs!r} or a weight of "
+                             f"{psi.tag} is not finite and positive")
 
     rows = []
     lhs = 0.0
     all_conv = True
-    for k, wgt in dyadic_levels(peak, psi):
+    for k, wgt in levels:
         lvl = 2.0 ** k
         mask = level_mask(u, lvl)
         res = cache.capacity(mask)
@@ -273,17 +286,14 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
         rows.append(LevelRow(k=k, level=lvl, capacity=res.value,
                              psi_weight=wgt, lhs_partial=res.value * wgt,
                              nodes=mask.count, converged=res.converged))
+    if not math.isfinite(lhs):
+        raise NumericalError(f"max |u| = {peak!r}: the dyadic sum {lhs!r} is not finite")
     rows.reverse()
     k_min, k_max = rows[0].k, rows[-1].k
 
     support = level_mask(u, peak * 1e-15)
-    cap_support = cache.capacity(support).value
-    tail = cap_support * float(psi(2.0 ** (k_min + 1)))
-
-    if rhs > 0:
-        k_emp = lhs / rhs
-    else:
-        k_emp = 0.0 if lhs == 0.0 else math.inf
+    tail = cache.capacity(support).value * psi_tail
+    k_emp = lhs / rhs
     return StrongTypeReport(tag="", amplitude=1.0, lhs=lhs, rhs=rhs,
                             k_emp=k_emp, k_min=k_min, k_max=k_max,
                             levels=rows, tail_bound=tail, converged=all_conv)

@@ -31,8 +31,10 @@ from orlicap import (
     riesz_capacity_variational,
 )
 from orlicap.averages import _nearest_node
-from orlicap.capacity import (_DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace, _coarse_inverse,
-                              _levels, _Multigrid, _Prolongation, _kernel_diagonal, _riesz_kernel)
+from orlicap.capacity import (_BLOCK_ENTRIES, _DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace,
+                              _coarse_inverse, _galerkin, _levels, _matvec, _Multigrid,
+                              _pattern_pairs, _Prolongation, _kernel_diagonal, _riesz_kernel,
+                              _windows)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic, rhs_energy)
@@ -753,6 +755,91 @@ def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets
                          (smooth, 4.0 / (3.0 * ratio) / B.diagonal())):
                 assert same_bits(x, y)
         assert same_bits(derived.coarse, _coarse_inverse(coarsest))
+
+
+def block_galerkin(A, P, radius, dirty):
+    """The rows of P^T A P at `dirty` formed a block of coarse rows at a
+    time, from the rows of P each block reaches: `_galerkin` as it was for
+    every P, the reference for the bits of its product with a stored P."""
+    block = _BLOCK_ENTRIES // (4 + 2 * radius) ** len(P.fine_shape)
+    rows = np.flatnonzero(dirty[P.coarse])
+    reached = _windows(dirty, radius, P.fine_shape).reshape(-1)[P.fine_at]
+    bound = _pattern_pairs(P.coarse, radius, dirty)
+    data, indices = np.empty(bound), np.empty(bound, dtype=np.int32)
+    indptr = np.zeros(rows.size + 1, dtype=np.int32)
+    for i, j, lo, hi in P.blocks(rows, block, radius):
+        Q = P.matrix if P.matrix is not None else P.rows(lo + np.flatnonzero(reached[lo:hi]))
+        B = (Q.T[rows[i:j]].tocsr() @ A) @ Q
+        start = indptr[i]
+        data[start:start + B.nnz] = B.data
+        indices[start:start + B.nnz] = B.indices
+        indptr[i + 1:j + 1] = B.indptr[1:] + start
+    nnz = indptr[-1]
+    return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(rows.size, P.shape[1]))
+
+
+def reference_vcycle(M, b, level=0):
+    """The V-cycle with scipy's public products, `A @ x`, `P @ x` and
+    `P.T @ r`: the reference for the bits of `_matvec`."""
+    if level == len(M.levels):
+        return np.einsum("ij,j->i", M.coarse, b)
+    A, smooth, P = M.levels[level]
+    prolong, restrict = ((P.matrix.__matmul__, P.matrix.T.__matmul__) if P.matrix is not None
+                         else (P.prolong, P.restrict))
+    x = smooth * b
+    x += prolong(reference_vcycle(M, restrict(b - A @ x), level + 1))
+    r = A @ x
+    x += np.multiply(smooth, np.subtract(b, r, out=r), out=r)
+    return x
+
+
+@pytest.mark.parametrize("lattice", ["2d-64", "2d-128", "3d-32"])
+def test_lean_kernels_equal_scipys_public_products(hierarchy_lattices, lattice, monkeypatch):
+    # every Galerkin block of a stored P and every product of the V-cycle,
+    # against the formulas they replace, bit for bit
+    dom = hierarchy_lattices[lattice]
+    seen = []
+
+    def checked_galerkin(A, P, radius, dirty):
+        C = _galerkin(A, P, radius, dirty)
+        B = block_galerkin(A, P, radius, dirty)
+        assert all(same_bits(x, y) for x, y in
+                   ((C.indptr, B.indptr), (C.indices, B.indices), (C.data, B.data)))
+        seen.append("stored" if P.matrix is not None else "lazy")
+        return C
+
+    def checked_matvec(M, x, transpose=False):
+        y = _matvec(M, x, transpose)
+        assert same_bits(y, M.T @ x if transpose else M @ x)
+        seen.append("transpose" if transpose else "matvec")
+        return y
+
+    monkeypatch.setattr("orlicap.capacity._galerkin", checked_galerkin)
+    monkeypatch.setattr("orlicap.capacity._matvec", checked_matvec)
+    rng = np.random.default_rng(21)
+    for args in (("ball", (0.0, 0.0, 0.0), 0.6, "tent"), ("level", (0.0,) * 3, 0.3, "two_peak"),
+                 ("node", (0.3, -0.2, 0.1), 0.5, "tent")):
+        free = ~(marked_nodes(dom, *args) | dom.boundary_band)
+        list(_levels(dom, free))  # every row formed
+        M = _Multigrid(dom, free)  # the dirty rows alone
+        b = rng.standard_normal(np.count_nonzero(free))
+        assert same_bits(M(b), reference_vcycle(M, b))
+    assert {"stored", "matvec", "transpose"} <= set(seen)
+    assert ("lazy" in seen) == (dom.n == 3)  # a 3-D finest P is never stored
+
+
+def test_matvec_refuses_what_scipys_loop_cannot_take():
+    rng = np.random.default_rng(3)
+    M = sparse.csr_matrix(np.where(rng.random((9, 7)) < 0.4, rng.standard_normal((9, 7)), 0.0))
+    x = rng.standard_normal(14)
+    assert same_bits(_matvec(M, x[:7]), M @ x[:7])
+    assert same_bits(_matvec(M, x[:9], transpose=True), M.T @ x[:9])
+    for bad in (x[::2], x[:7].astype(np.float32)):  # strided, or not float64
+        with pytest.raises(TypeError):
+            _matvec(M, bad)
+    M.indices = M.indices.astype(np.int64)  # an int32 indptr beside int64 indices
+    with pytest.raises(TypeError):
+        _matvec(M, x[:7])
 
 
 def bordered_transfers(P, x, y):

@@ -311,6 +311,26 @@ def test_empty_sweep_exits_2(tmp_path, capsys, scenario, section, output):
     assert not (out / output).exists()
 
 
+# each of these once crashed with OverflowError (2^1024), or wrote nan and inf
+# (2^600) or a zero amplitude (2^-1100) to strongtype.json with exit 0
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent, code, message", [
+    (1024, 2, "lambda_min_exp = 1024, lambda_max_exp = 1024"),
+    (600, 3, "the energy inf"),
+    (-1100, 2, "lambda_min_exp = -1100, lambda_max_exp = -1100"),
+    (1023, 3, "the energy inf"),
+    (-1022, 3, "the energy 0.0"),  # underflows
+])
+def test_amplitudes_at_the_float_range_edges_exit_2_or_3(tmp_path, capsys, exponent, code,
+                                                          message):
+    cfg = write(tmp_path, SMALL + f"[strong-type]\nfunctions = tent\nlambda_min_exp = {exponent}\n"
+                f"lambda_max_exp = {exponent}\n")
+    out = tmp_path / "out"
+    assert main(["strong-type", "--config", str(cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "strongtype.json").exists()
+
+
 def test_unknown_norm_shape_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, SMALL + "\n[norm]\nshape = nope\n")
     out = tmp_path / "out"
