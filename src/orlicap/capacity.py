@@ -21,13 +21,27 @@ E - gap either way; it is certified for the built-in families only, since
 a `custom_table`'s log-linear interpolant need not be convex.  Every solve
 starts from the indicator of its set, so a value depends only on the set.
 
+For `power(2)` the energy sum w |D+ u / h|^2 is quadratic, and its Hessian
+in the free values is the multigrid's finest level, so the solve is one
+linear system, A x = -g0 from the indicator's gradient g0, solved by
+linear CG with the same V-cycle as preconditioner (`_pcg`).  Its residual
+r gives E and g = -r at every step without a lattice pass; once that gap
+passes, the lattice energy and gradient at the iterate confirm it, so
+`value` is the lattice energy and `lower` certified as above.  The linear
+solve also stops, converged, at a step whose decrease is below eps^2 E: E
+is u's squared energy norm, so the step moves u by less than its rounding.
+Its brackets are within tol (the nonlinear solve's stationary stop leaves
+them near 1e-7).  Every other family takes the nonlinear loop.
+
 Each solve builds one `_EnergyWorkspace`: preallocated C-contiguous
 buffers on which the forward difference with zero extension
 (`grid.forward_difference`) and its adjoint are each one contiguous
 subtraction at the axis's flat offset plus one boundary slab
 (`strongtype.rhs_energy` is its `energy` at u).  Its `energy` and `grad`
 share one evaluation order, |D+ v| = sqrt(sum d^2) / h on the undivided
-differences d; Phi and Phi' write into workspace buffers too (`out=` and `scratch=` of
+differences d, and a `grad` at the point `energy` just evaluated (the
+point a line search accepts) starts from the differences and |D+ v| that
+`energy` left; Phi and Phi' write into workspace buffers too (`out=` and `scratch=` of
 `young.eval_phi` / `eval_phi_prime`), so an evaluation allocates no
 lattice-sized array.  A `custom_table` whose last knot lies below the
 initial iterate's largest lattice gradient raises `NumericalError` before
@@ -147,7 +161,10 @@ class _EnergyWorkspace:
     require of `v` too.  |D+ v| = sqrt(sum d*d) / h is formed in one order
     for `energy`, `grad` and `max_gradient` (np.square gives the bits of
     d * d), and the gradient applies 1/h^2 once, in the flux
-    w Phi'(g) / (g h^2).
+    w Phi'(g) / (g h^2).  `energy(v)` leaves the differences and |D+ v| of
+    v in their buffers, and a `grad(v)` of the same array next starts from
+    them, with the same bits; the caller writes nothing into v between the
+    two calls.
     """
 
     def __init__(self, domain: GridDomain, spec: YoungSpec):
@@ -160,11 +177,13 @@ class _EnergyWorkspace:
         self._t = np.empty(domain.shape)
         self._scratch = np.empty((2,) + domain.shape)
         self._grad = np.empty(domain.shape)
+        self._left = None  # the array whose differences and |D+ v| the buffers hold
 
     def _gradient_norm(self, v: np.ndarray, keep: bool = False) -> np.ndarray:
         """|D+ v| in the s buffer.  Each axis's differences are squared in
         the buffer they are written to: the axis's own buffer with `keep`,
         which then holds them, else the s or t buffer itself."""
+        self._left = None
         s, t = self._s, self._t
         for a, d in enumerate(self._diffs):
             square = s if a == 0 else t
@@ -177,8 +196,11 @@ class _EnergyWorkspace:
         return s
 
     def energy(self, v: np.ndarray) -> float:
-        phi = eval_phi(self.spec, self._gradient_norm(v), out=self._t, scratch=self._scratch)
-        return float(np.sum(np.multiply(self.weights, phi, out=phi)))
+        s = self._gradient_norm(v, keep=True)
+        phi = eval_phi(self.spec, s, out=self._t, scratch=self._scratch)
+        value = float(np.sum(np.multiply(self.weights, phi, out=phi)))
+        self._left = v
+        return value
 
     def max_gradient(self, v: np.ndarray) -> float:
         """Largest |D+ v|, the argument `energy(v)` would give Phi."""
@@ -187,7 +209,9 @@ class _EnergyWorkspace:
     def grad(self, v: np.ndarray) -> np.ndarray:
         """Gradient with respect to the node values, in a workspace buffer
         that the next `grad` call overwrites."""
-        s, t, grad = self._gradient_norm(v, keep=True), self._t, self._grad
+        s = self._s if v is self._left else self._gradient_norm(v, keep=True)
+        self._left = None  # the flux overwrites s and each d below
+        t, grad = self._t, self._grad
         np.maximum(s, _RATIO_FLOOR, out=s)
         ratio = eval_phi_prime(self.spec, s, out=t, scratch=self._scratch)
         ratio /= s
@@ -469,11 +493,11 @@ def _runs(indptr: np.ndarray):
     return zip(edges, edges[1:])
 
 
-def _gershgorin(C: sparse.csr_matrix) -> float:
+def _gershgorin(C: sparse.csr_matrix, diagonal: np.ndarray) -> float:
     """max_i sum_j |c_ij| / c_ii over the rows of C, each of which holds its
-    positive diagonal; a run of rows at a time, so no copy of C's data is
-    held."""
-    ratio, diagonal = 0.0, C.diagonal()
+    positive diagonal c_ii = diagonal[i]; a run of rows at a time, so no
+    copy of C's data is held."""
+    ratio = 0.0
     for r0, r1 in _runs(C.indptr):
         e0, e1 = C.indptr[r0], C.indptr[r1]
         row_abs = np.add.reduceat(np.abs(C.data[e0:e1]), C.indptr[r0:r1] - e0)
@@ -529,15 +553,17 @@ def _splice(base: sparse.csr_matrix, base_at: np.ndarray, at: np.ndarray,
 
 
 def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
-    """Each level's operator, Gershgorin ratio and prolongation, from the
+    """Each level's operator, Jacobi smoother and prolongation, from the
     free-node Hessian down to the first level with at most `_COARSE_MAX`
-    unknowns (yielded with P = None).  Every coarse row is a Galerkin
-    product when `base` is None; otherwise each coarse level is spliced
-    from the domain's level in `base`, and only its dirty rows are formed
-    (see `_Multigrid`)."""
+    unknowns (yielded with P = None).  The smoother is the damping
+    4 / (3 max_i sum_j |a_ij| / a_ii) over the diagonal, which is taken
+    once per level.  Every coarse row is a Galerkin product when `base` is
+    None; otherwise each coarse level is spliced from the domain's level in
+    `base`, and only its dirty rows are formed (see `_Multigrid`)."""
     A = _free_hessian(domain, free)
+    diagonal = A.diagonal()
     # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
-    ratio = float((2.0 - (A @ np.ones(A.shape[0])) / A.diagonal()).max())
+    ratio = float((2.0 - (A @ np.ones(A.shape[0])) / diagonal).max())
     radius = 1  # of the fine stencil; every coarse operator couples nodes up to 2 apart
     Z = ~(domain.boundary_band | free)  # the dirty rows and removed unknowns of a level
     level = 0
@@ -550,9 +576,10 @@ def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
             dirty = _windows(Z, radius) & P.coarse
             Z = dirty | (base_at & ~P.coarse)
             C = _splice(base_C, base_at, P.coarse, dirty, _galerkin(A, P, radius, dirty))
-        yield A, ratio, P
-        A, ratio, free, radius, level = C, _gershgorin(C), P.coarse, 2, level + 1
-    yield A, ratio, None
+        yield A, 4.0 / (3.0 * ratio) / diagonal, P
+        A, diagonal, free, radius, level = C, C.diagonal(), P.coarse, 2, level + 1
+        ratio = _gershgorin(A, diagonal)
+    yield A, 4.0 / (3.0 * ratio) / diagonal, None
 
 
 def _domain_levels(domain: GridDomain) -> list:
@@ -611,11 +638,12 @@ class _Multigrid:
 
     def __init__(self, domain: GridDomain, free: np.ndarray):
         self.levels = []
-        for A, ratio, P in _levels(domain, free, _domain_levels(domain)):
+        for A, smooth, P in _levels(domain, free, _domain_levels(domain)):
             if P is None:
                 self.coarse = _coarse_inverse(A)
             else:
-                self.levels.append((A, 4.0 / (3.0 * ratio) / A.diagonal(), P))
+                self.levels.append((A, smooth, P))
+        self.hessian = self.levels[0][0] if self.levels else A  # the finest level
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
@@ -626,6 +654,32 @@ class _Multigrid:
         r = _matvec(A, x)
         x += np.multiply(smooth, np.subtract(b, r, out=r), out=r)
         return x
+
+
+def _pcg(A: sparse.csr_matrix, precondition, b: np.ndarray):
+    """Linear conjugate gradients on A x = b from x = 0, A SPD and
+    `precondition` an SPD approximate inverse of it (a `_Multigrid`).
+
+    Yields x, the recurred residual r = b - A x and the step's decrease of
+    x'Ax / 2 - b'x after every step, updating x and r in place.  A step
+    with no positive curvature <p, A p> (p = 0 once r is) moves nothing and
+    yields a decrease of 0, at which the caller stops.  Products run in
+    `_matvec` and `_dot`, so no step calls BLAS.
+    """
+    x, r = np.zeros_like(b), b.copy()
+    z = precondition(r)
+    rz = _dot(r, z)
+    p = z
+    while True:
+        q = _matvec(A, p)
+        curvature = _dot(p, q)
+        alpha = rz / curvature if curvature > 0.0 else 0.0
+        x += alpha * p
+        r -= alpha * q
+        yield x, r, 0.5 * alpha * rz
+        z = precondition(r)
+        rz, rz_prev = _dot(r, z), rz
+        p = z + (rz / rz_prev) * p
 
 
 def _coarse_inverse(A: sparse.csr_matrix) -> np.ndarray:
@@ -680,17 +734,22 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
     Converged when the certified gap falls to tol * value, or when no step
     strictly lowers the energy any more (stationary to machine precision);
-    not converged after `max_iter` iterations.  `lower` = value - gap either way.
+    not converged after `max_iter` iterations.  `lower` = value - gap either
+    way.  `power(2)`, whose energy is quadratic, is solved by linear CG
+    (method "linear-pcg-multigrid"), every other family by nonlinear CG
+    ("pcg-multigrid"); see the module docstring.
     """
     if domain is None:
         domain = E.domain
     elif domain is not E.domain:
         raise ValueError("mask and domain do not match")
     _require_delta2(spec)
+    quadratic = spec.family == "power" and spec.p == 2.0
+    method = "linear-pcg-multigrid" if quadratic else "pcg-multigrid"
 
     if E.is_empty():
         return CapacityResult(0.0, _read_only(domain, np.zeros(domain.shape)), 0, True,
-                              "pcg-multigrid", 0.0)
+                              method, 0.0)
 
     free = ~(E.mask | domain.boundary_band)
     at = np.flatnonzero(free)
@@ -712,53 +771,77 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     def gradient(v):
         return work.grad(v).reshape(-1)[at]
 
-    def trial(alpha):
-        v.reshape(-1)[at] = np.add(x, np.multiply(alpha, d, out=step), out=step)
-        return v
-
     g = g.reshape(-1)[at]
     x = u.reshape(-1)[at]  # the free values; held nodes keep 1 (marked) and 0 (band)
-    v = u.copy()           # trial point: the same held values, free ones rewritten
-    step = np.empty_like(x)
     gap = _gap(g, x)
     converged = gap <= tol * e_u
-    precondition, d, alpha, it = None, None, 1.0, 0
-    while not converged and it < max_iter:
-        it += 1
-        if precondition is None:
-            precondition = _Multigrid(domain, free)
-        z = precondition(-g)
-        z_dot_g = _dot(z, g)
-        if d is not None:
-            # Polak-Ribiere+: beta = <z, r - r_prev> / <z_prev, r_prev>, r = -g
-            beta = max(0.0, (z_dot_g - _dot(z, g_prev)) / z_dot_g_prev)
-            d *= beta
-            d += z
-            slope = _dot(d, g)
-        if d is None or slope >= 0.0:  # first, or no descent: restart
-            d, slope = z, z_dot_g
-        g_prev, z_dot_g_prev = g, z_dot_g
-        # secant on the directional derivative, between 0 and the last step
-        slope_t = _dot(gradient(trial(alpha)), d)
-        if math.isfinite(slope_t) and slope_t > slope:
-            alpha *= slope / (slope - slope_t)
-        # halve while the first-order decrease alpha |slope| could still show
-        # in E; below eps * E no step can lower it in floating point
-        while ((e_v := work.energy(trial(alpha))) >= e_u
-               and -alpha * slope > _EPS * e_u):
-            alpha *= 0.5
-        if e_v < e_u:  # strict decrease only: equal energies would loop at E's resolution
-            u, v = v, u
-            x = u.reshape(-1)[at]
-            e_u, g = e_v, gradient(u)
-            gap = _gap(g, x)
-            converged = gap <= tol * e_u
-        else:
-            converged = True  # no step lowers E: stationary to machine precision
+    it = 0
+    if quadratic and not converged:
+        # E(u + x) = e0 + <g0, x> + x'Ax / 2 in the free values x (0 at the
+        # indicator u), with A the multigrid's finest level: the minimizer
+        # solves A x = -g0, and E and its gradient g0 + A x = -r follow from
+        # the residual r
+        precondition = _Multigrid(domain, free)
+        steps = _pcg(precondition.hessian, precondition, -g)
+        e0, g0 = e_u, g
+        while not converged and it < max_iter:
+            x, r, drop = next(steps)
+            it += 1
+            g_x = np.negative(r)
+            e_x = e0 + 0.5 * _dot(g0 + g_x, x)
+            # E is u's squared energy norm, so a step of decrease below
+            # eps^2 E moves u by less than its rounding in that norm
+            stationary = not drop > _EPS * _EPS * e_x
+            if stationary or _gap(g_x, x) <= tol * e_x or it == max_iter:
+                # value and certificate from the lattice energy at x itself
+                u.reshape(-1)[at] = x
+                e_u, g = work.energy(u), gradient(u)
+                gap = _gap(g, x)
+                converged = stationary or gap <= tol * e_u
+    else:
+        def trial(alpha):
+            v.reshape(-1)[at] = np.add(x, np.multiply(alpha, d, out=step), out=step)
+            return v
+
+        v = u.copy()  # trial point: the same held values, free ones rewritten
+        step = np.empty_like(x)
+        precondition, d, alpha = None, None, 1.0
+        while not converged and it < max_iter:
+            it += 1
+            if precondition is None:
+                precondition = _Multigrid(domain, free)
+            z = precondition(-g)
+            z_dot_g = _dot(z, g)
+            if d is not None:
+                # Polak-Ribiere+: beta = <z, r - r_prev> / <z_prev, r_prev>, r = -g
+                beta = max(0.0, (z_dot_g - _dot(z, g_prev)) / z_dot_g_prev)
+                d *= beta
+                d += z
+                slope = _dot(d, g)
+            if d is None or slope >= 0.0:  # first, or no descent: restart
+                d, slope = z, z_dot_g
+            g_prev, z_dot_g_prev = g, z_dot_g
+            # secant on the directional derivative, between 0 and the last step
+            slope_t = _dot(gradient(trial(alpha)), d)
+            if math.isfinite(slope_t) and slope_t > slope:
+                alpha *= slope / (slope - slope_t)
+            # halve while the first-order decrease alpha |slope| could still show
+            # in E; below eps * E no step can lower it in floating point
+            while ((e_v := work.energy(trial(alpha))) >= e_u
+                   and -alpha * slope > _EPS * e_u):
+                alpha *= 0.5
+            if e_v < e_u:  # strict decrease only: equal energies would loop at E's resolution
+                u, v = v, u
+                x = u.reshape(-1)[at]
+                e_u, g = e_v, gradient(u)
+                gap = _gap(g, x)
+                converged = gap <= tol * e_u
+            else:
+                converged = True  # no step lowers E: stationary to machine precision
 
     if not math.isfinite(e_u):
         raise NumericalError(f"{spec.tag}: non-finite capacity energy {e_u}")
-    return CapacityResult(e_u, _read_only(domain, u), it, converged, "pcg-multigrid", e_u - gap)
+    return CapacityResult(e_u, _read_only(domain, u), it, converged, method, e_u - gap)
 
 
 class CapacityCache:

@@ -309,17 +309,25 @@ def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     the limit from the left at 2^(k+1), cap({|u| >= 2^(k+1)}): the next
     level's set unless a node sits exactly on 2^(k+1), and empty in the top
     octave.  Both sums are exact, with no sampling, and the upper sum is the
-    dyadic sum itself, added in the same order.
+    dyadic sum itself, added in the same order.  NumericalError, as in
+    `lhs_dyadic`, when a level's weight or a sum is not finite.
     """
     cache = cache_for(phi_spec, u.domain, cache)
     peak = u.max_abs()
     if peak == 0.0:
         return 0.0, 0.0
+    with np.errstate(all="ignore"):  # a weight past the float range is refused below
+        levels = list(dyadic_levels(peak, psi))
+    if not all(math.isfinite(wgt) for _, wgt in levels):
+        raise NumericalError(f"max |u| = {peak!r}: a weight of {psi.tag} is not finite")
     lower = upper = 0.0
-    for k, wgt in dyadic_levels(peak, psi):
-        upper += cache.capacity(level_mask(u, 2.0 ** k)).value * wgt
+    for k, wgt in levels:
+        lvl = 2.0 ** k
+        upper += cache.capacity(level_mask(u, lvl)).value * wgt
         # {|u| > the float below 2^(k+1)} is {|u| >= 2^(k+1)}
-        lower += cache.capacity(level_mask(u, np.nextafter(2.0 ** (k + 1), 0.0))).value * wgt
+        lower += cache.capacity(level_mask(u, np.nextafter(2.0 * lvl, 0.0))).value * wgt
+    if not math.isfinite(upper):
+        raise NumericalError(f"max |u| = {peak!r}: the dyadic sum {upper!r} is not finite")
     return lower, upper
 
 

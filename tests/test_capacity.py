@@ -386,11 +386,13 @@ def test_riesz_comparable_band(disc64):
 
 
 def test_nonconvergence_is_flagged(disc64):
-    res = capacity_variational(ball_mask(disc64, 0.25), power(2), disc64,
-                               max_iter=3)
-    assert not res.converged
-    # the reported value is still the energy of a feasible iterate
-    assert res.value >= condenser_2d(0.25) * 0.9
+    for spec in (power(2), power_log(2, 1)):  # the linear and the nonlinear solve
+        res = capacity_variational(ball_mask(disc64, 0.25), spec, disc64,
+                                   max_iter=3)
+        assert not res.converged and res.iterations == 3
+        assert res.lower < res.value
+        # the reported value is still the energy of a feasible iterate
+        assert res.value >= condenser_2d(0.25) * 0.9
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -575,10 +577,17 @@ def quadratic_minimum(domain, mask):
 
 
 def test_power2_matches_sparse_direct_solve(disc64):
-    E = ball_mask(disc64, 0.25)
-    res = capacity_variational(E, power(2), disc64)
-    assert res.converged
-    assert res.value == pytest.approx(quadratic_minimum(disc64, E.mask), rel=1e-10)
+    # the quadratic energy's linear solve, in 2-D and 3-D: its certified
+    # bracket holds the direct solve's minimum and is tighter than tol = 1e-8
+    for dom in (disc64, build_domain(3, 1.0, 32)):
+        E = ball_mask(dom, 0.25)
+        res = capacity_variational(E, power(2), dom)
+        exact = quadratic_minimum(dom, E.mask)
+        assert res.converged and res.method == "linear-pcg-multigrid"
+        assert res.value == pytest.approx(exact, rel=1e-10)
+        # both are energies of near-minimizers, each rounded at about 1e-16
+        assert res.lower <= exact <= res.value * (1.0 + 1e-14)
+        assert (res.value - res.lower) / res.value <= 1e-8
 
 
 @pytest.fixture(scope="module", params=[(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
@@ -630,8 +639,13 @@ def test_levels_are_galerkin_products(multigrid):
     M, free, dom = multigrid
     A = 2.0 * quadratic_form(dom)[free.ravel()][:, free.ravel()]
     rng = np.random.default_rng(4)
-    for stored, _, transfer in M.levels:
+    assert M.hessian is M.levels[0][0]  # the system the linear solve runs on
+    for stored, smooth, transfer in M.levels:
         assert abs(stored - A).max() <= 1e-12 * abs(A).max()
+        # the damped Jacobi smoother 4 / (3 max_i sum_j |a_ij| / a_ii) / a_ii
+        diagonal = stored.diagonal()
+        ratio = (abs(stored).sum(axis=1).A1 / diagonal).max()
+        assert np.allclose(smooth, 4.0 / (3.0 * ratio) / diagonal, rtol=1e-14, atol=0.0)
         P, free = prolongation(free)
         x, y = rng.standard_normal(P.shape[1]), rng.standard_normal(P.shape[0])
         assert np.allclose(transfer.prolong(x), P @ x, rtol=0.0,
@@ -750,9 +764,9 @@ def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets
         derived = _Multigrid(dom, free)
         *direct, (coarsest, _, _) = _levels(dom, free)
         assert len(derived.levels) == len(direct)
-        for (A, smooth, _), (B, ratio, _) in zip(derived.levels, direct):
+        for (A, smooth, _), (B, direct_smooth, _) in zip(derived.levels, direct):
             for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data),
-                         (smooth, 4.0 / (3.0 * ratio) / B.diagonal())):
+                         (smooth, direct_smooth)):
                 assert same_bits(x, y)
         assert same_bits(derived.coarse, _coarse_inverse(coarsest))
 
@@ -914,12 +928,15 @@ def test_solve_ends_where_the_energy_stops_resolving():
     # A 128^2 bump level set.  Near the optimum E stops changing in floating
     # point while the gap stays above tol * E; steps that do not strictly
     # lower E are refused, so the solve ends, converged, instead of looping
-    # to max_iter.  tol = 0 leaves only that stop.
+    # to max_iter.  tol = 0 leaves only that stop; the linear solve's
+    # (power(2)) is a step below the rounding of u, and its value is the
+    # direct solve's (`quadratic_minimum`).
     dom = build_domain(2, 1.0, 128)
     E = level_mask(build_test_function(TestFunctionSpec("bump"), dom), 2.0 ** -3)
-    res = capacity_variational(E, power_log(2, 1), dom, tol=0.0, max_iter=200)
-    assert res.converged and res.iterations < 60
-    assert res.lower < res.value == pytest.approx(13.785276411492461, rel=1e-6)
+    for spec, expected in ((power_log(2, 1), 13.785276411492461), (power(2), 8.858026926791961)):
+        res = capacity_variational(E, spec, dom, tol=0.0, max_iter=200)
+        assert res.converged and res.iterations < 60
+        assert res.lower < res.value == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("spec,expected", [(power(3), 6.156896879772685),

@@ -405,17 +405,20 @@ def run_fresh(args, cwd, **env):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 128^2 a BLAS dot of the ~12,000 free values runs on two threads
-    # and adds in another order, so the solve's reductions avoid BLAS
-    write(tmp_path, BASE.replace("resolution = 64", "resolution = 128").replace(
-        "family = power\n", "family = power_log\ntheta = 1.0\n")
-        + "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\nlambda_max_exp = 0\n")
-    outputs = []
-    for threads in ("1", "2"):
-        run_fresh(["-m", "orlicap.cli", "strong-type", "--config", "run.ini", "--out", threads],
-                  tmp_path, OPENBLAS_NUM_THREADS=threads)
-        outputs.append({p.name: p.read_bytes() for p in (tmp_path / threads).iterdir()})
-    assert sorted(outputs[0]) == ["manifest.json", "strongtype.csv", "strongtype.json"]
-    assert outputs[0] == outputs[1]
+    # and adds in another order, so the solve's reductions avoid BLAS;
+    # power_log takes the nonlinear solve, power(2) the linear one
+    for family in ("power_log\ntheta = 1.0", "power"):
+        write(tmp_path, BASE.replace("resolution = 64", "resolution = 128").replace(
+            "family = power\n", f"family = {family}\n")
+            + "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\nlambda_max_exp = 0\n")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{family.split()[0]}-{threads}"
+            run_fresh(["-m", "orlicap.cli", "strong-type", "--config", "run.ini",
+                       "--out", str(out)], tmp_path, OPENBLAS_NUM_THREADS=threads)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["manifest.json", "strongtype.csv", "strongtype.json"]
+        assert outputs[0] == outputs[1]
 
 
 def test_solves_load_neither_scipy_integrate_nor_sparse_linalg(tmp_path):

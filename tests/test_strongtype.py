@@ -19,7 +19,7 @@ from orlicap import (
     power_log,
     truncation_H,
 )
-from orlicap.errors import ConfigurationError
+from orlicap.errors import ConfigurationError, NumericalError
 from orlicap.strongtype import (
     SHAPES,
     TAIL_OCTAVES,
@@ -227,6 +227,19 @@ def test_dyadic_darboux_sandwich(disc, t2_cache):
     assert lower <= rep.lhs + tol
     assert rep.lhs <= upper + tol
     assert lower < rep.lhs  # the inf within each octave is genuinely smaller
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [600, 1023])
+def test_darboux_sums_refuse_weights_past_the_float_range(exponent):
+    # Psi(2^(k+1)) - Psi(2^k) overflows at the top octaves: refused, as
+    # lhs_dyadic refuses it, before numpy warns or a level is solved
+    dom = build_domain(2, 1.0, 32)
+    u = build_test_function(TestFunctionSpec("tent", amplitude=2.0 ** exponent), dom)
+    cache = CapacityCache(power(2), dom)
+    with pytest.raises(NumericalError, match=r"a weight of .* is not finite"):
+        dyadic_darboux_sums(u, power(2), derived_psi(power(2)), cache)
+    assert cache.lookups == 0
 
 
 @settings(max_examples=40, deadline=None)
