@@ -43,15 +43,17 @@ differences d, and a `grad` at the point `energy` just evaluated (the
 point a line search accepts) starts from the differences and |D+ v| that
 `energy` left; Phi and Phi' write into workspace buffers too (`out=` and `scratch=` of
 `young.eval_phi` / `eval_phi_prime`), so an evaluation allocates no
-lattice-sized array.  A `custom_table` whose last knot lies below the
-initial iterate's largest lattice gradient raises `NumericalError` before
-Phi is evaluated there; so does any other non-finite initial energy or
-gradient, or final value.
+lattice-sized array.  A `custom_table` is +inf past its last knot; when
+that makes the initial energy infinite, a `NumericalError` names the
+largest |D+ u| that energy pass left, before any gradient is evaluated.
+Any other non-finite initial energy or gradient, or final value, raises
+`NumericalError` too.
 
-The preconditioner (`_Multigrid`) holds every level as a CSR matrix: the
-free-node Hessian, assembled in one vectorized pass over the lattice
-edges, and the Galerkin products below it, down to a level of at most
-`_COARSE_MAX` (64) unknowns, kept as its dense inverse.  Sparse products
+The preconditioner (`_Multigrid`), built once per solve, holds every level
+as a CSR matrix: the free-node Hessian, assembled in one vectorized pass
+over the lattice edges, and the Galerkin products below it, down to a
+level of at most `_COARSE_MAX` (64) unknowns, kept as its dense inverse;
+only the levels it smooths on get a Jacobi damping.  Sparse products
 run in scipy's own loops (`_matvec`), dot products and that inverse's
 product in numpy's (`np.einsum`), never in BLAS, so a solve's bits do not
 depend on the BLAS thread count; the Riesz solve's dense kernel products
@@ -159,10 +161,10 @@ class _EnergyWorkspace:
     their intermediates to, and the gradient, so an evaluation allocates no
     lattice-sized array.  All are C-contiguous, as the difference kernels
     require of `v` too.  |D+ v| = sqrt(sum d*d) / h is formed in one order
-    for `energy`, `grad` and `max_gradient` (np.square gives the bits of
-    d * d), and the gradient applies 1/h^2 once, in the flux
-    w Phi'(g) / (g h^2).  `energy(v)` leaves the differences and |D+ v| of
-    v in their buffers, and a `grad(v)` of the same array next starts from
+    for `energy` and `grad` (np.square gives the bits of d * d), and the
+    gradient applies 1/h^2 once, in the flux w Phi'(g) / (g h^2).
+    `energy(v)` leaves the differences and |D+ v| of v in their buffers
+    (|D+ v| in `_s`), and a `grad(v)` of the same array next starts from
     them, with the same bits; the caller writes nothing into v between the
     two calls.
     """
@@ -179,16 +181,14 @@ class _EnergyWorkspace:
         self._grad = np.empty(domain.shape)
         self._left = None  # the array whose differences and |D+ v| the buffers hold
 
-    def _gradient_norm(self, v: np.ndarray, keep: bool = False) -> np.ndarray:
-        """|D+ v| in the s buffer.  Each axis's differences are squared in
-        the buffer they are written to: the axis's own buffer with `keep`,
-        which then holds them, else the s or t buffer itself."""
+    def _gradient_norm(self, v: np.ndarray) -> np.ndarray:
+        """|D+ v| in the s buffer, from the differences in each axis's own
+        buffer."""
         self._left = None
         s, t = self._s, self._t
         for a, d in enumerate(self._diffs):
-            square = s if a == 0 else t
-            forward_difference(v, a, d if keep else square)
-            np.square(d if keep else square, out=square)
+            forward_difference(v, a, d)
+            np.square(d, out=s if a == 0 else t)
             if a:
                 s += t
         np.sqrt(s, out=s)
@@ -196,20 +196,16 @@ class _EnergyWorkspace:
         return s
 
     def energy(self, v: np.ndarray) -> float:
-        s = self._gradient_norm(v, keep=True)
+        s = self._gradient_norm(v)
         phi = eval_phi(self.spec, s, out=self._t, scratch=self._scratch)
         value = float(np.sum(np.multiply(self.weights, phi, out=phi)))
         self._left = v
         return value
 
-    def max_gradient(self, v: np.ndarray) -> float:
-        """Largest |D+ v|, the argument `energy(v)` would give Phi."""
-        return float(self._gradient_norm(v).max())
-
     def grad(self, v: np.ndarray) -> np.ndarray:
         """Gradient with respect to the node values, in a workspace buffer
         that the next `grad` call overwrites."""
-        s = self._s if v is self._left else self._gradient_norm(v, keep=True)
+        s = self._s if v is self._left else self._gradient_norm(v)
         self._left = None  # the flux overwrites s and each d below
         t, grad = self._t, self._grad
         np.maximum(s, _RATIO_FLOOR, out=s)
@@ -553,21 +549,16 @@ def _splice(base: sparse.csr_matrix, base_at: np.ndarray, at: np.ndarray,
 
 
 def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
-    """Each level's operator, Jacobi smoother and prolongation, from the
-    free-node Hessian down to the first level with at most `_COARSE_MAX`
-    unknowns (yielded with P = None).  The smoother is the damping
-    4 / (3 max_i sum_j |a_ij| / a_ii) over the diagonal, which is taken
-    once per level.  Every coarse row is a Galerkin product when `base` is
+    """Each level's operator and prolongation, from the free-node Hessian
+    down to the first level with at most `_COARSE_MAX` unknowns (yielded
+    with P = None).  Every coarse row is a Galerkin product when `base` is
     None; otherwise each coarse level is spliced from the domain's level in
     `base`, and only its dirty rows are formed (see `_Multigrid`)."""
     A = _free_hessian(domain, free)
-    diagonal = A.diagonal()
-    # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
-    ratio = float((2.0 - (A @ np.ones(A.shape[0])) / diagonal).max())
     radius = 1  # of the fine stencil; every coarse operator couples nodes up to 2 apart
     Z = ~(domain.boundary_band | free)  # the dirty rows and removed unknowns of a level
     level = 0
-    while A.shape[0] > _COARSE_MAX and free.size > 1:
+    while A.shape[0] > _COARSE_MAX:
         P = _Prolongation(free)
         if base is None:
             C = _galerkin(A, P, radius, P.coarse)
@@ -576,10 +567,9 @@ def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
             dirty = _windows(Z, radius) & P.coarse
             Z = dirty | (base_at & ~P.coarse)
             C = _splice(base_C, base_at, P.coarse, dirty, _galerkin(A, P, radius, dirty))
-        yield A, 4.0 / (3.0 * ratio) / diagonal, P
-        A, diagonal, free, radius, level = C, C.diagonal(), P.coarse, 2, level + 1
-        ratio = _gershgorin(A, diagonal)
-    yield A, 4.0 / (3.0 * ratio) / diagonal, None
+        yield A, P
+        A, free, radius, level = C, P.coarse, 2, level + 1
+    yield A, None
 
 
 def _domain_levels(domain: GridDomain) -> list:
@@ -589,7 +579,7 @@ def _domain_levels(domain: GridDomain) -> list:
     levels = _DOMAIN_LEVELS.get(domain)
     if levels is None:
         levels, at = [], None
-        for A, _, P in _levels(domain, ~domain.boundary_band):
+        for A, P in _levels(domain, ~domain.boundary_band):
             if at is not None:
                 levels.append((at, A))
             at = P.coarse if P is not None else None
@@ -608,7 +598,10 @@ class _Multigrid:
     with one damped Jacobi sweep before and one after the coarse
     correction; the damping 4 / (3 max_i sum_j |a_ij| / a_ii) keeps a sweep
     a contraction in the energy norm, and both sweeps are the same
-    symmetric operator, so the V-cycle is symmetric.  Its products with a
+    symmetric operator, so the V-cycle is symmetric.  It is formed here
+    from the diagonal, taken once: by row sums on the finest level, an
+    M-matrix, and by `_gershgorin` below (the two can differ in the last
+    bit).  Its products with a
     level, a stored P and P^T call scipy's matvec loops directly
     (`_matvec`); no step of the cycle calls BLAS, so its bits do not
     depend on the BLAS thread count.
@@ -638,11 +631,17 @@ class _Multigrid:
 
     def __init__(self, domain: GridDomain, free: np.ndarray):
         self.levels = []
-        for A, smooth, P in _levels(domain, free, _domain_levels(domain)):
+        for A, P in _levels(domain, free, _domain_levels(domain)):
             if P is None:
                 self.coarse = _coarse_inverse(A)
-            else:
-                self.levels.append((A, smooth, P))
+                break
+            diagonal = A.diagonal()
+            if self.levels:
+                ratio = _gershgorin(A, diagonal)
+            else:  # an M-matrix (off-diagonals <= 0): sum_j |a_ij| = 2 a_ii - sum_j a_ij
+                ratio = float((2.0 - (A @ np.ones(A.shape[0])) / diagonal).max())
+            self.levels.append((A, 4.0 / (3.0 * ratio) / diagonal, P))
+            del diagonal  # not held while `_levels` forms the next level
         self.hessian = self.levels[0][0] if self.levels else A  # the finest level
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
@@ -755,14 +754,15 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     at = np.flatnonzero(free)
     u = np.where(E.mask, 1.0, 0.0)
     work = _EnergyWorkspace(domain, spec)
-    if spec.family == "custom_table":
-        # Phi is +inf past the last knot: fail before evaluating it there
-        g_max, t_last = work.max_gradient(u), spec.table[-1][0]
+    e_u = work.energy(u)
+    if spec.family == "custom_table" and not math.isfinite(e_u):
+        # Phi is +inf past the last knot; the energy pass left |D+ u| in s
+        g_max, t_last = float(work._s.max()), spec.table[-1][0]
         if g_max > t_last:
             raise NumericalError(
                 f"{spec.tag}: the initial lattice gradient reaches {g_max!r}, "
                 f"past the table's last knot {t_last!r}")
-    e_u, g = work.energy(u), work.grad(u)
+    g = work.grad(u)
     if not (math.isfinite(e_u) and np.isfinite(g).all()):
         raise NumericalError(
             f"{spec.tag}: non-finite initial energy {e_u} or gradient; "
@@ -776,12 +776,12 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     gap = _gap(g, x)
     converged = gap <= tol * e_u
     it = 0
+    precondition = _Multigrid(domain, free)
     if quadratic and not converged:
         # E(u + x) = e0 + <g0, x> + x'Ax / 2 in the free values x (0 at the
         # indicator u), with A the multigrid's finest level: the minimizer
         # solves A x = -g0, and E and its gradient g0 + A x = -r follow from
         # the residual r
-        precondition = _Multigrid(domain, free)
         steps = _pcg(precondition.hessian, precondition, -g)
         e0, g0 = e_u, g
         while not converged and it < max_iter:
@@ -805,11 +805,9 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
         v = u.copy()  # trial point: the same held values, free ones rewritten
         step = np.empty_like(x)
-        precondition, d, alpha = None, None, 1.0
+        d, alpha = None, 1.0
         while not converged and it < max_iter:
             it += 1
-            if precondition is None:
-                precondition = _Multigrid(domain, free)
             z = precondition(-g)
             z_dot_g = _dot(z, g)
             if d is not None:
@@ -912,15 +910,15 @@ def cache_for(spec: YoungSpec, domain: GridDomain, cache: CapacityCache = None) 
 
 _RADIAL_TOL = 1e-12    # largest KKT residual, in logs, of a finished radial solve
 _RADIAL_TRIALS = 100   # Newton trial points a radial solve may evaluate
+_RADIAL_CELLS = 10_000  # uniform cells of a radial profile on [r, R]
 
 
-def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int,
-                         nodes: int = 10_000) -> float:
+def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int) -> float:
     """Condenser capacity of B(0,r) in B(0,R) from the radial reduction.
 
     The exact minimum, up to rounding, of sum_i w_i Phi(s_i) over the slopes
-    s_i >= 0 of a profile falling from 1 to 0 over `nodes` cells of width
-    delta, with w_i = omega rho_i^(n-1) delta at the midpoints and
+    s_i >= 0 of a profile falling from 1 to 0 over `_RADIAL_CELLS` cells of
+    width delta, with w_i = omega rho_i^(n-1) delta at the midpoints and
     delta sum s = 1.  The problem is convex, so the minimum has constant
     flux w_i Phi'(s_i) = lambda delta, in closed form for `power(p)`.  Other
     families start there and take Newton steps on (log s, log lambda), each
@@ -938,8 +936,8 @@ def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int,
         raise ConfigurationError(f"{spec.tag}: the radial oracle needs a convex Phi, and a "
                                  "table's log-linear interpolant is not convex")
     omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi  # |S^(n-1)|
-    delta = (R - r) / nodes
-    rho = np.linspace(r, R, nodes + 1)
+    delta = (R - r) / _RADIAL_CELLS
+    rho = np.linspace(r, R, _RADIAL_CELLS + 1)
     w = omega * (0.5 * (rho[:-1] + rho[1:])) ** (n - 1) * delta
     x = np.log(w.min() / w) / (spec.p - 1.0)  # log s for power(p), up to a constant
     if spec.family != "power":
@@ -952,7 +950,7 @@ def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int,
                 F, G = log_d + log_flux - mu, float(np.log(delta * s.sum()))
             return s, log_d, F, G, max(float(np.abs(F).max()), abs(G))
 
-        mu, alpha, slope, trials = 0.0, 1.0, np.full(nodes, spec.p - 1.0), 0
+        mu, alpha, slope, trials = 0.0, 1.0, np.full(w.size, spec.p - 1.0), 0
         s, log_d, F, G, res = residual(x, mu)
         while not res <= _RADIAL_TOL:  # also while res is NaN
             if trials == _RADIAL_TRIALS:
@@ -985,7 +983,9 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
 
     F(r) integrates s^-1 * phi(1/s)^(-1/(n-1)) over (r, R), with phi the
     factor of the t^n * phi(t) factorization; valid only when the
-    factorization exponent equals the dimension.
+    factorization exponent equals the dimension.  It is taken in x = log s,
+    where the integrand is smooth at every scale, by 16-node Gauss-Legendre
+    on ceil(log(R/r)) equal panels; for `power(n)`, F = log(R/r) to rounding.
     """
     if not 0 < r < R / 2:
         raise ConfigurationError("estimate needs 0 < r < R/2")
@@ -995,12 +995,16 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
             f"factorization exponent {pair.p} must equal the dimension {n}")
     _require_delta2_plus(spec)
 
-    def integrand(s):
-        return float(pair.phi_part(1.0 / s)) ** (-1.0 / (n - 1)) / s
-
-    from scipy.integrate import quad  # loads about 200 modules, which no solve needs
-
-    F, _ = quad(integrand, r, R, epsrel=1e-8, limit=200)
+    # the rule on [-1, 1], formed here: at import its LAPACK call adds about
+    # 1 MB to the peak memory of every run
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    a, b = math.log(r), math.log(R)
+    edges = np.linspace(a, b, math.ceil(b - a) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = edges[:-1, None] + half * (1.0 + nodes)
+    with np.errstate(over="ignore"):  # a phi(1/s) past the float range adds 0
+        f = pair.phi_part(np.exp(-x)) ** (-1.0 / (n - 1))
+    F = float(np.sum(half * weights * f))
     return BallEstimate(F_value=F, estimate=F ** (1 - n))
 
 

@@ -234,25 +234,24 @@ def _capacity(config, phi_spec, base_dir, out_dir) -> int:
     if E.is_empty():
         raise ConfigurationError(f"B(0, {params['r']}) marks no lattice node: the nearest "
                                  f"lies at radius {float(dom.radius.min())!r}")
-    oracle = params["radial_oracle"] and params["method"] == "variational"
-    if oracle and phi_spec.family == "custom_table":
-        raise ConfigurationError(f"{phi_spec.tag}: the radial oracle needs a convex Phi, and a "
-                                 "table's interpolant is not; set radial_oracle = false")
-    if params["method"] == "variational":
-        _require_table_range(phi_spec, dom)
-        res = capacity_variational(E, phi_spec, dom)
-    elif params["method"] == "riesz":
-        res = riesz_capacity_variational(E, phi_spec, dom)
-    else:
+    solve = {"variational": capacity_variational,
+             "riesz": riesz_capacity_variational}.get(params["method"])
+    if solve is None:
         raise ConfigurationError(f"unknown capacity method {params['method']!r}")
-    payload = res.summary()
-    payload["set"] = f"ball(r={params['r']:g})"
-    if oracle:
-        payload["radial_oracle"] = capacity_ball_radial(
-            params["r"], phi_spec, dom.R, dom.n)
+    # the oracle and the estimate refuse a bad config before the solve
+    payload = {"set": f"ball(r={params['r']:g})"}
+    if params["radial_oracle"] and solve is capacity_variational:
+        if phi_spec.family == "custom_table":
+            raise ConfigurationError(f"{phi_spec.tag}: the radial oracle needs a convex Phi, "
+                                     "and a table's interpolant is not; set radial_oracle = false")
+        payload["radial_oracle"] = capacity_ball_radial(params["r"], phi_spec, dom.R, dom.n)
     if params["estimate"]:
         est = ball_capacity_estimate(params["r"], phi_spec, dom.R, dom.n)
         payload["ball_estimate"] = {"F": est.F_value, "estimate": est.estimate}
+    if solve is capacity_variational:
+        _require_table_range(phi_spec, dom)
+    res = solve(E, phi_spec, dom)
+    payload.update(res.summary())
     _json_dump(payload, out_dir / "capacity.json")
     if params["write_minimizer"]:
         save_csv(res.minimizer, out_dir / "minimizer.csv")

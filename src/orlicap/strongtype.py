@@ -308,27 +308,19 @@ def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     therefore cap({|u| > 2^k}), the set `lhs_dyadic` solves, and its inf is
     the limit from the left at 2^(k+1), cap({|u| >= 2^(k+1)}): the next
     level's set unless a node sits exactly on 2^(k+1), and empty in the top
-    octave.  Both sums are exact, with no sampling, and the upper sum is the
-    dyadic sum itself, added in the same order.  NumericalError, as in
-    `lhs_dyadic`, when a level's weight or a sum is not finite.
+    octave.  Both sums are exact, with no sampling.  The upper sum is
+    `lhs_dyadic`'s sum itself, with its `NumericalError` checks; the lower
+    sum takes its levels and weights and adds in the same order, from the
+    top level down.
     """
     cache = cache_for(phi_spec, u.domain, cache)
-    peak = u.max_abs()
-    if peak == 0.0:
-        return 0.0, 0.0
-    with np.errstate(all="ignore"):  # a weight past the float range is refused below
-        levels = list(dyadic_levels(peak, psi))
-    if not all(math.isfinite(wgt) for _, wgt in levels):
-        raise NumericalError(f"max |u| = {peak!r}: a weight of {psi.tag} is not finite")
-    lower = upper = 0.0
-    for k, wgt in levels:
-        lvl = 2.0 ** k
-        upper += cache.capacity(level_mask(u, lvl)).value * wgt
+    rep = lhs_dyadic(u, phi_spec, psi, cache)
+    lower = 0.0
+    for row in reversed(rep.levels):
         # {|u| > the float below 2^(k+1)} is {|u| >= 2^(k+1)}
-        lower += cache.capacity(level_mask(u, np.nextafter(2.0 * lvl, 0.0))).value * wgt
-    if not math.isfinite(upper):
-        raise NumericalError(f"max |u| = {peak!r}: the dyadic sum {upper!r} is not finite")
-    return lower, upper
+        mask = level_mask(u, np.nextafter(2.0 * row.level, 0.0))
+        lower += cache.capacity(mask).value * row.psi_weight
+    return lower, rep.lhs
 
 
 DEFAULT_LAMBDAS = tuple(2.0 ** j for j in range(-4, 5))

@@ -32,13 +32,13 @@ from orlicap import (
 )
 from orlicap.averages import _nearest_node
 from orlicap.capacity import (_BLOCK_ENTRIES, _DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace,
-                              _coarse_inverse, _galerkin, _levels, _matvec, _Multigrid,
-                              _pattern_pairs, _Prolongation, _kernel_diagonal, _riesz_kernel,
-                              _windows)
+                              _coarse_inverse, _domain_levels, _galerkin, _gershgorin, _levels,
+                              _matvec, _Multigrid, _pattern_pairs, _Prolongation,
+                              _kernel_diagonal, _riesz_kernel, _windows)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic, rhs_energy)
-from orlicap.young import eval_phi, eval_phi_prime, phi_prime_inverse
+from orlicap.young import eval_phi, eval_phi_prime, factored, phi_prime_inverse
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +273,31 @@ def test_estimate_monotone_in_radius():
     vals = [ball_capacity_estimate(r, power_log(2, 1), 1.0, 2).estimate
             for r in (0.05, 0.1, 0.2, 0.4)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_of_power_n_is_log_R_over_r_at_every_scale():
+    # phi = 1, so F = log(R / r), down to radii far below any lattice
+    for r in (0.25, 1e-2, 1e-8, 1e-32, 1e-64, 1e-128, 1e-300):
+        F = ball_capacity_estimate(r, power(2), 1.0, 2).F_value
+        assert abs(F - math.log(1.0 / r)) <= 1e-12 * math.log(1.0 / r)
+
+
+def log_midpoint_F(spec, r, n, R=1.0, cells=2_000_000):
+    """F(r) by the midpoint rule in x = log s on `cells` uniform cells."""
+    phi_part = factored(spec).phi_part
+    edges = np.linspace(math.log(r), math.log(R), cells + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return float(np.sum(phi_part(np.exp(-mid)) ** (-1.0 / (n - 1)))) * (edges[1] - edges[0])
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_estimate_integral_holds_at_a_tiny_radius(theta):
+    # at r = 1e-64 an adaptive quadrature in s lost most of the integral
+    # (78.39 for theta = 0.5 against 22.95); the rule in log s does not
+    spec = power_log(2, theta)
+    F = ball_capacity_estimate(1e-64, spec, 1.0, 2).F_value
+    assert F == pytest.approx(log_midpoint_F(spec, 1e-64, 2), rel=1e-8)
 
 
 def test_estimate_requires_matching_exponent():
@@ -709,6 +734,24 @@ def test_cold_build_with_its_domain_hierarchy_stays_within_its_peak():
     assert dom in _DOMAIN_LEVELS
 
 
+def test_domain_hierarchy_forms_no_smoother(monkeypatch):
+    # the domain's levels are only spliced from, never smoothed with, so a
+    # fresh domain's hierarchy takes no Gershgorin bound; a mask's V-cycle
+    # takes one on each coarse level it smooths
+    calls = []
+
+    def counted(C, diagonal):
+        calls.append(C.shape[0])
+        return _gershgorin(C, diagonal)
+
+    monkeypatch.setattr("orlicap.capacity._gershgorin", counted)
+    dom = build_domain(2, 1.0, 128)
+    levels = _domain_levels(dom)
+    assert len(levels) >= 2 and calls == []
+    M = _Multigrid(dom, ~(ball_mask(dom, 0.25).mask | dom.boundary_band))
+    assert calls == [A.shape[0] for A, _, _ in M.levels[1:]]
+
+
 def test_domain_hierarchy_is_dropped_with_its_domain():
     dom = build_domain(2, 1.0, 64)
     _Multigrid(dom, ~(ball_mask(dom, 0.25).mask | dom.boundary_band))
@@ -762,11 +805,10 @@ def test_derived_levels_equal_the_direct_build(hierarchy_lattices, lattice, sets
     for args in sets:
         free = ~(marked_nodes(dom, *args) | dom.boundary_band)
         derived = _Multigrid(dom, free)
-        *direct, (coarsest, _, _) = _levels(dom, free)
+        *direct, (coarsest, _) = _levels(dom, free)
         assert len(derived.levels) == len(direct)
-        for (A, smooth, _), (B, direct_smooth, _) in zip(derived.levels, direct):
-            for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data),
-                         (smooth, direct_smooth)):
+        for (A, _, _), (B, _) in zip(derived.levels, direct):
+            for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
                 assert same_bits(x, y)
         assert same_bits(derived.coarse, _coarse_inverse(coarsest))
 

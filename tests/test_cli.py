@@ -276,6 +276,22 @@ def test_table_with_the_radial_oracle_exits_2_before_any_solve(tmp_path, capsys,
 SMALL = BASE.replace("resolution = 64", "resolution = 32")  # h = 1/16, R - 2h = 0.875
 
 
+@pytest.mark.parametrize("young, r, message", [
+    ("family = power\np = 2.0", "0.6", "0 < r < R/2"),
+    ("family = power\np = 3.0", "0.25", "must equal the dimension 2"),
+], ids=["radius", "exponent"])
+def test_estimate_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                        young, r, message):
+    cfg = write(tmp_path, SMALL.replace("family = power\np = 2.0", young)
+                + f"[capacity]\nr = {r}\nestimate = true\n")
+    monkeypatch.setattr("orlicap.cli.capacity_variational",
+                        lambda *args: pytest.fail("solved before refusing the estimate"))
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "capacity.json").exists()
+
+
 @pytest.mark.parametrize("scenario, section, output", [
     ("capacity", "[capacity]\nr = 0.99\n", "capacity.json"),
     ("averages", "[averages]\nfunctions = tent\nr0 = 0.9\n", "verdict.json"),
@@ -422,8 +438,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_solves_load_neither_scipy_integrate_nor_sparse_linalg(tmp_path):
-    # each costs about 10-20 MB of a run's peak memory; only the ball
-    # estimate needs one, and it imports that itself
+    # each costs about 10-20 MB of a run's peak memory, and no run needs
+    # either: the ball estimate integrates with numpy
     write(tmp_path, SMALL + "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\n"
           "lambda_max_exp = 0\n[averages]\nfunctions = tent\nj_max = 0\n"
           "[capacity]\nmethod = riesz\n")
@@ -442,8 +458,7 @@ def test_solves_load_neither_scipy_integrate_nor_sparse_linalg(tmp_path):
         assert main(["capacity", "--config", "estimate.ini", "--out", "estimate"]) == 0
         print(heavy())
         """)], tmp_path).splitlines()
-    assert loaded[0] == "[]"
-    assert "'scipy.integrate'" in loaded[1]
+    assert loaded == ["[]", "[]"]
     # F(r) = log(R / r) for power(2) in 2-D, and the estimate is 1 / F
     estimate = json.loads((tmp_path / "estimate" / "capacity.json").read_text())["ball_estimate"]
     assert estimate["estimate"] == pytest.approx(1.0 / math.log(4.0), rel=1e-8)

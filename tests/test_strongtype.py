@@ -196,7 +196,7 @@ def test_tent_lhs_against_radial_oracle():
 
     def cap_oracle(t):
         rr = 0.5 * (1.0 - t)
-        return capacity_ball_radial(rr, spec, 1.0, 2, nodes=2000) if rr > 0 else 0.0
+        return capacity_ball_radial(rr, spec, 1.0, 2) if rr > 0 else 0.0
 
     oracle = 0.0
     for k in range(rep.k_max, rep.k_min - 1, -1):
