@@ -56,8 +56,8 @@ level of at most `_COARSE_MAX` (64) unknowns, kept as its dense inverse;
 only the levels it smooths on get a Jacobi damping.  Sparse products
 run in scipy's own loops (`_matvec`), dot products and that inverse's
 product in numpy's (`np.einsum`), never in BLAS, so a solve's bits do not
-depend on the BLAS thread count; the Riesz solve's dense kernel products
-still do.  Each
+depend on the BLAS thread count; the Riesz solve's dense kernel products,
+and the product that forms its Gram matrix, still do.  Each
 lattice domain keeps the coarse levels of its own hierarchy, the one with
 no node marked, from its first solve until the domain is dropped.  A mask
 removes unknowns, and it changes only the Galerkin rows whose stencil
@@ -85,10 +85,15 @@ The radial oracle (`capacity_ball_radial`) is the exact minimum of the
 
 The Riesz capacity (`riesz_capacity_variational`) is a dense problem on
 the kernel |x - y|^(1-n) from the marked to the inside nodes, gathered
-from one table over lattice offsets.  It is solved through its Fenchel
-dual on one multiplier per marked node by spectral projected gradient;
-each iterate gives a dual lower bound and a feasible density, and the
-solve stops once their gap is at most tol * value.
+from one table over signed lattice offsets with one flat index per entry.
+It is solved through its Fenchel dual on one multiplier per marked node
+by spectral projected gradient; each iterate gives a dual lower bound and
+a feasible density, and the solve stops once their gap is at most
+tol * value.  For `power(2)` the dual is a quadratic in the Gram matrix
+A A^T of the kernel A, formed once, so a step costs O(N_E^2) and not
+O(N_E N_in) for N_E marked and N_in inside nodes; the best iterate's
+density and value are formed from A once, at the end.  Every other family
+evaluates its dual through A and `young.phi_prime_inverse`.
 """
 
 from __future__ import annotations
@@ -556,7 +561,8 @@ def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
     `base`, and only its dirty rows are formed (see `_Multigrid`)."""
     A = _free_hessian(domain, free)
     radius = 1  # of the fine stencil; every coarse operator couples nodes up to 2 apart
-    Z = ~(domain.boundary_band | free)  # the dirty rows and removed unknowns of a level
+    removed = ~(domain.boundary_band | free)  # the domain's unknowns of a level the mask removed
+    dirty = None  # the rows of a level that differ from the domain's (none on level 0)
     level = 0
     while A.shape[0] > _COARSE_MAX:
         P = _Prolongation(free)
@@ -564,8 +570,9 @@ def _levels(domain: GridDomain, free: np.ndarray, base: list = None):
             C = _galerkin(A, P, radius, P.coarse)
         else:
             base_at, base_C = base[level]
-            dirty = _windows(Z, radius) & P.coarse
-            Z = dirty | (base_at & ~P.coarse)
+            reach = _windows(removed, radius)
+            dirty = (reach if dirty is None else reach | _windows(dirty, 0)) & P.coarse
+            removed = base_at & ~P.coarse
             C = _splice(base_C, base_at, P.coarse, dirty, _galerkin(A, P, radius, dirty))
         yield A, P
         A, free, radius, level = C, P.coarse, 2, level + 1
@@ -614,11 +621,13 @@ class _Multigrid:
       every edge on the diagonal whatever holds the edge's other end.  It
       is assembled from F, which costs no more than filtering the domain's
       level 0, so the domain does not keep its largest level;
-    - with Z the lattice set of level l's dirty rows and of the domain's
-      level-l unknowns that the mask removed (Z = D \\ F on level 0), a row
-      c of level l + 1 is dirty when its fine window 2c - 1 .. 2c + 2 along
-      every axis, widened by the level's stencil radius (1 on level 0, 2
-      below), meets Z.
+    - a row c of level l + 1 sums over the level-l rows in its fine window
+      2c - 1 .. 2c + 2 along every axis (the support of its column of P),
+      and each of those over the nodes its stencil reaches.  So it is dirty
+      when that window holds a dirty row of level l (none on level 0), or
+      the window widened by the level's stencil radius (1 on level 0, 2
+      below) holds a domain's level-l unknown that the mask removed
+      (D \\ F on level 0).
     A clean row of P^T A P sums the products of the same entries of A and
     P as the domain's row, in the same order, and drops only the columns of
     coarse unknowns that the mask removed; a weight of P that the mask
@@ -1036,7 +1045,10 @@ def _riesz_kernel(domain: GridDomain, E: SetMask) -> np.ndarray:
     inside nodes y_i, with the cell average `_kernel_diagonal` at x_j = y_i.
 
     The kernel depends on x_j - y_i alone, so A is gathered, a block of rows
-    at a time, from one table over the lattice offsets (|k_1|, ..., |k_n|).
+    at a time, from one table over the signed lattice offsets k, the table
+    over (|k_1|, ..., |k_n|) mirrored: the entry at x_j - y_i has the flat
+    index a_j - b_i, with a_j the flat index of x_j plus the centre's and b_i
+    that of y_i, so each entry costs one subtraction and one lookup.
     """
     n, h = domain.n, domain.h
     hn = h ** n
@@ -1044,15 +1056,17 @@ def _riesz_kernel(domain: GridDomain, E: SetMask) -> np.ndarray:
     with np.errstate(divide="ignore"):
         table = np.sqrt(functools.reduce(np.add, sq)) ** (1 - n) * hn
     table.flat[0] = _kernel_diagonal(n, h) * hn
-    steps = [st // table.itemsize for st in table.strides]
-    marked, inside = np.argwhere(E.mask), np.argwhere(domain.inside)
+    table = table[np.ix_(*[np.abs(np.arange(1 - m, m)) for m in domain.shape])]
+    steps = np.array(table.strides) // table.itemsize
+    marked = np.argwhere(E.mask) @ steps + (np.array(table.shape) // 2) @ steps
+    inside = np.argwhere(domain.inside) @ steps
+    table = table.ravel()
     A = np.empty((len(marked), len(inside)))
     for r0 in range(0, len(marked), _KERNEL_ROWS):
         rows = marked[r0:r0 + _KERNEL_ROWS]
-        offset = np.zeros((len(rows), len(inside)), dtype=np.intp)
-        for ax in range(n):
-            offset += np.abs(rows[:, None, ax] - inside[None, :, ax]) * steps[ax]
-        np.take(table.ravel(), offset, out=A[r0:r0 + len(rows)])
+        # every index lies in the table, so mode="clip" clips none; it also
+        # writes straight into A, where the default mode buffers the output
+        np.take(table, rows[:, None] - inside, out=A[r0:r0 + len(rows)], mode="clip")
     return A
 
 
@@ -1077,6 +1091,13 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     above.  `value` and `lower` are the best of each; the solve converges
     once value - lower <= tol * value, and reports `converged=False` after
     `max_iter` iterations or when no step lowers phi any more.
+
+    For `power(2)`, Phi*(y) = y^2 / 4, so phi(mu) = mu^T G mu / (4w) - sum mu
+    with the Gram matrix G = A A^T, formed once: t = A^T mu / (2w) has the
+    potential A t = G mu / (2w), and t / m with m = min A t has the modular
+    mu^T G mu / (4w m^2).  So a step costs O(N_E^2) in place of O(N_E N_in).
+    The best iterate's density and `value` are formed from A once, at the
+    end, and `converged` is decided against that value.
     """
     if domain is None:
         domain = E.domain
@@ -1093,22 +1114,51 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
 
     A = _riesz_kernel(domain, E)
     w = domain.h ** domain.n
+    # dual(mu, state) gives phi(mu) and a state at mu, from which the
+    # potential A t, the modular of t / m and the density t / m follow
+    if spec.family == "power" and spec.p == 2.0:
+        G = A @ A.T  # numpy's symmetric rank-k update: half a general product's work
 
-    def dual(mu, t_prev):
-        """phi(mu), bounded above, and the densities t at mu."""
-        y = (A.T @ mu) / w
-        t_lo, t = phi_prime_inverse(spec, y, t_prev)
-        return w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
+        def dual(mu, _):
+            """phi(mu), and (A t, mu^T G mu / (4w)) at mu."""
+            Gmu = G @ mu
+            q = float(mu @ Gmu) / (4.0 * w)
+            return q - float(mu.sum()), (Gmu / (2.0 * w), q)
 
-    def search(mu, phi, t, d, slope, phi_ref):
+        def potential(state):
+            return state[0]
+
+        def modular(state, m):
+            return state[1] / (m * m)
+
+        def density(mu, state, m):
+            t = (A.T @ mu) / (2.0 * w)
+            return t / (A @ t).min()
+    else:
+        def dual(mu, t_prev):
+            """phi(mu), bounded above, and the densities t at mu."""
+            y = (A.T @ mu) / w
+            t_lo, t = phi_prime_inverse(spec, y, t_prev)
+            return w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
+
+        def potential(t):
+            return A @ t
+
+        def modular(t, m):
+            return w * float(eval_phi(spec, t / m).sum())
+
+        def density(mu, t, m):
+            return t / m
+
+    def search(mu, phi, state, d, slope, phi_ref):
         """Nonmonotone Armijo search along d from mu; None once the step no
         longer changes mu."""
         lam = 1.0
         while True:
             mu_new = np.maximum(mu + lam * d, 0.0)
-            phi_new, t_new = dual(mu_new, t)
+            phi_new, state_new = dual(mu_new, state)
             if phi_new <= phi_ref + _ARMIJO * lam * slope:
-                return mu_new, phi_new, t_new
+                return mu_new, phi_new, state_new
             # safeguarded minimizer of the quadratic through phi, slope, phi_new
             quad_min = -0.5 * lam * lam * slope / (phi_new - phi - lam * slope)
             lam = quad_min if 0.1 * lam <= quad_min <= 0.9 * lam else 0.5 * lam
@@ -1118,40 +1168,44 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     # start on the ray of mu = 1, scaled as if Phi* were homogeneous of
     # degree q = p/(p-1), as it is for power(p)
     mu = np.ones(E.count)
-    phi, t = dual(mu, None)
+    phi, state = dual(mu, None)
     mu *= (E.count / ((phi + E.count) * spec.p / (spec.p - 1.0))) ** (spec.p - 1.0)
-    phi, t = dual(mu, t)
-    At = A @ t
+    phi, state = dual(mu, state)
+    At = potential(state)
     g = At - 1.0
     history = collections.deque([phi], maxlen=_NONMONOTONE)
-    value, f = math.inf, None
+    value, best = math.inf, None
     lower = -phi
     alpha = float(mu.max() / np.abs(g).max())
     it = 0
     while True:
-        f_new = t / At.min()  # feasible: A f_new >= 1
-        v_new = w * float(eval_phi(spec, f_new).sum())
+        m = At.min()  # t / m is feasible: A t / m >= 1
+        v_new = modular(state, m) if m > 0.0 else math.inf
         if v_new < value:
-            value, f = v_new, f_new
+            value, best = v_new, (mu, state, m)
         converged = value - lower <= tol * value
         if converged or it >= max_iter:
             break
         it += 1
         d = np.maximum(mu - alpha * g, 0.0) - mu
         slope = float(g @ d)
-        step = search(mu, phi, t, d, slope, max(history)) if slope < 0.0 else None
+        step = search(mu, phi, state, d, slope, max(history)) if slope < 0.0 else None
         if step is None:
             break  # stationary to machine precision
-        mu_new, phi_new, t_new = step
-        At = A @ t_new
+        mu_new, phi_new, state_new = step
+        At = potential(state_new)
         g_new = At - 1.0
         s, r = mu_new - mu, g_new - g
         sr = float(s @ r)
         alpha = min(max(float(s @ s) / sr, _ALPHA_MIN), _ALPHA_MAX) if sr > 0 else _ALPHA_MAX
-        mu, phi, t, g = mu_new, phi_new, t_new, g_new
+        mu, phi, state, g = mu_new, phi_new, state_new, g_new
         history.append(phi)
         lower = max(lower, -phi)
 
+    if best is not None:
+        f = density(*best)
+        value = w * float(eval_phi(spec, f).sum())
+        converged = value - lower <= tol * value
     if not math.isfinite(value):
         raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")
     dens = np.zeros(domain.shape)

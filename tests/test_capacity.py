@@ -333,11 +333,26 @@ def coordinate_kernel(domain, E):
     return A
 
 
-@pytest.mark.parametrize("n, res, r", [(2, 64, 0.3), (2, 32, 0.4), (3, 32, 0.3)])
-def test_riesz_kernel_table_is_bit_identical(n, res, r):
-    # h = 2/res is a power of two here, so coordinate differences are exact
+@pytest.mark.parametrize("n, res, r, where", [
+    pytest.param(2, 64, 0.3, None, id="2-64-0.3"),
+    pytest.param(2, 32, 0.4, None, id="2-32-0.4"),
+    pytest.param(3, 32, 0.3, None, id="3-32-0.3"),
+    pytest.param(2, 64, 0.2, (0.3, -0.1), id="2-64-0.2-off-centre"),
+    pytest.param(3, 32, 0.2, (0.3, -0.1, 0.05), id="3-32-0.2-off-centre"),
+    pytest.param(2, 64, 0.6, "level", id="2-64-level-0.6"),
+    pytest.param(3, 32, 0.6, "level", id="3-32-level-0.6"),
+])
+def test_riesz_kernel_table_is_bit_identical(n, res, r, where):
+    # h = 2/res is a power of two here, so coordinate differences are exact.
+    # Centred balls are symmetric about the origin, which can hide an error
+    # in the signed offsets; an off-centre ball and a level set
+    # {|u| > r max|u|} of random_smooth (not convex; in 3-D two pieces) are not
     dom = build_domain(n, 1.0, res)
-    E = ball_mask(dom, r)
+    if where == "level":
+        u = build_test_function(TestFunctionSpec("random_smooth"), dom)
+        E = level_mask(u, r * u.max_abs())
+    else:
+        E = ball_mask(dom, r, where)
     table = _riesz_kernel(dom, E)
     assert np.array_equal(table.view(np.int64), coordinate_kernel(dom, E).view(np.int64))
 
@@ -372,6 +387,21 @@ def test_riesz_other_families_certify_and_grow(disc64, spec):
         assert (res.value - res.lower) / res.value <= 1e-8
         assert res.value > prev
         prev = res.value
+
+
+def test_riesz_power2_never_inverts_phi_prime(disc64, monkeypatch):
+    # power(2) runs its dual on the Gram matrix A A^T: no dual evaluation
+    # inverts Phi', and the result still certifies its bracket
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi_prime_inverse called")
+
+    monkeypatch.setattr("orlicap.capacity.phi_prime_inverse", refuse)
+    res = riesz_capacity_variational(ball_mask(disc64, 0.25), power(2), disc64)
+    assert res.converged
+    assert 0.0 < res.lower <= res.value
+    assert (res.value - res.lower) / res.value <= 1e-8
+    with pytest.raises(AssertionError, match="phi_prime_inverse"):
+        riesz_capacity_variational(ball_mask(disc64, 0.25), power_log(2, 1), disc64)
 
 
 def test_riesz_nonconvergence_keeps_a_bracket(disc64):
