@@ -57,7 +57,7 @@ only the levels it smooths on get a Jacobi damping.  Sparse products
 run in scipy's own loops (`_matvec`), dot products and that inverse's
 product in numpy's (`np.einsum`), never in BLAS, so a solve's bits do not
 depend on the BLAS thread count; the Riesz solve's dense kernel products,
-and the product that forms its Gram matrix, still do.  Each
+and for `power(2)` its working-set products and solves, still do.  Each
 lattice domain keeps the coarse levels of its own hierarchy, the one with
 no node marked, from its first solve until the domain is dropped.  A mask
 removes unknowns, and it changes only the Galerkin rows whose stencil
@@ -86,14 +86,15 @@ The radial oracle (`capacity_ball_radial`) is the exact minimum of the
 The Riesz capacity (`riesz_capacity_variational`) is a dense problem on
 the kernel |x - y|^(1-n) from the marked to the inside nodes, gathered
 from one table over signed lattice offsets with one flat index per entry.
-It is solved through its Fenchel dual on one multiplier per marked node
-by spectral projected gradient; each iterate gives a dual lower bound and
-a feasible density, and the solve stops once their gap is at most
-tol * value.  For `power(2)` the dual is a quadratic in the Gram matrix
-A A^T of the kernel A, formed once, so a step costs O(N_E^2) and not
-O(N_E N_in) for N_E marked and N_in inside nodes; the best iterate's
-density and value are formed from A once, at the end.  Every other family
-evaluates its dual through A and `young.phi_prime_inverse`.
+It is solved through its Fenchel dual on one multiplier per marked node;
+each iterate gives a dual lower bound and a feasible density, and the
+solve stops once their gap is at most tol * value.  For `power(2)` the
+dual is a quadratic program in A A^T, solved exactly by an active set
+that starts at the boundary of the set, where the multipliers live: it
+forms A A^T only on the working set, and checks the rest of the set with
+two kernel products per solve, so a ball takes one solve and its bracket
+closes to rounding.  Every other family runs spectral projected gradient,
+evaluating its dual through A and `young.phi_prime_inverse`.
 """
 
 from __future__ import annotations
@@ -1070,6 +1071,132 @@ def _riesz_kernel(domain: GridDomain, E: SetMask) -> np.ndarray:
     return A
 
 
+def _riesz_dual_qp(A: np.ndarray, w: float, F: np.ndarray, tol: float,
+                   max_iter: int) -> tuple[np.ndarray, float, int]:
+    """The `power(2)` Riesz dual  min_{mu >= 0} mu^T Q mu / 2 - sum mu,  with
+    Q = A A^T / (2w), by an active set from the working set F (Lawson &
+    Hanson, Solving Least Squares Problems, 1974, ch. 23, applied to the
+    QP); returns the feasible density, the dual lower bound and the number
+    of solves Q_FF mu_F = 1 (mu = 0 off F).
+
+    A solve with a component <= 0 moves mu towards it as far as mu stays
+    >= 0, and the components that reach 0 leave F; where that step is 0, the
+    indices <= 0 that entered F this round leave.  A positive solve is the
+    new mu, and every node whose potential A t, t = A^T mu / (2w), is below
+    1 enters F.  phi strictly falls from one positive solve to the next, so
+    no working set repeats.  F never empties: mu minimizes phi on the old F
+    and each entered index has a negative gradient there, so the solve is
+    positive at one of them.
+
+    Any mu >= 0 certifies  sum mu - w |t|^2 <= cap <= w |t|^2 / min(A t)^2,
+    the modular of the feasible density t / min(A t) (A > 0 entrywise), at
+    mu or, while mu is still 0, at the last solve clipped at 0.
+    """
+    mu = np.zeros(len(A))
+    it = 0
+    while True:
+        it += 1
+        AF = A[F]
+        z = np.linalg.solve(AF @ AF.T / (2.0 * w), np.ones(len(F)))
+        bad = z <= 0.0
+        if not bad.any():
+            mu[F] = z
+        elif it < max_iter:
+            muF = mu[F]
+            entered = muF == 0.0
+            if (bad & entered).any():
+                keep = ~(bad & entered)  # a step of length 0: mu stays
+            else:
+                ratio = muF[bad] / (muF[bad] - z[bad])
+                k = ratio.argmin()
+                muF += ratio[k] * (z - muF)
+                keep = muF > 0.0
+                keep[np.flatnonzero(bad)[k]] = False
+                mu[F] = np.where(keep, muF, 0.0)
+            F = F[keep]
+            continue
+        s = mu[F] if mu.any() else np.maximum(z, 0.0)
+        t = AF.T @ s / (2.0 * w)
+        At = A @ t
+        m = float(At.min())
+        tt = float(t @ t)
+        lower = float(s.sum()) - w * tt
+        value = w * tt / (m * m)
+        violated = At < 1.0
+        violated[F] = False
+        if it >= max_iter or value - lower <= tol * value or not violated.any():
+            return t / m, lower, it
+        F = np.union1d(F, np.flatnonzero(violated))
+
+
+def _riesz_dual_spg(A: np.ndarray, w: float, spec: YoungSpec, tol: float,
+                    max_iter: int) -> tuple[np.ndarray | None, float, int]:
+    """The Riesz dual of every family but `power(2)` by spectral projected
+    gradient: the best feasible density (None when no iterate had a finite
+    modular), the best lower bound and the number of iterations.  phi(mu)
+    is bounded above by  w (y . t - sum Phi(t_lo)) - sum mu,  from the
+    bracket [t_lo, t] of `young.phi_prime_inverse` at y = A^T mu / w.
+    """
+    def search(mu, phi, t, d, slope, phi_ref):
+        """Nonmonotone Armijo search along d from mu; None once the step no
+        longer changes mu."""
+        lam = 1.0
+        while True:
+            mu_new = np.maximum(mu + lam * d, 0.0)
+            y = (A.T @ mu_new) / w
+            t_lo, t_new = phi_prime_inverse(spec, y, t)
+            phi_new = w * (float(y @ t_new) - float(eval_phi(spec, t_lo).sum())) - float(mu_new.sum())
+            if phi_new <= phi_ref + _ARMIJO * lam * slope:
+                return mu_new, phi_new, t_new
+            # safeguarded minimizer of the quadratic through phi, slope, phi_new
+            quad_min = -0.5 * lam * lam * slope / (phi_new - phi - lam * slope)
+            lam = quad_min if 0.1 * lam <= quad_min <= 0.9 * lam else 0.5 * lam
+            if not lam * float(np.abs(d).max()) > _EPS * float(mu.max()):
+                return None
+
+    # start on the ray of mu = 1, scaled as if Phi* were homogeneous of
+    # degree q = p/(p-1), as it is for power(p)
+    count = len(A)
+    mu = np.ones(count)
+    y = (A.T @ mu) / w
+    t_lo, t = phi_prime_inverse(spec, y, None)
+    phi = w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum())
+    mu *= (count / ((phi + count) * spec.p / (spec.p - 1.0))) ** (spec.p - 1.0)
+    y = (A.T @ mu) / w
+    t_lo, t = phi_prime_inverse(spec, y, t)
+    phi = w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum())
+    At = A @ t
+    g = At - 1.0
+    history = collections.deque([phi], maxlen=_NONMONOTONE)
+    value, best = math.inf, None
+    lower = -phi
+    alpha = float(mu.max() / np.abs(g).max())
+    it = 0
+    while True:
+        m = At.min()  # t / m is feasible: A t / m >= 1
+        v_new = w * float(eval_phi(spec, t / m).sum()) if m > 0.0 else math.inf
+        if v_new < value:
+            value, best = v_new, (t, m)
+        if value - lower <= tol * value or it >= max_iter:
+            break
+        it += 1
+        d = np.maximum(mu - alpha * g, 0.0) - mu
+        slope = float(g @ d)
+        step = search(mu, phi, t, d, slope, max(history)) if slope < 0.0 else None
+        if step is None:
+            break  # stationary to machine precision
+        mu_new, phi_new, t_new = step
+        At = A @ t_new
+        g_new = At - 1.0
+        s, r = mu_new - mu, g_new - g
+        sr = float(s @ r)
+        alpha = min(max(float(s @ s) / sr, _ALPHA_MIN), _ALPHA_MAX) if sr > 0 else _ALPHA_MAX
+        mu, phi, t, g = mu_new, phi_new, t_new, g_new
+        history.append(phi)
+        lower = max(lower, -phi)
+    return (None if best is None else best[0] / best[1]), lower, it
+
+
 def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
                                domain: GridDomain = None,
                                tol: float = 1e-8,
@@ -1080,24 +1207,25 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     nodes, subject to (A f)_j >= 1 at every marked node (`_riesz_kernel`).
     The solve runs on its Fenchel dual over multipliers mu >= 0 on the
     marked nodes: minimize  phi(mu) = sum_i w Phi*((A^T mu)_i / w) - sum mu,
-    whose gradient is A t - 1 with t = (Phi')^-1(A^T mu / w).  Each step is
-    a projected Barzilai-Borwein step with a nonmonotone Armijo search
-    against the last `_NONMONOTONE` values (spectral projected gradient,
-    Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).
+    whose gradient is A t - 1 with t = (Phi')^-1(A^T mu / w).  Every iterate
+    certifies a bracket: by weak duality -phi(mu) <= cap, and the density
+    t / min(A t) is feasible, so its modular bounds cap from above.  The
+    solve converges once value - lower <= tol * value, and reports
+    `converged=False` after `max_iter` iterations or when it stalls.
 
-    Every iterate certifies a bracket: by weak duality -phi(mu) <= cap, with
-    Phi* bounded above from the bracket of `young.phi_prime_inverse`, and
-    the density t / min(A t) is feasible, so its modular bounds cap from
-    above.  `value` and `lower` are the best of each; the solve converges
-    once value - lower <= tol * value, and reports `converged=False` after
-    `max_iter` iterations or when no step lowers phi any more.
+    For `power(2)`, Phi*(y) = y^2 / 4 and the dual is a quadratic program,
+    solved exactly by an active set (`_riesz_dual_qp`) that starts at the
+    boundary of E, the marked nodes with an unmarked lattice neighbour:
+    A A^T is the logarithmic (2-D) or Newtonian (3-D) kernel, whose
+    equilibrium measure lives on the outer boundary (Adams & Hedberg,
+    Function Spaces and Potential Theory, 1996, ch. 2).  So a ball takes
+    one solve, its bracket closes to rounding, and no Phi' is inverted;
+    `iterations` counts the solves.
 
-    For `power(2)`, Phi*(y) = y^2 / 4, so phi(mu) = mu^T G mu / (4w) - sum mu
-    with the Gram matrix G = A A^T, formed once: t = A^T mu / (2w) has the
-    potential A t = G mu / (2w), and t / m with m = min A t has the modular
-    mu^T G mu / (4w m^2).  So a step costs O(N_E^2) in place of O(N_E N_in).
-    The best iterate's density and `value` are formed from A once, at the
-    end, and `converged` is decided against that value.
+    Every other family runs projected Barzilai-Borwein steps with a
+    nonmonotone Armijo search against the last `_NONMONOTONE` values
+    (spectral projected gradient, Birgin, Martinez & Raydan, SIAM J. Optim.
+    10, 2000; `_riesz_dual_spg`), and stops when no step lowers phi any more.
     """
     if domain is None:
         domain = E.domain
@@ -1114,100 +1242,19 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
 
     A = _riesz_kernel(domain, E)
     w = domain.h ** domain.n
-    # dual(mu, state) gives phi(mu) and a state at mu, from which the
-    # potential A t, the modular of t / m and the density t / m follow
     if spec.family == "power" and spec.p == 2.0:
-        G = A @ A.T  # numpy's symmetric rank-k update: half a general product's work
-
-        def dual(mu, _):
-            """phi(mu), and (A t, mu^T G mu / (4w)) at mu."""
-            Gmu = G @ mu
-            q = float(mu @ Gmu) / (4.0 * w)
-            return q - float(mu.sum()), (Gmu / (2.0 * w), q)
-
-        def potential(state):
-            return state[0]
-
-        def modular(state, m):
-            return state[1] / (m * m)
-
-        def density(mu, state, m):
-            t = (A.T @ mu) / (2.0 * w)
-            return t / (A @ t).min()
+        # marked nodes lie strictly inside the lattice (SetMask), so the
+        # wrap-around of np.roll never reaches one
+        inner = E.mask.copy()
+        for ax in range(domain.n):
+            inner &= np.roll(E.mask, 1, ax) & np.roll(E.mask, -1, ax)
+        f, lower, it = _riesz_dual_qp(A, w, np.flatnonzero(~inner[E.mask]), tol, max_iter)
     else:
-        def dual(mu, t_prev):
-            """phi(mu), bounded above, and the densities t at mu."""
-            y = (A.T @ mu) / w
-            t_lo, t = phi_prime_inverse(spec, y, t_prev)
-            return w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
-
-        def potential(t):
-            return A @ t
-
-        def modular(t, m):
-            return w * float(eval_phi(spec, t / m).sum())
-
-        def density(mu, t, m):
-            return t / m
-
-    def search(mu, phi, state, d, slope, phi_ref):
-        """Nonmonotone Armijo search along d from mu; None once the step no
-        longer changes mu."""
-        lam = 1.0
-        while True:
-            mu_new = np.maximum(mu + lam * d, 0.0)
-            phi_new, state_new = dual(mu_new, state)
-            if phi_new <= phi_ref + _ARMIJO * lam * slope:
-                return mu_new, phi_new, state_new
-            # safeguarded minimizer of the quadratic through phi, slope, phi_new
-            quad_min = -0.5 * lam * lam * slope / (phi_new - phi - lam * slope)
-            lam = quad_min if 0.1 * lam <= quad_min <= 0.9 * lam else 0.5 * lam
-            if not lam * float(np.abs(d).max()) > _EPS * float(mu.max()):
-                return None
-
-    # start on the ray of mu = 1, scaled as if Phi* were homogeneous of
-    # degree q = p/(p-1), as it is for power(p)
-    mu = np.ones(E.count)
-    phi, state = dual(mu, None)
-    mu *= (E.count / ((phi + E.count) * spec.p / (spec.p - 1.0))) ** (spec.p - 1.0)
-    phi, state = dual(mu, state)
-    At = potential(state)
-    g = At - 1.0
-    history = collections.deque([phi], maxlen=_NONMONOTONE)
-    value, best = math.inf, None
-    lower = -phi
-    alpha = float(mu.max() / np.abs(g).max())
-    it = 0
-    while True:
-        m = At.min()  # t / m is feasible: A t / m >= 1
-        v_new = modular(state, m) if m > 0.0 else math.inf
-        if v_new < value:
-            value, best = v_new, (mu, state, m)
-        converged = value - lower <= tol * value
-        if converged or it >= max_iter:
-            break
-        it += 1
-        d = np.maximum(mu - alpha * g, 0.0) - mu
-        slope = float(g @ d)
-        step = search(mu, phi, state, d, slope, max(history)) if slope < 0.0 else None
-        if step is None:
-            break  # stationary to machine precision
-        mu_new, phi_new, state_new = step
-        At = potential(state_new)
-        g_new = At - 1.0
-        s, r = mu_new - mu, g_new - g
-        sr = float(s @ r)
-        alpha = min(max(float(s @ s) / sr, _ALPHA_MIN), _ALPHA_MAX) if sr > 0 else _ALPHA_MAX
-        mu, phi, state, g = mu_new, phi_new, state_new, g_new
-        history.append(phi)
-        lower = max(lower, -phi)
-
-    if best is not None:
-        f = density(*best)
-        value = w * float(eval_phi(spec, f).sum())
-        converged = value - lower <= tol * value
+        f, lower, it = _riesz_dual_spg(A, w, spec, tol, max_iter)
+    value = math.inf if f is None else w * float(eval_phi(spec, f).sum())
     if not math.isfinite(value):
         raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")
     dens = np.zeros(domain.shape)
     dens[domain.inside] = f
-    return CapacityResult(value, _read_only(domain, dens), it, converged, "riesz-dual", lower)
+    return CapacityResult(value, _read_only(domain, dens), it, value - lower <= tol * value,
+                          "riesz-dual", lower)

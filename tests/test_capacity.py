@@ -34,7 +34,7 @@ from orlicap.averages import _nearest_node
 from orlicap.capacity import (_BLOCK_ENTRIES, _DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace,
                               _coarse_inverse, _domain_levels, _galerkin, _gershgorin, _levels,
                               _matvec, _Multigrid, _pattern_pairs, _Prolongation,
-                              _kernel_diagonal, _riesz_kernel, _windows)
+                              _kernel_diagonal, _riesz_dual_qp, _riesz_kernel, _windows)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic, rhs_energy)
@@ -357,23 +357,83 @@ def test_riesz_kernel_table_is_bit_identical(n, res, r, where):
     assert np.array_equal(table.view(np.int64), coordinate_kernel(dom, E).view(np.int64))
 
 
-@pytest.mark.parametrize("r", [0.1, 0.25])
-def test_riesz_power2_brackets_the_dual_qp_oracle(disc64, r):
+def annulus(domain):
+    """B(0.4) minus B(0.25): a ring whose inner boundary carries no multiplier."""
+    return SetMask(domain, ball_mask(domain, 0.4).mask & ~ball_mask(domain, 0.25).mask)
+
+
+def riesz_test_mask(n, r, where):
+    dom = build_domain(n, 1.0, 64 if n == 2 else 32)
+    if where == "annulus":
+        return annulus(dom)
+    if where == "scattered":  # isolated nodes: many boundary multipliers are <= 0
+        rng = np.random.default_rng(0)
+        return SetMask(dom, ball_mask(dom, r).mask & (rng.random(dom.shape) < 0.3))
+    if where == "level":
+        u = build_test_function(TestFunctionSpec("random_smooth"), dom)
+        return level_mask(u, r * u.max_abs())
+    return ball_mask(dom, r, where)
+
+
+@pytest.mark.parametrize("n, r, where", [
+    pytest.param(2, 0.1, None, id="0.1"),
+    pytest.param(2, 0.25, None, id="0.25"),
+    pytest.param(2, 0.2, (0.3, -0.1), id="off-centre"),
+    pytest.param(2, None, "annulus", id="annulus"),
+    pytest.param(2, 0.5, "scattered", id="scattered"),
+    pytest.param(2, 0.6, "level", id="level-0.6"),
+    pytest.param(3, 0.2, None, id="3-32-0.2"),
+])
+def test_riesz_power2_brackets_the_dual_qp_oracle(n, r, where):
     # For power(2), Phi*(y) = y^2 / 4, so the dual is the QP
     # min_{mu >= 0} mu^T Q mu / 2 - 1^T mu with Q = A A^T / (2w); with Q = L L^T
     # it is the least-squares problem |L^T mu - L^-1 1| over mu >= 0
-    E = ball_mask(disc64, r)
-    A = coordinate_kernel(disc64, E)
-    w = disc64.h ** 2
+    E = riesz_test_mask(n, r, where)
+    dom = E.domain
+    A = coordinate_kernel(dom, E)
+    w = dom.h ** n
     Q = A @ A.T / (2.0 * w)
     L = cholesky(Q, lower=True)
     mu, _ = nnls(L.T, solve_triangular(L, np.ones(E.count), lower=True))
     oracle = mu.sum() - 0.5 * mu @ Q @ mu
-    res = riesz_capacity_variational(E, power(2), disc64)
+    res = riesz_capacity_variational(E, power(2), dom)
     assert res.converged
     slack = 1e-12 * oracle  # rounding of the oracle's own sums
     assert res.lower - slack <= oracle <= res.value + slack
-    assert (res.value - res.lower) / res.value <= 1e-8
+    # the active set solves the QP exactly: its bracket closes to rounding
+    assert (res.value - res.lower) / res.value <= 1e-12
+    assert (A @ res.minimizer.values[dom.inside]).min() >= 1.0 - 1e-12
+    if where is None or isinstance(where, tuple):  # a ball: its boundary is the support
+        assert res.iterations == 1
+
+
+def test_riesz_power2_annulus_has_the_capacity_of_its_ball(disc64):
+    # the multipliers of B(0.4) live on its outer ring, which the annulus keeps
+    ball = riesz_capacity_variational(ball_mask(disc64, 0.4), power(2), disc64)
+    ring = riesz_capacity_variational(annulus(disc64), power(2), disc64)
+    assert ring.value == pytest.approx(ball.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("start", ["interior", "centre", "all"])
+def test_riesz_dual_qp_reaches_the_optimum_from_any_working_set(disc64, start):
+    # from the boundary of a ball the first solve is optimal; from elsewhere
+    # the active set must add violated nodes, step back and drop, and it
+    # reaches the same optimum (from the interior it does all three)
+    E = ball_mask(disc64, 0.1)
+    A = _riesz_kernel(disc64, E)
+    w = disc64.h ** 2
+    inner = E.mask.copy()
+    for ax in range(2):
+        inner &= np.roll(E.mask, 1, ax) & np.roll(E.mask, -1, ax)
+    F = {"interior": np.flatnonzero(inner[E.mask]), "centre": np.array([E.count // 2]),
+         "all": np.arange(E.count)}[start]
+    f, lower, it = _riesz_dual_qp(A, w, F, 1e-8, 100)
+    value = w * float(f @ f)
+    assert (value - lower) / value <= 1e-12
+    assert it > 1
+    res = riesz_capacity_variational(E, power(2), disc64)
+    assert value == pytest.approx(res.value, rel=1e-12)
+    assert (A @ f).min() >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("spec", [power_log(2, 1), exp_loglog(3, 2, 0.5)],
@@ -390,8 +450,8 @@ def test_riesz_other_families_certify_and_grow(disc64, spec):
 
 
 def test_riesz_power2_never_inverts_phi_prime(disc64, monkeypatch):
-    # power(2) runs its dual on the Gram matrix A A^T: no dual evaluation
-    # inverts Phi', and the result still certifies its bracket
+    # power(2) solves its dual as a quadratic program: nothing inverts Phi',
+    # and the result still certifies its bracket
     def refuse(*args, **kwargs):
         raise AssertionError("phi_prime_inverse called")
 
@@ -405,11 +465,23 @@ def test_riesz_power2_never_inverts_phi_prime(disc64, monkeypatch):
 
 
 def test_riesz_nonconvergence_keeps_a_bracket(disc64):
-    res = riesz_capacity_variational(ball_mask(disc64, 0.25), power(2), disc64, max_iter=3)
+    # spectral projected gradient stopped after 3 iterations
+    res = riesz_capacity_variational(ball_mask(disc64, 0.25), power_log(2, 1), disc64, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
-    assert math.isfinite(res.lower) and math.isfinite(res.value)
-    assert res.lower <= res.value
+    assert res.lower == pytest.approx(0.05900, rel=1e-4)
+    assert res.value == pytest.approx(0.06459, rel=1e-4)
+    # the power(2) active set stopped after its first solve on the annulus,
+    # whose inner ring still carries multipliers <= 0 there; the bracket is
+    # certified at that solve clipped at 0
+    E = annulus(disc64)
+    res = riesz_capacity_variational(E, power(2), disc64, max_iter=1)
+    assert not res.converged
+    assert res.iterations == 1
+    assert res.lower == pytest.approx(0.070175, rel=1e-5)
+    assert res.value == pytest.approx(0.070508, rel=1e-5)
+    cap = riesz_capacity_variational(E, power(2), disc64).value
+    assert res.lower <= cap <= res.value
 
 
 def test_riesz_monotone_and_feasible(disc64):
