@@ -4,6 +4,11 @@ One scenario per invocation; every run writes a manifest echoing the fully
 resolved configuration so outputs are reproducible byte for byte from the
 config and seed alone (no timestamps, sorted keys, fixed float formatting).
 
+Each config key's type, default and admissible values are one entry of
+`SCHEMA`.  `load_config` checks every key against it, so a bad value exits
+2 before the output directory is created; checks that need the domain or
+two keys stay in the scenario runners.
+
 Exit codes: 0 ok, 2 config error, 3 numerical non-convergence, 4 I/O error.
 """
 
@@ -49,50 +54,50 @@ from .young import (
     load_table_csv,
 )
 
-_YOUNG_KEYS = {"family": str, "p": float, "theta": float, "gamma": float,
-               "c0": float, "table": str}
+# key -> (type, default in [young]); [psi] takes the same keys with no default
+_YOUNG_KEYS = {"family": (str, "power"), "p": (float, 2.0), "theta": (float, 0.0),
+               "gamma": (float, 0.0), "c0": (float, None), "table": (str, None)}
 
+_ABSENT = object()  # no default: the key stays out of the resolved config unless given
+
+# section -> key -> (type, default[, admissible, what it needs]): all that a config
+# may hold, which `load_config` checks before a scenario runs
 SCHEMA = {
     "young": _YOUNG_KEYS,
-    "psi": {"mode": str, **_YOUNG_KEYS},
-    "domain": {"n": int, "r": float, "resolution": int},
-    "run": {"scenario": str, "seed": int},
-    "check-conditions": {"ceiling": float},
-    "norm": {"shape": str, "amplitude": float, "tent_r": float, "sigma": float,
-             "r_in": float, "r_out": float},
-    "capacity": {"r": float, "method": str, "radial_oracle": bool,
-                 "estimate": bool, "write_minimizer": bool},
-    "strong-type": {"functions": str, "lambda_min_exp": int,
-                    "lambda_max_exp": int},
-    "averages": {"functions": str, "j_max": int, "r0": float,
-                 "epsilon": float, "center_spacing": float},
-}
-
-DEFAULTS = {
-    "young": {"family": "power", "p": 2.0, "theta": 0.0, "gamma": 0.0,
-              "c0": None, "table": None},
-    "psi": {"mode": "derived"},
-    "domain": {"n": 2, "r": 1.0, "resolution": 128},
-    "run": {"scenario": None, "seed": 0},
-    "check-conditions": {"ceiling": math.inf},
-    "norm": {"shape": "tent", "amplitude": 1.0, "tent_r": 0.5, "sigma": 0.2,
-             "r_in": 0.2, "r_out": 0.5},
-    "capacity": {"r": 0.25, "method": "variational", "radial_oracle": True,
-                 "estimate": False, "write_minimizer": False},
-    "strong-type": {"functions": "tent,bump,plateau,two_peak,random_smooth",
-                    "lambda_min_exp": -4, "lambda_max_exp": 4},
-    "averages": {"functions": "tent,bump", "j_max": 2, "r0": 0.25,
-                 "epsilon": 0.05, "center_spacing": 0.2},
+    "psi": {"mode": (str, "derived", lambda v: v in ("derived", "explicit"),
+                     "need derived or explicit"),
+            **{key: (typ, _ABSENT) for key, (typ, _) in _YOUNG_KEYS.items()}},
+    "domain": {"n": (int, 2), "r": (float, 1.0), "resolution": (int, 128)},
+    "run": {"scenario": (str, None), "seed": (int, 0)},
+    "check-conditions": {"ceiling": (float, math.inf, lambda v: not math.isnan(v),
+                                     "no constant lies below it (inf, the default, "
+                                     "sets no ceiling)")},
+    "norm": {"shape": (str, "tent"), "amplitude": (float, 1.0), "tent_r": (float, 0.5),
+             "sigma": (float, 0.2), "r_in": (float, 0.2), "r_out": (float, 0.5)},
+    "capacity": {"r": (float, 0.25),
+                 "method": (str, "variational", lambda v: v in ("variational", "riesz"),
+                            "need variational or riesz"),
+                 "radial_oracle": (bool, True), "estimate": (bool, False),
+                 "write_minimizer": (bool, False)},
+    "strong-type": {"functions": (str, "tent,bump,plateau,two_peak,random_smooth"),
+                    "lambda_min_exp": (int, -4), "lambda_max_exp": (int, 4)},
+    "averages": {"functions": (str, "tent,bump"), "j_max": (int, 2), "r0": (float, 0.25),
+                 # nan is not > 0: no average falls below it
+                 "epsilon": (float, 0.05, lambda v: v > 0, "need epsilon > 0"),
+                 "center_spacing": (float, 0.2, math.isfinite, "need a finite spacing")},
 }
 
 
-def _coerce(raw: str, typ, section: str, key: str):
+def _coerce(raw: str, entry: tuple, section: str, key: str):
+    typ, _, *check = entry
     try:
-        if typ is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-        return typ(raw)
+        value = (configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+                 if typ is bool else typ(raw))
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"[{section}] {key} = {raw!r}: not a {typ.__name__}") from exc
+    if check and not check[0](value):
+        raise ConfigurationError(f"[{section}] {key} = {raw!r}: {check[1]}")
+    return value
 
 
 def load_config(path: Path) -> dict:
@@ -117,11 +122,8 @@ def load_config(path: Path) -> dict:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}]")
             cfg[section][key] = _coerce(raw, SCHEMA[section][key], section, key)
 
-    resolved = {}
-    for section, defaults in DEFAULTS.items():
-        resolved[section] = dict(defaults)
-        resolved[section].update(cfg.get(section, {}))
-    return resolved
+    return {section: {key: entry[1] for key, entry in keys.items() if entry[1] is not _ABSENT}
+            | cfg.get(section, {}) for section, keys in SCHEMA.items()}
 
 
 def _young_from(section: dict, base_dir: Path) -> YoungSpec:
@@ -154,16 +156,12 @@ def _require_table_range(spec: YoungSpec, dom: GridDomain) -> None:
 
 
 def _psi_from(cfg: dict, phi_spec: YoungSpec, base_dir: Path):
-    section = dict(cfg["psi"])
-    mode = section.pop("mode", "derived")
-    if mode == "derived":
+    section = cfg["psi"]
+    if section["mode"] == "derived":
         return derived_psi(phi_spec)
-    if mode == "explicit":
-        defaults_only = all(section.get(k) is None for k in _YOUNG_KEYS)
-        if defaults_only:
-            raise ConfigurationError("explicit psi needs its own family record")
-        return explicit_psi(_young_from(section, base_dir))
-    raise ConfigurationError(f"psi mode must be derived or explicit, got {mode!r}")
+    if all(section.get(k) is None for k in _YOUNG_KEYS):
+        raise ConfigurationError("explicit psi needs its own family record")
+    return explicit_psi(_young_from(section, base_dir))
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -196,9 +194,6 @@ def _parse_functions(names: str, seed: int):
 
 def _check_conditions(config, phi_spec, base_dir, out_dir) -> int:
     ceiling = config["check-conditions"]["ceiling"]
-    if math.isnan(ceiling):
-        raise ConfigurationError("[check-conditions] ceiling = nan: no constant lies below it "
-                                 "(inf, the default, sets no ceiling)")
     pair = factored(phi_spec)
     psi = _psi_from(config, phi_spec, base_dir)
     reports = {
@@ -218,7 +213,8 @@ def _norm(config, phi_spec, base_dir, out_dir) -> int:
     params = config["norm"]
     fn_spec = TestFunctionSpec(params["shape"], amplitude=params["amplitude"],
                                r=params["tent_r"], sigma=params["sigma"],
-                               r_in=params["r_in"], r_out=params["r_out"])
+                               r_in=params["r_in"], r_out=params["r_out"],
+                               seed=config["run"]["seed"])
     u = build_test_function(fn_spec, dom)
     _json_dump({"function": fn_spec.tag, "modular": modular(u, phi_spec),
                 "luxemburg_norm": luxemburg_norm(u, phi_spec)},
@@ -235,9 +231,7 @@ def _capacity(config, phi_spec, base_dir, out_dir) -> int:
         raise ConfigurationError(f"B(0, {params['r']}) marks no lattice node: the nearest "
                                  f"lies at radius {float(dom.radius.min())!r}")
     solve = {"variational": capacity_variational,
-             "riesz": riesz_capacity_variational}.get(params["method"])
-    if solve is None:
-        raise ConfigurationError(f"unknown capacity method {params['method']!r}")
+             "riesz": riesz_capacity_variational}[params["method"]]
     # the oracle and the estimate refuse a bad config before the solve
     payload = {"set": f"ball(r={params['r']:g})"}
     if params["radial_oracle"] and solve is capacity_variational:
@@ -291,16 +285,11 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
     _require_table_range(phi_spec, dom)
     psi = _psi_from(config, phi_spec, base_dir)
     params = config["averages"]
-    if not params["epsilon"] > 0:  # also nan, which no average falls below
-        raise ConfigurationError(f"[averages] epsilon = {params['epsilon']!r}: need epsilon > 0")
     suite = _parse_functions(params["functions"], config["run"]["seed"])
     if params["j_max"] < 0 or not params["r0"] >= smallest_radius(dom):
         raise ConfigurationError(
             f"no radius r0 * 2^-j with 0 <= j <= j_max = {params['j_max']} reaches "
             f"4h = {smallest_radius(dom)!r}, the smallest the lattice resolves: the sweep is empty")
-    if not math.isfinite(params["center_spacing"]):
-        raise ConfigurationError(f"[averages] center_spacing = {params['center_spacing']!r}: "
-                                 "need a finite spacing")
     centers = default_centers(dom, params["center_spacing"])
     for center in centers:
         check_ball_inside(dom, center, params["r0"])

@@ -167,6 +167,8 @@ class TestFunctionSpec:
             raise ConfigurationError(
                 f"test functions need r > 0, sigma > 0 and r_in < r_out; got r = {self.r!r}, "
                 f"sigma = {self.sigma!r}, r_in = {self.r_in!r}, r_out = {self.r_out!r}")
+        if self.seed < 0:  # numpy's generator refuses a negative seed
+            raise ConfigurationError(f"test functions need seed >= 0, got seed = {self.seed!r}")
 
     @property
     def tag(self) -> str:

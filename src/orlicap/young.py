@@ -112,7 +112,10 @@ def custom_table(points) -> YoungSpec:
 
 def load_table_csv(path) -> YoungSpec:
     """Read a (t, Phi(t)) CSV with monotone t into a custom_table spec."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, e.g. a header row
+        raise ConfigurationError(f"table CSV {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ConfigurationError("table CSV must have exactly two columns")
     return custom_table(data)
@@ -556,15 +559,15 @@ def check_delta2_plus(spec_or_pair) -> ConditionReport:
 
 def _ratio_report(condition: str, num, den: Callable,
                   ceiling: float) -> ConditionReport:
-    """Search of `GRID` x `GRID` for sup num(s,t)/den(s,t).
+    """Search of `GRID` x `GRID` for sup a(s) b(t)/den(s,t).
 
-    `num` is a function of (s, t), or a pair of arrays (a, b) on `GRID`
-    for the numerator a(s) b(t), whose factors are then evaluated once.
-    Sweeps _RATIO_ROWS values of s at a time, carrying the column and row
-    maxima, the first (row-major) strict maximum and the flags, so that no
-    array of the whole grid is held.  Non-finite ratios count as -inf and
-    set `truncated`; the first point where the denominator vanishes under a
-    positive numerator makes the report fail with c_emp = inf.
+    `num` is the pair of arrays (a, b) on `GRID`, so that the numerator's
+    factors are evaluated once.  Sweeps _RATIO_ROWS values of s at a time,
+    carrying the column and row maxima, the first (row-major) strict
+    maximum and the flags, so that no array of the whole grid is held.
+    Non-finite ratios count as -inf and set `truncated`; the first point
+    where the denominator vanishes under a positive numerator makes the
+    report fail with c_emp = inf.
     """
     pts = GRID
     t = pts[None, :]
@@ -575,7 +578,7 @@ def _ratio_report(condition: str, num, den: Callable,
     for r0 in range(0, pts.size, _RATIO_ROWS):
         s = pts[r0:r0 + _RATIO_ROWS, None]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            numer = num(s, t) if callable(num) else num[0][r0:r0 + len(s), None] * num[1]
+            numer = num[0][r0:r0 + len(s), None] * num[1]
             denom = den(s, t)
             ratio = numer / denom
         if vanishes is not None:

@@ -67,6 +67,7 @@ def test_defaults_are_resolved(tmp_path):
     assert cfg["capacity"]["r"] == 0.25
     assert cfg["run"]["seed"] == 0
     assert cfg["averages"]["r0"] == 0.25
+    assert cfg["psi"] == {"mode": "derived"}  # its family keys have no default
 
 
 def test_check_conditions_scenario(tmp_path):
@@ -136,6 +137,20 @@ def test_threads_is_no_longer_accepted(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["capacity", "--config", str(cfg), "--out", str(out), "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_norm_random_smooth_follows_the_run_seed(tmp_path):
+    cfg = write(tmp_path, SMALL + "\n[norm]\nshape = random_smooth\n")
+    payloads = []
+    for seed, name in (("1", "a"), ("2", "b"), ("2", "c")):
+        out = tmp_path / name
+        assert main(["norm", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+        payloads.append((out / "norm.json").read_bytes())
+    first, second = (json.loads(p) for p in payloads[:2])
+    assert (first["function"], second["function"]) == ("random_smooth(seed=1)",
+                                                        "random_smooth(seed=2)")
+    assert first["modular"] != second["modular"]
+    assert payloads[1] == payloads[2]
 
 
 def test_norm_scenario(tmp_path):
@@ -403,6 +418,56 @@ def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit, output):
     assert err.startswith("config error: ")
     if "center_spacing" in text:
         assert "[averages] center_spacing" in err
+    assert not (out / output).exists()
+
+
+# each of these once exited 2 only after manifest.json was written
+@pytest.mark.parametrize("scenario, text, message", [
+    ("check-conditions", "[check-conditions]\nceiling = nan\n", "[check-conditions] ceiling"),
+    ("averages", "[averages]\nepsilon = -1\n", "[averages] epsilon"),
+    ("averages", "[averages]\nepsilon = 0\n", "[averages] epsilon"),
+    ("averages", "[averages]\ncenter_spacing = inf\n", "[averages] center_spacing"),
+    ("capacity", "[capacity]\nmethod = exact\n", "[capacity] method"),
+    ("strong-type", "[psi]\nmode = implicit\n", "[psi] mode"),
+], ids=["ceiling-nan", "epsilon-negative", "epsilon-zero", "center_spacing-inf",
+        "method-unknown", "psi-mode-unknown"])
+def test_a_bad_value_exits_2_before_anything_is_written(tmp_path, capsys, scenario, text,
+                                                         message):
+    cfg = write(tmp_path, SMALL + text)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+# each of these once crashed with numpy's ValueError
+@pytest.mark.parametrize("csv, cell", [("t,phi\n1,1\n2,4\n", "'t'"),
+                                       ("1,1\n2,x\n3,9\n", "'x'")],
+                         ids=["header-row", "stray-cell"])
+def test_table_csv_that_is_not_all_numbers_exits_2(tmp_path, capsys, csv, cell):
+    (tmp_path / "table.csv").write_text(csv, encoding="utf-8")
+    cfg = write(tmp_path, SMALL.replace("family = power\np = 2.0",
+                                        "family = custom_table\ntable = table.csv"))
+    out = tmp_path / "out"
+    assert main(["check-conditions", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "table.csv" in err and cell in err
+    assert not out.exists()
+
+
+# numpy's generator refuses a negative seed: this once crashed with a traceback
+@pytest.mark.parametrize("scenario, section, seed, output", [
+    ("strong-type", "[strong-type]\nfunctions = random_smooth\nlambda_min_exp = 0\n"
+                    "lambda_max_exp = 0\n", ["--seed", "-1"], "strongtype.json"),
+    ("averages", "[averages]\nfunctions = random_smooth\nj_max = 0\n[run]\nseed = -1\n", [],
+     "verdict.json"),
+], ids=["strong-type-flag", "averages-key"])
+def test_negative_seed_exits_2(tmp_path, capsys, scenario, section, seed, output):
+    cfg = write(tmp_path, SMALL + section)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out), *seed]) == 2
+    assert "need seed >= 0" in capsys.readouterr().err
     assert not (out / output).exists()
 
 

@@ -22,8 +22,8 @@ from orlicap import (
     power_log,
 )
 from orlicap.young import (E_E, GRID, ConditionReport, FactoredPair, YoungSpec,
-                           _INVERSE_RTOL, _decade_maxima, _growing, _ratio_report,
-                           phi_prime_inverse)
+                           _INVERSE_RTOL, _decade_maxima, _growing, _on_grid,
+                           _ratio_report, phi_prime_inverse)
 
 ALL_BUILTIN = [
     power(2),
@@ -528,20 +528,25 @@ def dense_ratio_report(condition, num, den, ceiling):
                            (not growing) and c_emp <= ceiling, growing, truncated)
 
 
+def pointwise(a, b):
+    """The numerator a(s) b(t), evaluated at every point of the grid."""
+    return lambda s, t: a(s + 0 * t) * b(t + 0 * s)
+
+
 def ratio_cases(spec):
+    """Each check's numerator factors (a, b) and its denominator."""
     pair = factored(spec)
-    return [("submultiplicative_f", lambda s, t: pair.f_part(s) * pair.f_part(t),
+    return [("submultiplicative_f", (pair.f_part, pair.f_part),
              lambda s, t: pair.f_part(s * t)),
-            ("pairing", lambda s, t: pair.phi_part(s) * pair.psi_part(t + 0 * s),
-             lambda s, t: pair.phi_part(s * t))]
+            ("pairing", (pair.phi_part, pair.psi_part), lambda s, t: pair.phi_part(s * t))]
 
 
 @pytest.mark.parametrize("spec", [power(2), power_log(2, 1), power_log(3, 1),
                                   exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
 def test_blocked_ratio_report_equals_the_dense_one(spec):
-    for condition, num, den in ratio_cases(spec):
-        args = (condition, num, den, 2.0)
-        assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
+    for condition, (a, b), den in ratio_cases(spec):
+        assert (repr(_ratio_report(condition, _on_grid(a, b), den, 2.0))
+                == repr(dense_ratio_report(condition, pointwise(a, b), den, 2.0)))
 
 
 @pytest.mark.parametrize("spec", [power_log(2, 1), power(3), exp_log(2, 0.5)],
@@ -550,21 +555,27 @@ def test_checks_with_factors_evaluated_once_equal_the_dense_search(spec):
     # check_submultiplicative_f and check_pairing evaluate f, phi and psi on
     # GRID once; the dense search evaluates them at every point
     pair = factored(spec)
-    for (condition, num, den), report in zip(ratio_cases(spec), (
+    for (condition, (a, b), den), report in zip(ratio_cases(spec), (
             check_submultiplicative_f(pair.f_part, 2.0),
             check_pairing(pair.phi_part, pair.psi_part, 2.0))):
-        assert repr(report) == repr(dense_ratio_report(condition, num, den, 2.0))
+        assert repr(report) == repr(dense_ratio_report(condition, pointwise(a, b), den, 2.0))
+
+
+def identity(t):
+    return t
 
 
 def test_blocked_ratio_report_flags_equal_the_dense_ones():
-    overflow = (lambda s, t: np.exp(s) * t, lambda s, t: s + t)   # inf past s ~ 710
-    vanishes = (lambda s, t: s + t, lambda s, t: np.where(s * t > 50.0, 0.0, s * t))
-    ties = (lambda s, t: np.ones_like(s * t), lambda s, t: np.ones_like(s * t))
-    for num, den in (overflow, vanishes, ties):
-        args = ("pairing", num, den, math.inf)
-        assert repr(_ratio_report(*args)) == repr(dense_ratio_report(*args))
-    assert _ratio_report("pairing", *overflow, math.inf).truncated
-    assert _ratio_report("pairing", *vanishes, math.inf).details["denominator_vanishes"]
+    overflow = ((np.exp, identity), lambda s, t: s + t)   # exp(s) t is inf past s ~ 710
+    vanishes = ((identity, identity), lambda s, t: np.where(s * t > 50.0, 0.0, s * t))
+    ties = ((np.ones_like, np.ones_like), lambda s, t: np.ones_like(s * t))
+    reports = []
+    for (a, b), den in (overflow, vanishes, ties):
+        reports.append(_ratio_report("pairing", _on_grid(a, b), den, math.inf))
+        assert repr(reports[-1]) == repr(dense_ratio_report("pairing", pointwise(a, b), den,
+                                                            math.inf))
+    assert reports[0].truncated
+    assert reports[1].details["denominator_vanishes"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -576,7 +587,7 @@ def test_growing_compares_non_finite_maxima_without_a_warning():
     assert _growing([-inf, -inf, 1.0, 2.0, 4.0])
     assert _growing([1.0, 2.0, inf])
     # whole decades of GRID where exp(s) t overflows: two -inf decade maxima
-    report = _ratio_report("pairing", lambda s, t: np.exp(s) * t, lambda s, t: s + t, math.inf)
+    report = _ratio_report("pairing", _on_grid(np.exp, identity), lambda s, t: s + t, math.inf)
     assert report.truncated and not report.growing
 
 
