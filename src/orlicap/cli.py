@@ -5,9 +5,9 @@ resolved configuration so outputs are reproducible byte for byte from the
 config and seed alone (no timestamps, sorted keys, fixed float formatting).
 
 Each config key's type, default and admissible values are one entry of
-`SCHEMA`.  `load_config` checks every key against it, so a bad value exits
-2 before the output directory is created; checks that need the domain or
-two keys stay in the scenario runners.
+`SCHEMA`, which `load_config` checks; checks that need the domain or two
+keys stay in the scenario runners.  A runner returns its outputs, and `run`
+writes them once the scenario has finished, so an error writes nothing.
 
 Exit codes: 0 ok, 2 config error, 3 numerical non-convergence, 4 I/O error.
 """
@@ -34,7 +34,7 @@ from .capacity import (
     riesz_capacity_variational,
 )
 from .errors import ConfigurationError, NumericalError
-from .grid import GridDomain, ball_mask, build_domain, check_ball_inside, save_csv
+from .grid import GridDomain, GridFunction, ball_mask, build_domain, check_ball_inside, save_csv
 from .norms import luxemburg_norm, modular
 from .strongtype import (
     TestFunctionSpec,
@@ -68,7 +68,7 @@ SCHEMA = {
                      "need derived or explicit"),
             **{key: (typ, _ABSENT) for key, (typ, _) in _YOUNG_KEYS.items()}},
     "domain": {"n": (int, 2), "r": (float, 1.0), "resolution": (int, 128)},
-    "run": {"scenario": (str, None), "seed": (int, 0)},
+    "run": {"scenario": (str, None), "seed": (int, 0, lambda v: v >= 0, "need seed >= 0")},
     "check-conditions": {"ceiling": (float, math.inf, lambda v: not math.isnan(v),
                                      "no constant lies below it (inf, the default, "
                                      "sets no ceiling)")},
@@ -192,7 +192,7 @@ def _parse_functions(names: str, seed: int):
     return specs
 
 
-def _check_conditions(config, phi_spec, base_dir, out_dir) -> int:
+def _check_conditions(config, phi_spec, base_dir):
     ceiling = config["check-conditions"]["ceiling"]
     pair = factored(phi_spec)
     psi = _psi_from(config, phi_spec, base_dir)
@@ -204,11 +204,10 @@ def _check_conditions(config, phi_spec, base_dir, out_dir) -> int:
     }
     payload = {name: dataclasses.asdict(rep) for name, rep in reports.items()}
     payload["all_passed"] = all(rep.passed for rep in reports.values())
-    _json_dump(payload, out_dir / "conditions.json")
-    return 0
+    return 0, {"conditions.json": payload}
 
 
-def _norm(config, phi_spec, base_dir, out_dir) -> int:
+def _norm(config, phi_spec, base_dir):
     dom = _domain(config)
     params = config["norm"]
     fn_spec = TestFunctionSpec(params["shape"], amplitude=params["amplitude"],
@@ -216,13 +215,11 @@ def _norm(config, phi_spec, base_dir, out_dir) -> int:
                                r_in=params["r_in"], r_out=params["r_out"],
                                seed=config["run"]["seed"])
     u = build_test_function(fn_spec, dom)
-    _json_dump({"function": fn_spec.tag, "modular": modular(u, phi_spec),
-                "luxemburg_norm": luxemburg_norm(u, phi_spec)},
-               out_dir / "norm.json")
-    return 0
+    return 0, {"norm.json": {"function": fn_spec.tag, "modular": modular(u, phi_spec),
+                             "luxemburg_norm": luxemburg_norm(u, phi_spec)}}
 
 
-def _capacity(config, phi_spec, base_dir, out_dir) -> int:
+def _capacity(config, phi_spec, base_dir):
     dom = _domain(config)
     params = config["capacity"]
     check_ball_inside(dom, np.zeros(dom.n), params["r"])
@@ -246,13 +243,11 @@ def _capacity(config, phi_spec, base_dir, out_dir) -> int:
         _require_table_range(phi_spec, dom)
     res = solve(E, phi_spec, dom)
     payload.update(res.summary())
-    _json_dump(payload, out_dir / "capacity.json")
-    if params["write_minimizer"]:
-        save_csv(res.minimizer, out_dir / "minimizer.csv")
-    return 0 if res.converged else 3
+    minimizer = {"minimizer.csv": res.minimizer} if params["write_minimizer"] else {}
+    return (0 if res.converged else 3), {"capacity.json": payload, **minimizer}
 
 
-def _strong_type(config, phi_spec, base_dir, out_dir) -> int:
+def _strong_type(config, phi_spec, base_dir):
     dom = _domain(config)
     _require_table_range(phi_spec, dom)
     psi = _psi_from(config, phi_spec, base_dir)
@@ -268,19 +263,15 @@ def _strong_type(config, phi_spec, base_dir, out_dir) -> int:
                                  "amplitude 2^e needs -1022 <= e <= 1023")
     reports, verdict = verify_strong_type(suite, phi_spec, psi, dom,
                                           lambdas=[2.0 ** j for j in range(lo, hi + 1)])
-    with open(out_dir / "strongtype.csv", "w", encoding="utf-8") as fh:
-        fh.write("tag,lambda,k,level_capacity,psi_weight,lhs_partial\n")
-        for rep in reports:
-            for row in rep.levels:
-                fh.write(f"{rep.tag},{rep.amplitude:.12g},{row.k},"
-                         f"{row.capacity:.12g},{row.psi_weight:.12g},"
-                         f"{row.lhs_partial:.12g}\n")
-    _json_dump({"reports": [rep.summary() for rep in reports], "verdict": vars(verdict)},
-               out_dir / "strongtype.json")
-    return 0 if verdict.all_converged else 3
+    csv = "tag,lambda,k,level_capacity,psi_weight,lhs_partial\n" + "".join(
+        f"{rep.tag},{rep.amplitude:.12g},{row.k},{row.capacity:.12g},"
+        f"{row.psi_weight:.12g},{row.lhs_partial:.12g}\n"
+        for rep in reports for row in rep.levels)
+    summary = {"reports": [rep.summary() for rep in reports], "verdict": vars(verdict)}
+    return (0 if verdict.all_converged else 3), {"strongtype.csv": csv, "strongtype.json": summary}
 
 
-def _averages(config, phi_spec, base_dir, out_dir) -> int:
+def _averages(config, phi_spec, base_dir):
     dom = _domain(config)
     _require_table_range(phi_spec, dom)
     psi = _psi_from(config, phi_spec, base_dir)
@@ -295,7 +286,7 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
         check_ball_inside(dom, center, params["r0"])
     cache = CapacityCache(phi_spec, dom)
     traces = []
-    rows = []
+    csv = ["tag,x0,r,average\n"]
     for fn_spec in suite:
         u = build_test_function(fn_spec, dom)
         L = grid_lipschitz(u)
@@ -311,33 +302,36 @@ def _averages(config, phi_spec, base_dir, out_dir) -> int:
                 "truncated": tr.truncated,
                 "lipschitz": L,
             })
-            for r, v in zip(tr.radii, tr.values):
-                rows.append((fn_spec.tag, tr.center, r, v))
-    with open(out_dir / "traces.csv", "w", encoding="utf-8") as fh:
-        fh.write("tag,x0,r,average\n")
-        for tag, center, r, v in rows:
-            loc = "(" + " ".join(f"{c:.6g}" for c in center) + ")"
-            fh.write(f"{tag},{loc},{r:.12g},{v:.12g}\n")
-    _json_dump({"traces": traces,
-                "all_passed": all(t["passed"] for t in traces)},
-               out_dir / "verdict.json")
-    return 0
+            loc = "(" + " ".join(f"{c:.6g}" for c in tr.center) + ")"
+            csv.extend(f"{fn_spec.tag},{loc},{r:.12g},{v:.12g}\n"
+                       for r, v in zip(tr.radii, tr.values))
+    return 0, {"traces.csv": "".join(csv),
+               "verdict.json": {"traces": traces,
+                                "all_passed": all(t["passed"] for t in traces)}}
 
 
-# scenario name -> runner(config, Phi, config directory, output directory) -> exit code
+# scenario name -> runner(config, Phi, config directory) -> (exit code, {file name: a JSON
+# dict, CSV text or a GridFunction})
 SCENARIOS = {"check-conditions": _check_conditions, "norm": _norm, "capacity": _capacity,
              "strong-type": _strong_type, "averages": _averages}
 
 
 def run(config: dict, scenario: str, out_dir: Path, base_dir: Path) -> int:
-    """Execute one scenario; returns the process exit code."""
+    """Execute one scenario, then write its outputs; returns the process exit code."""
     if scenario not in SCENARIOS:
         raise ConfigurationError(f"unknown scenario {scenario!r}")
     phi_spec = _young_from(config["young"], base_dir)
+    code, outputs = SCENARIOS[scenario](config, phi_spec, base_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"version": __version__, "scenario": scenario, "config": config}
-    _json_dump(manifest, out_dir / "manifest.json")
-    return SCENARIOS[scenario](config, phi_spec, base_dir, out_dir)
+    for name, payload in {"manifest.json": manifest, **outputs}.items():
+        if isinstance(payload, GridFunction):
+            save_csv(payload, out_dir / name)
+        elif isinstance(payload, str):
+            (out_dir / name).write_text(payload, encoding="utf-8")
+        else:
+            _json_dump(payload, out_dir / name)
+    return code
 
 
 def main(argv=None) -> int:
@@ -349,7 +343,7 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, type=Path)
         sp.add_argument("--out", required=True, type=Path)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed")
     args = parser.parse_args(argv)
 
     try:
@@ -360,7 +354,7 @@ def main(argv=None) -> int:
                 f"config declares scenario {declared!r} but {args.scenario!r} was invoked")
         config["run"]["scenario"] = args.scenario
         if args.seed is not None:
-            config["run"]["seed"] = args.seed
+            config["run"]["seed"] = _coerce(args.seed, SCHEMA["run"]["seed"], "run", "seed")
         return run(config, args.scenario, args.out, args.config.parent)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -112,12 +112,16 @@ def custom_table(points) -> YoungSpec:
 
 def load_table_csv(path) -> YoungSpec:
     """Read a (t, Phi(t)) CSV with monotone t into a custom_table spec."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        rows = [line for line in fh if line.split("#")[0].strip()]  # not blank or a comment
+    if not rows:  # numpy would warn and return an empty array
+        raise ConfigurationError(f"table CSV {path} holds no data")
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:  # a cell that is not a number, e.g. a header row
         raise ConfigurationError(f"table CSV {path}: {exc}") from exc
     if data.shape[1] != 2:
-        raise ConfigurationError("table CSV must have exactly two columns")
+        raise ConfigurationError(f"table CSV {path} must have exactly two columns")
     return custom_table(data)
 
 

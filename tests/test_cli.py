@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orlicap.cli import load_config, main
+from orlicap.cli import SCENARIOS, load_config, main
 from orlicap.errors import ConfigurationError
 
 
@@ -60,6 +60,7 @@ def test_scenario_mismatch(tmp_path):
     cfg = write(tmp_path, BASE + "\n[run]\nscenario = norm\n")
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_defaults_are_resolved(tmp_path):
@@ -114,7 +115,7 @@ def test_riesz_capacity_over_the_node_cap_exits_2(tmp_path):
     cfg = write(tmp_path, text + "\n[capacity]\nr = 0.6\nmethod = riesz\n")
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not (out / "capacity.json").exists()
+    assert not out.exists()
 
 
 def test_capacity_json_carries_the_certified_bracket(tmp_path):
@@ -263,7 +264,7 @@ def test_non_finite_capacity_energy_exits_3(tmp_path):
     out = tmp_path / "out"
     code = main(["capacity", "--config", str(cfg), "--out", str(out)])
     assert code == 3
-    assert not (out / "capacity.json").exists()
+    assert not out.exists()
 
 
 def test_table_short_of_one_over_h_exits_2(tmp_path, capsys):
@@ -273,7 +274,7 @@ def test_table_short_of_one_over_h_exits_2(tmp_path, capsys):
     code = main(["capacity", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert "below 1/h = 32.0" in capsys.readouterr().err
-    assert not (out / "capacity.json").exists()
+    assert not out.exists()
 
 
 def test_table_with_the_radial_oracle_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
@@ -285,7 +286,7 @@ def test_table_with_the_radial_oracle_exits_2_before_any_solve(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
     assert "set radial_oracle = false" in capsys.readouterr().err
-    assert not (out / "capacity.json").exists()
+    assert not out.exists()
 
 
 SMALL = BASE.replace("resolution = 64", "resolution = 32")  # h = 1/16, R - 2h = 0.875
@@ -304,19 +305,19 @@ def test_estimate_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkey
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "capacity.json").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario, section, output", [
-    ("capacity", "[capacity]\nr = 0.99\n", "capacity.json"),
-    ("averages", "[averages]\nfunctions = tent\nr0 = 0.9\n", "verdict.json"),
+@pytest.mark.parametrize("scenario, section", [
+    ("capacity", "[capacity]\nr = 0.99\n"),
+    ("averages", "[averages]\nfunctions = tent\nr0 = 0.9\n"),
 ], ids=["capacity", "averages"])
-def test_ball_reaching_the_boundary_band_exits_2(tmp_path, capsys, scenario, section, output):
+def test_ball_reaching_the_boundary_band_exits_2(tmp_path, capsys, scenario, section):
     cfg = write(tmp_path, SMALL + section)
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
     assert "does not fit inside B(0, R - 2h)" in capsys.readouterr().err
-    assert not (out / output).exists()
+    assert not out.exists()
 
 
 def test_ball_marking_no_node_exits_2(tmp_path, capsys):
@@ -325,21 +326,20 @@ def test_ball_marking_no_node_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
     assert "marks no lattice node" in capsys.readouterr().err
-    assert not (out / "capacity.json").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario, section, output", [
-    ("strong-type", "[strong-type]\nfunctions = tent\nlambda_min_exp = 2\nlambda_max_exp = 1\n",
-     "strongtype.json"),
-    ("averages", "[averages]\nfunctions = tent\nj_max = -1\n", "verdict.json"),
-    ("averages", "[averages]\nfunctions = tent\nr0 = 0.2\n", "verdict.json"),  # 4h = 0.25
+@pytest.mark.parametrize("scenario, section", [
+    ("strong-type", "[strong-type]\nfunctions = tent\nlambda_min_exp = 2\nlambda_max_exp = 1\n"),
+    ("averages", "[averages]\nfunctions = tent\nj_max = -1\n"),
+    ("averages", "[averages]\nfunctions = tent\nr0 = 0.2\n"),  # 4h = 0.25
 ], ids=["lambda-exps", "j_max", "r0-below-4h"])
-def test_empty_sweep_exits_2(tmp_path, capsys, scenario, section, output):
+def test_empty_sweep_exits_2(tmp_path, capsys, scenario, section):
     cfg = write(tmp_path, SMALL + section)
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
     assert "empty" in capsys.readouterr().err
-    assert not (out / output).exists()
+    assert not out.exists()
 
 
 # each of these once crashed with OverflowError (2^1024), or wrote nan and inf
@@ -359,7 +359,7 @@ def test_amplitudes_at_the_float_range_edges_exit_2_or_3(tmp_path, capsys, expon
     out = tmp_path / "out"
     assert main(["strong-type", "--config", str(cfg), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
-    assert not (out / "strongtype.json").exists()
+    assert not out.exists()
 
 
 def test_unknown_norm_shape_exits_2(tmp_path, capsys):
@@ -367,7 +367,7 @@ def test_unknown_norm_shape_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown test-function shape 'nope'" in capsys.readouterr().err
-    assert not (out / "norm.json").exists()
+    assert not out.exists()
 
 
 def test_degenerate_norm_shape_exits_2(tmp_path, capsys):
@@ -376,7 +376,7 @@ def test_degenerate_norm_shape_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
     assert "need r > 0" in capsys.readouterr().err
-    assert not (out / "norm.json").exists()
+    assert not out.exists()
 
 
 def nan_table(tmp_path):
@@ -388,28 +388,27 @@ def nan_table(tmp_path):
 
 
 # each of these once ran to a silent NaN in norm.json, or crashed
-@pytest.mark.parametrize("scenario, edit, output", [
-    ("norm", lambda tmp: "family = power_log\np = 2.0\ntheta = nan", "norm.json"),
-    ("norm", nan_table, "norm.json"),
-    ("norm", lambda tmp: "family = power\np = inf", "norm.json"),
-    ("norm", lambda tmp: "family = power\np = 2.0\n[domain]\nr = nan", "norm.json"),
-    ("norm", lambda tmp: "family = power\np = 2.0\n[domain]\nr = inf", "norm.json"),
-    ("norm", lambda tmp: "family = power\np = 2.0\n[norm]\namplitude = nan", "norm.json"),
-    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nr0 = nan",
-     "verdict.json"),
+@pytest.mark.parametrize("scenario, edit", [
+    ("norm", lambda tmp: "family = power_log\np = 2.0\ntheta = nan"),
+    ("norm", nan_table),
+    ("norm", lambda tmp: "family = power\np = inf"),
+    ("norm", lambda tmp: "family = power\np = 2.0\n[domain]\nr = nan"),
+    ("norm", lambda tmp: "family = power\np = 2.0\n[domain]\nr = inf"),
+    ("norm", lambda tmp: "family = power\np = 2.0\n[norm]\namplitude = nan"),
+    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nr0 = nan"),
     # these two ran to a wrong verdict with exit 0: every check failed
-    ("check-conditions", lambda tmp: "family = power\np = 2.0\n[check-conditions]\nceiling = nan",
-     "conditions.json"),
-    ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nepsilon = nan",
-     "verdict.json"),
+    ("check-conditions",
+     lambda tmp: "family = power\np = 2.0\n[check-conditions]\nceiling = nan"),
+    ("averages",
+     lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\nepsilon = nan"),
     # these two exited 2 naming a ball that does not fit, not the spacing
     ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\n"
-                             "center_spacing = nan", "verdict.json"),
+                             "center_spacing = nan"),
     ("averages", lambda tmp: "family = power\np = 2.0\n[averages]\nfunctions = tent\n"
-                             "center_spacing = inf", "verdict.json"),
+                             "center_spacing = inf"),
 ], ids=["theta-nan", "table-nan-knot", "p-inf", "r-nan", "r-inf", "amplitude-nan", "r0-nan",
         "ceiling-nan", "epsilon-nan", "center_spacing-nan", "center_spacing-inf"])
-def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit, output):
+def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit):
     text = edit(tmp_path)
     cfg = write(tmp_path, "[young]\n" + text + "\n")
     out = tmp_path / "out"
@@ -418,7 +417,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, scenario, edit, output):
     assert err.startswith("config error: ")
     if "center_spacing" in text:
         assert "[averages] center_spacing" in err
-    assert not (out / output).exists()
+    assert not out.exists()
 
 
 # each of these once exited 2 only after manifest.json was written
@@ -441,14 +440,17 @@ def test_a_bad_value_exits_2_before_anything_is_written(tmp_path, capsys, scenar
     assert not out.exists()
 
 
-# each of these once crashed with numpy's ValueError
-@pytest.mark.parametrize("csv, cell", [("t,phi\n1,1\n2,4\n", "'t'"),
-                                       ("1,1\n2,x\n3,9\n", "'x'")],
-                         ids=["header-row", "stray-cell"])
-def test_table_csv_that_is_not_all_numbers_exits_2(tmp_path, capsys, csv, cell):
+# each of these once crashed with numpy's ValueError; the runner loads an
+# explicit psi, and that one once exited 2 after writing manifest.json
+@pytest.mark.parametrize("csv, cell, record", [("t,phi\n1,1\n2,4\n", "'t'", "young"),
+                                               ("1,1\n2,x\n3,9\n", "'x'", "young"),
+                                               ("t,psi\n1,1\n2,4\n", "'t'", "psi")],
+                         ids=["header-row", "stray-cell", "psi-header-row"])
+def test_table_csv_that_is_not_all_numbers_exits_2(tmp_path, capsys, csv, cell, record):
     (tmp_path / "table.csv").write_text(csv, encoding="utf-8")
-    cfg = write(tmp_path, SMALL.replace("family = power\np = 2.0",
-                                        "family = custom_table\ntable = table.csv"))
+    table = "family = custom_table\ntable = table.csv"
+    cfg = write(tmp_path, SMALL.replace("family = power\np = 2.0", table) if record == "young"
+                else SMALL + f"[psi]\nmode = explicit\n{table}\n")
     out = tmp_path / "out"
     assert main(["check-conditions", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -456,19 +458,26 @@ def test_table_csv_that_is_not_all_numbers_exits_2(tmp_path, capsys, csv, cell):
     assert not out.exists()
 
 
-# numpy's generator refuses a negative seed: this once crashed with a traceback
-@pytest.mark.parametrize("scenario, section, seed, output", [
-    ("strong-type", "[strong-type]\nfunctions = random_smooth\nlambda_min_exp = 0\n"
-                    "lambda_max_exp = 0\n", ["--seed", "-1"], "strongtype.json"),
-    ("averages", "[averages]\nfunctions = random_smooth\nj_max = 0\n[run]\nseed = -1\n", [],
-     "verdict.json"),
-], ids=["strong-type-flag", "averages-key"])
-def test_negative_seed_exits_2(tmp_path, capsys, scenario, section, seed, output):
-    cfg = write(tmp_path, SMALL + section)
+def test_out_below_a_regular_file_exits_4(tmp_path, capsys):
+    # the output directory is created only after the scenario has run
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    cfg = write(tmp_path, SMALL + "[norm]\nshape = tent\n")
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path / "file" / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
+
+
+# numpy's generator refuses a negative seed: this once crashed with a traceback in
+# strong-type and averages, and capacity and check-conditions recorded it with exit 0
+@pytest.mark.parametrize("scenario, how", [pytest.param(scenario, how, id=f"{scenario}-{how}")
+                                           for scenario in SCENARIOS for how in ("flag", "key")])
+def test_negative_seed_exits_2(tmp_path, capsys, scenario, how):
+    cfg = write(tmp_path, SMALL + ("[run]\nseed = -1\n" if how == "key" else ""))
     out = tmp_path / "out"
-    assert main([scenario, "--config", str(cfg), "--out", str(out), *seed]) == 2
+    flag = ["--seed", "-1"] if how == "flag" else []
+    assert main([scenario, "--config", str(cfg), "--out", str(out), *flag]) == 2
     assert "need seed >= 0" in capsys.readouterr().err
-    assert not (out / output).exists()
+    assert not out.exists()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from orlicap import (
 )
 from orlicap.young import (E_E, GRID, ConditionReport, FactoredPair, YoungSpec,
                            _INVERSE_RTOL, _decade_maxima, _growing, _on_grid,
-                           _ratio_report, phi_prime_inverse)
+                           _ratio_report, load_table_csv, phi_prime_inverse)
 
 ALL_BUILTIN = [
     power(2),
@@ -323,6 +324,24 @@ def test_custom_table_validation():
 def test_custom_table_rejects_non_finite_knots(knot):
     with pytest.raises(ConfigurationError, match="knots must be finite"):
         custom_table([(0.5, 0.25), (1.0, 1.0), knot])
+
+
+# an empty CSV once let numpy's "input contained no data" warning through, and
+# then raised an error that named neither the file nor the empty input
+@pytest.mark.parametrize("text, message", [
+    ("", "holds no data"),
+    ("\n  \n\n", "holds no data"),
+    ("# t, phi\n", "holds no data"),
+    ("1,1,1\n2,4,8\n", "must have exactly two columns"),
+], ids=["zero-byte", "blank", "comment-only", "three-columns"])
+def test_table_csv_without_two_columns_of_data_names_the_file(tmp_path, text, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message) as exc:
+            load_table_csv(path)
+    assert str(path) in str(exc.value)
 
 
 def test_custom_table_interpolates():
