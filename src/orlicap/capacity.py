@@ -75,10 +75,10 @@ the energy of u and of its swap are one sum over the nodes in another
 order.  Hence cap(M) = cap(swap(M)) exactly, and the certified bracket of
 one member holds for the other.  `CapacityCache` solves one canonical
 member of each pair {M, swap(M)} (the smaller `SetMask.key()` bytes) and
-serves the other with the swapped minimizer.  Other axis permutations are
-not used: in 3-D, the radius sum is not bit-symmetric under them.
-Reflections are not used either, since forward differences are not
-reflection-invariant.
+serves both with one result, which keeps no minimizer.  Other axis
+permutations are not used: in 3-D, the radius sum is not bit-symmetric
+under them.  Reflections are not used either, since forward differences
+are not reflection-invariant.
 
 The radial oracle (`capacity_ball_radial`) is the exact minimum of the
 1-D discrete condenser problem, from its constant-flux condition.
@@ -122,7 +122,7 @@ _EPS = float(np.finfo(float).eps)
 @dataclass
 class CapacityResult:
     value: float
-    minimizer: GridFunction
+    minimizer: GridFunction | None  # None in a result that `CapacityCache` serves
     iterations: int
     converged: bool
     method: str
@@ -150,13 +150,6 @@ def _require_delta2(spec: YoungSpec) -> None:
 def _require_delta2_plus(spec: YoungSpec) -> None:
     if not check_delta2_plus(spec).passed:
         raise ConfigurationError(f"{spec.tag} fails the delta2+ condition")
-
-
-def _read_only(domain: GridDomain, values: np.ndarray) -> GridFunction:
-    """A minimizer that a cache may share: its values are made read-only."""
-    gf = GridFunction(domain, values)
-    gf.values.flags.writeable = False
-    return gf
 
 
 class _EnergyWorkspace:
@@ -757,7 +750,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     method = "linear-pcg-multigrid" if quadratic else "pcg-multigrid"
 
     if E.is_empty():
-        return CapacityResult(0.0, _read_only(domain, np.zeros(domain.shape)), 0, True,
+        return CapacityResult(0.0, GridFunction(domain, np.zeros(domain.shape)), 0, True,
                               method, 0.0)
 
     free = ~(E.mask | domain.boundary_band)
@@ -849,7 +842,7 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
 
     if not math.isfinite(e_u):
         raise NumericalError(f"{spec.tag}: non-finite capacity energy {e_u}")
-    return CapacityResult(e_u, _read_only(domain, u), it, converged, method, e_u - gap)
+    return CapacityResult(e_u, GridFunction(domain, u), it, converged, method, e_u - gap)
 
 
 class CapacityCache:
@@ -859,13 +852,12 @@ class CapacityCache:
     The swap leaves the domain and the energy unchanged (see the module
     docstring), so cap(M) = cap(swap(M)).  A miss solves the orbit's
     canonical member, the one with the smaller `SetMask.key()` bytes (M
-    itself when M is symmetric), and stores it under its key; the other
-    member is served the same value, bracket, iterations and convergence
-    flag, with the minimizer's first two axes swapped in a read-only view.
-    The canonical member depends on the orbit alone and every solve starts
-    cold, so a cached value depends only on its mask, never on the order of
-    earlier lookups, and its `[lower, value]` certifies both members.
-    Cached results are shared objects; their minimizer arrays are read-only.
+    itself when M is symmetric), and keeps its certificate, the result with
+    `minimizer=None` (its readers sum values and brackets), under both
+    members' keys, so both are served one object.  The canonical member
+    depends on the orbit alone and every solve starts cold, so a cached
+    value depends only on its mask, never on the order of earlier lookups,
+    and its `[lower, value]` certifies both members.
 
     `lookups`, `hits` (served without a solve, twins included), `solves`
     and `iterations` (summed over the solves) count this cache's work.
@@ -886,21 +878,11 @@ class CapacityCache:
             return res
         twin = SetMask(mask.domain, np.swapaxes(mask.mask, 0, 1))
         twin_key = twin.key()
-        canonical = self._store.get(twin_key)
-        if canonical is not None:
-            self.hits += 1
-        else:
-            solved, solved_key = (twin, twin_key) if twin_key < key else (mask, key)
-            canonical = capacity_variational(solved, self.spec, self.domain)
-            self.solves += 1
-            self.iterations += canonical.iterations
-            self._store[solved_key] = canonical
-            if solved is mask:
-                return canonical
-        # a view of the read-only minimizer, so read-only too
-        swapped = GridFunction(self.domain, np.swapaxes(canonical.minimizer.values, 0, 1))
-        res = replace(canonical, minimizer=swapped)
-        self._store[key] = res
+        solved = twin if twin_key < key else mask
+        res = replace(capacity_variational(solved, self.spec, self.domain), minimizer=None)
+        self.solves += 1
+        self.iterations += res.iterations
+        self._store[key] = self._store[twin_key] = res
         return res
 
 
@@ -1137,15 +1119,19 @@ def _riesz_dual_spg(A: np.ndarray, w: float, spec: YoungSpec, tol: float,
     is bounded above by  w (y . t - sum Phi(t_lo)) - sum mu,  from the
     bracket [t_lo, t] of `young.phi_prime_inverse` at y = A^T mu / w.
     """
+    def dual(mu, t0):
+        """The bound on phi(mu) and t at y = A^T mu / w, bracketed from t0."""
+        y = (A.T @ mu) / w
+        t_lo, t = phi_prime_inverse(spec, y, t0)
+        return w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
+
     def search(mu, phi, t, d, slope, phi_ref):
         """Nonmonotone Armijo search along d from mu; None once the step no
         longer changes mu."""
         lam = 1.0
         while True:
             mu_new = np.maximum(mu + lam * d, 0.0)
-            y = (A.T @ mu_new) / w
-            t_lo, t_new = phi_prime_inverse(spec, y, t)
-            phi_new = w * (float(y @ t_new) - float(eval_phi(spec, t_lo).sum())) - float(mu_new.sum())
+            phi_new, t_new = dual(mu_new, t)
             if phi_new <= phi_ref + _ARMIJO * lam * slope:
                 return mu_new, phi_new, t_new
             # safeguarded minimizer of the quadratic through phi, slope, phi_new
@@ -1158,13 +1144,9 @@ def _riesz_dual_spg(A: np.ndarray, w: float, spec: YoungSpec, tol: float,
     # degree q = p/(p-1), as it is for power(p)
     count = len(A)
     mu = np.ones(count)
-    y = (A.T @ mu) / w
-    t_lo, t = phi_prime_inverse(spec, y, None)
-    phi = w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum())
+    phi, t = dual(mu, None)
     mu *= (count / ((phi + count) * spec.p / (spec.p - 1.0))) ** (spec.p - 1.0)
-    y = (A.T @ mu) / w
-    t_lo, t = phi_prime_inverse(spec, y, t)
-    phi = w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum())
+    phi, t = dual(mu, t)
     At = A @ t
     g = At - 1.0
     history = collections.deque([phi], maxlen=_NONMONOTONE)
@@ -1233,7 +1215,7 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         raise ValueError("mask and domain do not match")
     _require_delta2_plus(spec)
     if E.is_empty():
-        return CapacityResult(0.0, _read_only(domain, np.zeros(domain.shape)), 0, True,
+        return CapacityResult(0.0, GridFunction(domain, np.zeros(domain.shape)), 0, True,
                               "riesz-dual", 0.0)
     if E.count > _MAX_CONSTRAINT_NODES:
         raise ConfigurationError(
@@ -1256,5 +1238,5 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")
     dens = np.zeros(domain.shape)
     dens[domain.inside] = f
-    return CapacityResult(value, _read_only(domain, dens), it, value - lower <= tol * value,
+    return CapacityResult(value, GridFunction(domain, dens), it, value - lower <= tol * value,
                           "riesz-dual", lower)

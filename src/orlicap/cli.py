@@ -106,7 +106,7 @@ def load_config(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
     if not parser.sections():

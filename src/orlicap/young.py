@@ -56,6 +56,8 @@ class YoungSpec:
                 raise ConfigurationError("table knots must be finite")
             if np.any(ts < 0) or np.any(vs < 0):
                 raise ConfigurationError("table knots must be nonnegative")
+            if np.any(vs[ts > 0] == 0):
+                raise ConfigurationError("table values must be positive at t > 0")
             if np.any(np.diff(ts) <= 0):
                 raise ConfigurationError("table abscissae must be strictly increasing")
             if np.any(np.diff(vs) <= 0):

@@ -458,6 +458,28 @@ def test_table_csv_that_is_not_all_numbers_exits_2(tmp_path, capsys, csv, cell, 
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 byte once ended in a UnicodeDecodeError traceback
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes((SMALL + "; caf\xe9\n[norm]\nshape = tent\n").encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_with_a_zero_value_at_positive_t_exits_2(tmp_path, capsys):
+    # this table once gave a NaN Phi' and a modular of 0.0 with exit 0
+    (tmp_path / "table.csv").write_text("1,0\n2,4\n3,9\n", encoding="utf-8")
+    cfg = write(tmp_path, SMALL.replace("family = power\np = 2.0",
+                                        "family = custom_table\ntable = table.csv")
+                + "[norm]\nshape = tent\n")
+    out = tmp_path / "out"
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "positive at t > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_below_a_regular_file_exits_4(tmp_path, capsys):
     # the output directory is created only after the scenario has run
     (tmp_path / "file").write_text("", encoding="utf-8")

@@ -326,6 +326,18 @@ def test_custom_table_rejects_non_finite_knots(knot):
         custom_table([(0.5, 0.25), (1.0, 1.0), knot])
 
 
+# a zero value at t > 0 once passed, and its log-linear interpolant took log(0):
+# Phi' was NaN below the second knot and Phi was 0 up to it
+def test_custom_table_refuses_a_zero_value_at_positive_t():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="positive at t > 0"):
+            custom_table([(1.0, 0.0), (2.0, 4.0), (3.0, 9.0)])
+        spec = custom_table([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)])  # (0, 0) stays valid
+        t = np.array([0.5, 1.0, 1.5])
+        assert np.all(eval_phi(spec, t) > 0) and np.all(np.isfinite(eval_phi_prime(spec, t)))
+
+
 # an empty CSV once let numpy's "input contained no data" warning through, and
 # then raised an error that named neither the file nor the empty input
 @pytest.mark.parametrize("text, message", [
