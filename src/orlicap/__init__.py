@@ -46,7 +46,6 @@ from .strongtype import (
     SuiteVerdict,
     TestFunctionSpec,
     build_test_function,
-    default_suite,
     derived_psi,
     explicit_psi,
     lhs_dyadic,

@@ -11,27 +11,31 @@ preconditioning (Huang, Li & Liu, J. Sci. Comput. 32, 2007).  Each step
 takes a secant step on the directional derivative and halves it until the
 energy strictly drops.
 
-The stop rule is a certificate: the minimizer lies in [0, 1], so for the
-convex energy  E(u*) >= E(u) - gap  with gap = sum_free (g u - min(0, g))
-at the iterate u and its gradient g.  The solve converges once
-gap <= tol * E, or once no step lowers E in floating point any more
-(stationary to machine precision; near the optimum E stops resolving
-progress before the gap reaches tol * E).  `CapacityResult.lower` is
-E - gap either way; it is certified for the built-in families only, since
-a `custom_table`'s log-linear interpolant need not be convex.  Every solve
-starts from the indicator of its set, so a value depends only on the set.
+The stop rule is a certificate: E(u) minus a dual value bounds
+E(u) - E(u*).  The cheap one, `_gap`, is linear in the free gradient g;
+once it is at most sqrt(tol) * E, the flux gap (`_EnergyWorkspace.flux_gap`,
+after Prager & Synge, Quart. Appl. Math. 5, 1947; Repin, A Posteriori
+Estimates for PDEs, 2008, ch. 3) equilibrates the flux of u with a
+cumulative sum of g along the last axis, and is quadratic in g.  The solve
+converges once the smaller is at most tol * E, or once no step lowers E in
+floating point any more (stationary to machine precision).
+`CapacityResult.lower` is E minus the smaller, the flux gap included at a
+final iterate that did not pass; it is certified for the built-in families
+only, since a `custom_table`'s log-linear interpolant need not be convex
+(a table takes the same checks).  Every solve starts from the indicator of
+its set, so a value depends only on the set.
 
 For `power(2)` the energy sum w |D+ u / h|^2 is quadratic, and its Hessian
 in the free values is the multigrid's finest level, so the solve is one
 linear system, A x = -g0 from the indicator's gradient g0, solved by
 linear CG with the same V-cycle as preconditioner (`_pcg`).  Its residual
-r gives E and g = -r at every step without a lattice pass; once that gap
-passes, the lattice energy and gradient at the iterate confirm it, so
-`value` is the lattice energy and `lower` certified as above.  The linear
-solve also stops, converged, at a step whose decrease is below eps^2 E: E
-is u's squared energy norm, so the step moves u by less than its rounding.
-Its brackets are within tol (the nonlinear solve's stationary stop leaves
-them near 1e-7).  Every other family takes the nonlinear loop.
+r gives E and g = -r at every step without a lattice pass; once that
+`_gap` passes sqrt(tol) * E, the lattice energy, gradient and flux gap at
+the iterate confirm it, so `value` is the lattice energy and `lower`
+certified as above.  The linear solve also stops, converged, at a step
+whose decrease is below eps^2 E: E is u's squared energy norm, so the step
+moves u by less than its rounding.  Every other family takes the
+nonlinear loop.
 
 Each solve builds one `_EnergyWorkspace`: preallocated C-contiguous
 buffers on which the forward difference with zero extension
@@ -220,6 +224,52 @@ class _EnergyWorkspace:
             else:
                 np.subtract(0.0, t, out=grad)
         return grad
+
+    def flux_gap(self, u: np.ndarray, g: np.ndarray, at: np.ndarray, starts: np.ndarray) -> float:
+        """E(u) minus the dual value of an equilibrated flux: quadratic in the
+        gradient g at the free nodes `at` (flat, increasing; runs along the
+        last axis a begin at `starts`).  With q = D+ u / h, s0 = Phi'(|q|) and
+        w = h^n, sigma = w s0 q / |q| has D+^T sigma = h g, and tau, h times
+        the sum of g over the run up to each node, D+_a^T tau = -h g.  The gap
+        is sum w [Phi*(s') - Phi*(s0)] - tau q_a, s' = |sigma + tau e_a| / w:
+        closed-form for `power`, else at most t (s' - s0) at t = |q|
+        (s'/s0)^(1/(p-1)) where one Phi' pass puts t past the root of Phi'(t)
+        = s' (seen from s0), the `phi_prime_inverse` end elsewhere; plus 16
+        eps times the terms' magnitudes.  Overwrites every buffer."""
+        spec, h, m, p = self.spec, self.h, at.size, self.spec.p
+        w = h ** len(self._diffs)
+        s = self._gradient_norm(u)
+        Q, A, T, S, X, Y, Z = (b.reshape(-1)[:m] for b in (
+            self._grad, self._t, self._s, self._diffs[0], self._diffs[-1], *self._scratch))
+        np.take(s.reshape(-1), at, out=Q, mode="clip")  # |q|; "clip" takes no buffer
+        np.divide(np.take(self._diffs[-1].reshape(-1), at, out=A, mode="clip"), h, out=A)  # q_a
+        np.copyto(T, g)
+        T[starts[1:]] -= np.add.reduceat(g, starts)[:-1]  # each run's sum starts from 0
+        np.multiply(np.cumsum(T, out=T), h, out=T)  # tau
+        cross = float(np.multiply(T, A, out=X).sum())
+        size = float(np.abs(X, out=X).sum())
+        T /= w  # kappa
+        S = eval_phi_prime(spec, Q, out=S, scratch=(Y, Z))  # s0
+        # s'^2 = s0^2 + kappa (2 sigma_a / w + kappa), sigma_a / w = s0 q_a / |q|
+        np.divide(np.multiply(A, S, out=A), np.maximum(Q, _RATIO_FLOOR, out=X), out=A)
+        np.multiply(np.add(np.multiply(A, 2.0, out=A), T, out=A), T, out=A)
+        np.sqrt(np.maximum(np.add(A, np.square(S, out=X), out=A), 0.0, out=A), out=A)
+        if spec.family == "power":  # Phi*(y) = (p - 1) (y / p)^(p / (p - 1))
+            hi, lo = (float(np.power(np.divide(b, p, out=b), p / (p - 1.0), out=b).sum())
+                      for b in (A, S))
+            gap, size = (p - 1.0) * w * (hi - lo) - cross, size + (p - 1.0) * w * (hi + lo)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = np.multiply(np.power(np.divide(A, S, out=T), 1.0 / (p - 1.0), out=T), Q, out=T)
+                d = eval_phi_prime(spec, t, out=X, scratch=(Y, Z))
+                np.multiply(np.subtract(d, A, out=d), np.subtract(A, S, out=Y), out=d)  # Y: s' - s0
+                miss = np.flatnonzero(~(d >= 0.0))
+            if miss.size:
+                t_lo, t_hi = phi_prime_inverse(spec, A[miss], Q[miss])
+                t[miss] = np.where(Y[miss] > 0.0, t_hi, t_lo)
+            gap = w * float(np.multiply(t, Y, out=Y).sum()) - cross
+            size += w * float(np.multiply(t, np.add(A, S, out=X), out=X).sum())
+        return gap + 16.0 * _EPS * size
 
 
 _COARSE_MAX = 64  # unknowns at which the multigrid inverts a level instead of coarsening
@@ -725,7 +775,8 @@ def _gap(g: np.ndarray, x: np.ndarray) -> float:
 
     The minimizer lies in [0, 1] (clipping to [0, 1] is 1-Lipschitz, so it
     never raises |D+ u|), and E is convex, so E(u*) >= E(x) + <g, u* - x>
-    >= E(x) - <g, x> + sum min(0, g).
+    >= E(x) - <g, x> + sum min(0, g).  Linear in g, where the error is
+    quadratic: the solve's cheap trigger for `_EnergyWorkspace.flux_gap`.
     """
     return _dot(g, x) - float(np.minimum(g, 0.0).sum())
 
@@ -734,11 +785,12 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
                          tol: float = 1e-8, max_iter: int = 100_000) -> CapacityResult:
     """Capacity of a node set: minimal Phi-energy over admissible functions.
 
-    Converged when the certified gap falls to tol * value, or when no step
-    strictly lowers the energy any more (stationary to machine precision);
-    not converged after `max_iter` iterations.  `lower` = value - gap either
-    way.  `power(2)`, whose energy is quadratic, is solved by linear CG
-    (method "linear-pcg-multigrid"), every other family by nonlinear CG
+    Converged when the certificate (`_gap`, or the flux gap where smaller)
+    falls to tol * value, or when no step strictly lowers the energy any
+    more (stationary to machine precision); not converged after `max_iter`
+    iterations.  `lower` = value - certificate either way.  `power(2)`,
+    whose energy is quadratic, is solved by linear CG (method
+    "linear-pcg-multigrid"), every other family by nonlinear CG
     ("pcg-multigrid"); see the module docstring.
     """
     if domain is None:
@@ -774,9 +826,16 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
     def gradient(v):
         return work.grad(v).reshape(-1)[at]
 
+    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)  # runs of free nodes along the last axis
+    trigger = math.sqrt(max(tol, 0.0))
+
+    def certificate(v, g, x, e):  # `_gap`, or the flux gap where smaller once `_gap` <= sqrt(tol) e
+        gap = _gap(g, x)
+        return min(gap, work.flux_gap(v, g, at, starts)) if gap <= trigger * e else gap
+
     g = g.reshape(-1)[at]
     x = u.reshape(-1)[at]  # the free values; held nodes keep 1 (marked) and 0 (band)
-    gap = _gap(g, x)
+    gap = certificate(u, g, x, e_u)
     converged = gap <= tol * e_u
     it = 0
     precondition = _Multigrid(domain, free)
@@ -795,11 +854,11 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
             # E is u's squared energy norm, so a step of decrease below
             # eps^2 E moves u by less than its rounding in that norm
             stationary = not drop > _EPS * _EPS * e_x
-            if stationary or _gap(g_x, x) <= tol * e_x or it == max_iter:
+            if stationary or _gap(g_x, x) <= trigger * e_x or it == max_iter:
                 # value and certificate from the lattice energy at x itself
                 u.reshape(-1)[at] = x
                 e_u, g = work.energy(u), gradient(u)
-                gap = _gap(g, x)
+                gap = certificate(u, g, x, e_u)
                 converged = stationary or gap <= tol * e_u
     else:
         def trial(alpha):
@@ -835,13 +894,15 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
                 u, v = v, u
                 x = u.reshape(-1)[at]
                 e_u, g = e_v, gradient(u)
-                gap = _gap(g, x)
+                gap = certificate(u, g, x, e_u)
                 converged = gap <= tol * e_u
             else:
                 converged = True  # no step lowers E: stationary to machine precision
 
     if not math.isfinite(e_u):
         raise NumericalError(f"{spec.tag}: non-finite capacity energy {e_u}")
+    if not gap <= tol * e_u:  # stationary or out of iterations: the tightest bracket at hand
+        gap = min(gap, work.flux_gap(u, g, at, starts))
     return CapacityResult(e_u, GridFunction(domain, u), it, converged, method, e_u - gap)
 
 

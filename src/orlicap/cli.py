@@ -37,6 +37,7 @@ from .errors import ConfigurationError, NumericalError
 from .grid import GridDomain, GridFunction, ball_mask, build_domain, check_ball_inside, save_csv
 from .norms import luxemburg_norm, modular
 from .strongtype import (
+    SHAPES,
     TestFunctionSpec,
     build_test_function,
     derived_psi,
@@ -79,7 +80,7 @@ SCHEMA = {
                             "need variational or riesz"),
                  "radial_oracle": (bool, True), "estimate": (bool, False),
                  "write_minimizer": (bool, False)},
-    "strong-type": {"functions": (str, "tent,bump,plateau,two_peak,random_smooth"),
+    "strong-type": {"functions": (str, ",".join(SHAPES)),
                     "lambda_min_exp": (int, -4), "lambda_max_exp": (int, 4)},
     "averages": {"functions": (str, "tent,bump"), "j_max": (int, 2), "r0": (float, 0.25),
                  # nan is not > 0: no average falls below it

@@ -176,11 +176,6 @@ class TestFunctionSpec:
         return core if self.amplitude == 1.0 else f"{self.amplitude:g}*{core}"
 
 
-def default_suite() -> List[TestFunctionSpec]:
-    """Every shape at its default parameters (the seed only reaches random_smooth)."""
-    return [TestFunctionSpec(shape, seed=7) for shape in SHAPES]
-
-
 def build_test_function(fn_spec: TestFunctionSpec, domain: GridDomain) -> GridFunction:
     profile = SHAPES[fn_spec.shape][1]
 

@@ -39,7 +39,6 @@ from orlicap.cli import main as cli_main
 from orlicap.strongtype import (
     TestFunctionSpec,
     build_test_function,
-    default_suite,
     derived_psi,
     dyadic_darboux_sums,
     lhs_dyadic,
@@ -100,10 +99,10 @@ def test_criterion_2_ball_estimate_band(dom128):
     report(2, "ball-estimate band", ok, f"{detail}; {elapsed:.0f}s")
 
 
-def test_criterion_3_strong_type_stability(dom128, t2_cache_128):
+def test_criterion_3_strong_type_stability(dom128, t2_cache_128, default_suite):
     t0 = time.time()
     spec2 = power(2)
-    _, verdict2 = verify_strong_type(default_suite(), spec2, derived_psi(spec2),
+    _, verdict2 = verify_strong_type(default_suite, spec2, derived_psi(spec2),
                                      dom128, cache=t2_cache_128)
     spreads = {}
     for tag, info in verdict2.per_function.items():
@@ -116,7 +115,7 @@ def test_criterion_3_strong_type_stability(dom128, t2_cache_128):
     maxes = {}
     for res in (96, 128):
         dom = dom128 if res == 128 else build_domain(2, 1.0, res)
-        _, verdict = verify_strong_type(default_suite(), spec_log, psi_log, dom)
+        _, verdict = verify_strong_type(default_suite, spec_log, psi_log, dom)
         maxes[res] = verdict.max_k_emp
     repro = abs(maxes[96] - maxes[128]) / maxes[128]
     elapsed = time.time() - t0
@@ -128,12 +127,12 @@ def test_criterion_3_strong_type_stability(dom128, t2_cache_128):
            f"dev {repro:.2%}; {elapsed:.0f}s")
 
 
-def test_criterion_4_dyadic_sandwich(dom128, t2_cache_128):
+def test_criterion_4_dyadic_sandwich(dom128, t2_cache_128, default_suite):
     spec = power(2)
     psi = derived_psi(spec)
     worst = 0.0
     ok = True
-    for fn in default_suite():
+    for fn in default_suite:
         u = build_test_function(fn, dom128)
         rep = lhs_dyadic(u, spec, psi, t2_cache_128)
         lower, upper = dyadic_darboux_sums(u, spec, psi, t2_cache_128)

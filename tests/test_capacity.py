@@ -1092,13 +1092,15 @@ def test_solve_ends_where_the_energy_stops_resolving():
     # lower E are refused, so the solve ends, converged, instead of looping
     # to max_iter.  tol = 0 leaves only that stop; the linear solve's
     # (power(2)) is a step below the rounding of u, and its value is the
-    # direct solve's (`quadratic_minimum`).
+    # direct solve's (`quadratic_minimum`).  The last iterate still gets the
+    # flux gap, far below the default stop's 1e-8.
     dom = build_domain(2, 1.0, 128)
     E = level_mask(build_test_function(TestFunctionSpec("bump"), dom), 2.0 ** -3)
     for spec, expected in ((power_log(2, 1), 13.785276411492461), (power(2), 8.858026926791961)):
         res = capacity_variational(E, spec, dom, tol=0.0, max_iter=200)
         assert res.converged and res.iterations < 60
         assert res.lower < res.value == pytest.approx(expected, rel=1e-6)
+        assert res.value - res.lower <= 1e-12 * res.value
 
 
 @pytest.mark.parametrize("spec,expected", [(power(3), 6.156896879772685),
@@ -1121,6 +1123,153 @@ def test_lower_bound_brackets_the_capacity(n, res):
     assert loose.lower <= tight.value <= loose.value
     assert tight.lower <= tight.value
     assert loose.summary()["lower"] == loose.lower
+
+
+CERTIFIED_SPECS = [power(2), power_log(2, 1), power(3), exp_loglog(3, 2, 0.5)]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=lambda s: s.tag)
+@pytest.mark.parametrize("n,res", [(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
+def test_every_family_stops_on_a_bracket_within_tol(n, res, spec):
+    # the flux certificate closes the bracket to tol = 1e-8 for the nonlinear
+    # families too, where `_gap` alone ended at the stationary stop with
+    # brackets of 1e-7
+    dom = build_domain(n, 1.0, res)
+    E = ball_mask(dom, 0.25)
+    res_ = capacity_variational(E, spec, dom)
+    assert res_.converged
+    assert res_.lower <= res_.value
+    assert (res_.value - res_.lower) / res_.value <= 1e-8
+    # it stops on the certificate, well before the stationary stop
+    assert res_.iterations < capacity_variational(E, spec, dom, tol=0.0).iterations
+
+
+@pytest.mark.parametrize("r", [0.2, 0.3])
+def test_power2_bracket_holds_the_sparse_direct_minimum_at_128(disc, r):
+    E = ball_mask(disc, r)
+    res = capacity_variational(E, power(2), disc)
+    exact = quadratic_minimum(disc, E.mask)
+    assert res.converged
+    assert res.lower <= exact <= res.value
+    assert (res.value - res.lower) / res.value <= 1e-8
+
+
+def flux_reference(domain, spec, u, mask):
+    """The flux sigma + tau e_a per axis, its divergence sum_a D+_a^T and the
+    gradient g = D+^T sigma / h at the free nodes, built the long way: sigma
+    = w Phi'(|q|) q / |q| from np.diff, and tau along the last axis by a
+    loop over the lattice lines, summing h g from 0 at each held node."""
+    h, n = domain.h, domain.n
+    w = domain.weights
+    held = mask | domain.boundary_band
+    q = [np.diff(u, axis=a, append=0.0) / h for a in range(n)]
+    norm = np.sqrt(sum(c * c for c in q))
+    scale = np.divide(w * eval_phi_prime(spec, norm), norm, out=np.zeros_like(norm),
+                      where=norm > 0)
+    sigma = [scale * c for c in q]
+
+    def divergence(field):  # sum_a D+_a^T field_a
+        return -sum(np.diff(f, axis=a, prepend=0.0) for a, f in enumerate(field))
+
+    g = divergence(sigma) / h
+    tau = np.zeros_like(u)
+    for line in np.ndindex(domain.shape[:-1]):
+        run = 0.0
+        for k in range(domain.shape[-1]):
+            run = 0.0 if held[line + (k,)] else run + h * g[line + (k,)]
+            tau[line + (k,)] = run
+    sigma[-1] = sigma[-1] + tau
+    return sigma, divergence(sigma), g[~held]
+
+
+# Phi'(t) / t falls for this table, so the tangent point |q| s' / s0 lies on
+# the wrong side of the root of Phi'(t) = s', and the flux gap inverts Phi'
+_TABLE_KNOTS = np.geomspace(1e-8, 100, 400)
+TABLE_T15 = custom_table(np.column_stack([_TABLE_KNOTS, _TABLE_KNOTS ** 1.5]))
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS + [TABLE_T15], ids=lambda s: s.tag)
+@pytest.mark.parametrize("iterations", [0, 4], ids=["indicator", "4-iterations"])
+@pytest.mark.parametrize("n,res", [(2, 32), (3, 32)], ids=["2d-32", "3d-32"])
+def test_flux_gap_is_the_duality_gap_of_an_equilibrated_flux(n, res, iterations, spec):
+    # at iterates away from the optimum: sigma + tau is equilibrated on the
+    # free nodes, and the flux gap is E minus its dual value (power, closed
+    # form) or bounds it from above by a small factor (the tangent bound; at
+    # the indicator most free nodes have |q| = 0 < s', where it inverts Phi')
+    dom = build_domain(n, 1.0, res)
+    E = ball_mask(dom, 0.3)
+    u = capacity_variational(E, spec, dom, max_iter=iterations).minimizer.values
+    sigma, div, g_ref = flux_reference(dom, spec, u, E.mask)
+    free = ~(E.mask | dom.boundary_band)
+    assert np.abs(div[free]).max() <= 1e-12 * max(np.abs(s).max() for s in sigma)
+    w = dom.weights
+    y = np.divide(np.sqrt(sum(s * s for s in sigma)), w, out=np.zeros_like(w), where=w > 0)
+    assert not y[w == 0].any()  # the flux vanishes where the weight does
+    t_lo, t_hi = phi_prime_inverse(spec, y.ravel())
+    conjugate = (y.ravel() * t_hi - eval_phi(spec, t_lo)).reshape(y.shape)  # >= Phi*(y)
+    dual = div[E.mask].sum() / dom.h - (w * conjugate).sum()
+
+    work = _EnergyWorkspace(dom, spec)
+    e = work.energy(u)
+    at = np.flatnonzero(free)
+    g = work.grad(u).reshape(-1)[at]
+    np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
+    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+    gap = work.flux_gap(u, g, at, starts)
+    assert 1e-7 * e < e - dual <= gap * (1 + 1e-6)
+    assert gap <= (1 + 1e-6 if spec.family == "power" else 2.5) * (e - dual)
+
+
+@pytest.mark.parametrize("spec", [power(2), power_log(2, 1)], ids=lambda s: s.family)
+def test_flux_gap_allocates_no_lattice_array(spec):
+    dom = build_domain(3, 1.0, 32)
+    E = ball_mask(dom, 0.3)
+    u = capacity_variational(E, spec, dom, max_iter=2).minimizer.values
+    at = np.flatnonzero(~(E.mask | dom.boundary_band))
+    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+    work = _EnergyWorkspace(dom, spec)
+    work.energy(u)
+    g = work.grad(u).reshape(-1)[at]
+    work.flux_gap(u, g, at, starts)  # warm-up
+    tracemalloc.start()
+    try:
+        work.flux_gap(u, g, at, starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes / 2
+
+
+def test_truncated_solve_keeps_a_bracket_below_the_capacity(disc64):
+    E = ball_mask(disc64, 0.25)
+    for spec in CERTIFIED_SPECS:
+        tight = capacity_variational(E, spec, disc64, tol=1e-12)
+        for max_iter in (1, 3, 6):
+            res = capacity_variational(E, spec, disc64, max_iter=max_iter)
+            assert not res.converged and res.iterations == max_iter
+            assert res.lower <= tight.value <= res.value
+
+
+@pytest.mark.parametrize("kind", ["one-node", "to-mark-radius"])
+@pytest.mark.parametrize("n,res", [(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
+def test_flux_bracket_holds_on_edge_sets(n, res, kind):
+    # a single marked node, and every node below the mark radius R - 2h
+    # outside a ball; at tol = 0 the flux gap's terms cancel to rounding
+    # (down to about -4e-16 E), which its allowance covers
+    dom = build_domain(n, 1.0, res)
+    if kind == "one-node":
+        mask = np.zeros(dom.shape, dtype=bool)
+        mask.flat[np.argmin(dom.radius)] = True
+    else:
+        mask = (dom.radius < dom.mark_radius) & (dom.radius > 0.5)
+    E = SetMask(dom, mask)
+    for spec in CERTIFIED_SPECS:
+        res_ = capacity_variational(E, spec, dom)
+        assert res_.converged and res_.lower <= res_.value
+        assert (res_.value - res_.lower) / res_.value <= 1e-8
+        tight = capacity_variational(E, spec, dom, tol=0.0, max_iter=30)
+        assert tight.lower <= tight.value
+        assert res_.lower <= tight.value
 
 
 _CENTRES = [None, (-0.25, 0.0), (0.0, 0.25), (0.2, -0.2)]

@@ -69,6 +69,8 @@ def test_defaults_are_resolved(tmp_path):
     assert cfg["run"]["seed"] == 0
     assert cfg["averages"]["r0"] == 0.25
     assert cfg["psi"] == {"mode": "derived"}  # its family keys have no default
+    # the default sweep is every shape, in the order the manifests record
+    assert cfg["strong-type"]["functions"] == "tent,bump,plateau,two_peak,random_smooth"
 
 
 def test_check_conditions_scenario(tmp_path):

@@ -25,7 +25,6 @@ from orlicap.strongtype import (
     TAIL_OCTAVES,
     TestFunctionSpec,
     build_test_function,
-    default_suite,
     derived_psi,
     dyadic_darboux_sums,
     dyadic_levels,
@@ -56,10 +55,9 @@ def test_truncation_values():
     assert np.all((slopes >= 0) & (slopes <= 2 + 1e-12))
 
 
-def test_default_suite_has_five_shapes(disc):
-    suite = default_suite()
-    assert len(suite) == 5
-    for fn in suite:
+def test_default_suite_has_five_shapes(disc, default_suite):
+    assert len(default_suite) == 5
+    for fn in default_suite:
         u = build_test_function(fn, disc)
         assert u.max_abs() > 0
 
@@ -156,10 +154,10 @@ def divided_first_rhs(u, spec):
 @pytest.mark.parametrize("spec", [power(2), power_log(2, 1), exp_log(2, 0.5)],
                          ids=lambda s: s.family)
 @pytest.mark.parametrize("resolution", [64, 96, 128])
-def test_rhs_equals_the_divided_first_energy(resolution, spec):
+def test_rhs_equals_the_divided_first_energy(resolution, spec, default_suite):
     # where h is a power of 2 the two orders round alike; at h = 1/48 they may not
     dom = build_domain(2, 1.0, resolution)
-    for fn_spec in default_suite():
+    for fn_spec in default_suite:
         for lam in (0.25, 1.0, 8.0):
             u = build_test_function(replace(fn_spec, amplitude=lam), dom)
             got, expected = rhs_energy(u, spec), divided_first_rhs(u, spec)
