@@ -882,7 +882,8 @@ def capacity_variational(E: SetMask, spec: YoungSpec, domain: GridDomain = None,
                 d, slope = z, z_dot_g
             g_prev, z_dot_g_prev = g, z_dot_g
             # secant on the directional derivative, between 0 and the last step
-            slope_t = _dot(gradient(trial(alpha)), d)
+            with np.errstate(invalid="ignore"):  # an inf flux past a table's last knot
+                slope_t = _dot(gradient(trial(alpha)), d)
             if math.isfinite(slope_t) and slope_t > slope:
                 alpha *= slope / (slope - slope_t)
             # halve while the first-order decrease alpha |slope| could still show

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -216,8 +216,8 @@ class StrongTypeReport:
     k_min: int
     k_max: int
     levels: List[LevelRow]
-    tail_bound: float
     converged: bool
+    tail_bound: Optional[float] = None  # of the levels below k_min; verify_strong_type sets it
 
     def summary(self) -> dict:
         return {"tag": self.tag, "lambda": self.amplitude, "lhs": self.lhs,
@@ -246,8 +246,8 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     """Dyadic level-set sum approximating the capacitary integral.
 
     Levels come from dyadic_levels, k_max = ceil(log2 max|u|) down to
-    k_min; the neglected lower levels are covered by the reported tail
-    bound capacity(support) * Psi(2^(k_min+1)), never silently dropped.
+    k_min; `verify_strong_type` covers the neglected lower levels with the
+    reported tail bound, so they are never silently dropped.
     NumericalError when the rhs is not finite and positive, or a level's
     weight or the sum is not finite (an amplitude near the float range's
     edges).
@@ -261,12 +261,11 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
     with np.errstate(all="ignore"):
         rhs = rhs_energy(u, phi_spec)
         levels = list(dyadic_levels(peak, psi)) if peak > 0.0 else []
-        psi_tail = float(psi(2.0 ** (levels[-1][0] + 1))) if levels else 0.0
     if peak == 0.0:
         return StrongTypeReport(tag="zero", amplitude=1.0, lhs=0.0, rhs=rhs,
                                 k_emp=0.0, k_min=0, k_max=0, levels=[],
                                 tail_bound=0.0, converged=True)
-    # finite weights hold finite Psi values at every 2^k, psi_tail's included
+    # finite weights hold finite Psi values at every 2^k, Psi(2^(k_min+1)) included
     if not (0.0 < rhs < math.inf and all(math.isfinite(wgt) for _, wgt in levels)):
         raise NumericalError(f"max |u| = {peak!r}: the energy {rhs!r} or a weight of "
                              f"{psi.tag} is not finite and positive")
@@ -287,13 +286,10 @@ def lhs_dyadic(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
         raise NumericalError(f"max |u| = {peak!r}: the dyadic sum {lhs!r} is not finite")
     rows.reverse()
     k_min, k_max = rows[0].k, rows[-1].k
-
-    support = level_mask(u, peak * 1e-15)
-    tail = cache.capacity(support).value * psi_tail
     k_emp = lhs / rhs
     return StrongTypeReport(tag="", amplitude=1.0, lhs=lhs, rhs=rhs,
                             k_emp=k_emp, k_min=k_min, k_max=k_max,
-                            levels=rows, tail_bound=tail, converged=all_conv)
+                            levels=rows, converged=all_conv)
 
 
 def dyadic_darboux_sums(u: GridFunction, phi_spec: YoungSpec, psi: PsiSpec,
@@ -355,6 +351,11 @@ def verify_strong_type(suite: Sequence[TestFunctionSpec], phi_spec: YoungSpec,
         for lam in lambdas:
             u = build_test_function(replace(fn_spec, amplitude=lam), domain)
             rep = lhs_dyadic(u, phi_spec, psi, cache)
+            if rep.levels:  # the levels below k_min: cap(support) Psi(2^(k_min+1))
+                with np.errstate(all="ignore"):  # an amplitude near the float range's edges
+                    psi_tail = float(psi(2.0 ** (rep.k_min + 1)))
+                support = level_mask(u, u.max_abs() * 1e-15)
+                rep.tail_bound = cache.capacity(support).value * psi_tail
             rep.tag = fn_spec.tag
             rep.amplitude = lam
             reports.append(rep)

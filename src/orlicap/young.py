@@ -315,11 +315,14 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
 
     Phi'(t_lo) <= y <= Phi'(t_hi) as evaluated by `eval_phi_prime`, and
     t_hi <= t_lo * exp(_INVERSE_RTOL) unless `_INVERSE_ROUNDS` rounds run
-    out; y = 0 gives t_lo = t_hi = 0.  For `power` both ends are the closed
-    form (y/p)^(1/(p-1)), exact up to rounding.  Otherwise secant steps on
-    F(u) = log(Phi'(e^u) / y) start from u = log t0 (a previous root; where
-    it is not positive, from the closed form of `power(p)`), each pushed a
-    quarter of the width past the root it predicts so that the iterates
+    out or |log t| >= 512, where one ulp of log t exceeds _INVERSE_RTOL and
+    the ends are adjacent doubles in log t.  y = 0 gives t_lo = t_hi = 0; a
+    root below the smallest double gives t_lo = 0, one above the largest
+    t_hi = inf.  For `power` both ends are the closed form (y/p)^(1/(p-1)),
+    exact up to rounding.  Otherwise secant steps on F(u) = log(Phi'(e^u) /
+    y) start from u = log t0 (a previous root; where it is not positive,
+    from the closed form of `power(p)`), each pushed a quarter of the width
+    (at least one ulp of u) past the root it predicts so that the iterates
     close in from both sides; a step that leaves the bracket found so far
     bisects it.
 
@@ -329,45 +332,41 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
     """
     y = np.asarray(y, dtype=float)
     p = spec.p
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         guess = np.power(y / p, 1.0 / (p - 1.0))
-    if spec.family == "power":
-        return guess, guess.copy()
-    if t0 is not None:
-        guess = np.where(t0 > 0, t0, guess)
-    t_lo, t_hi = np.zeros_like(y), np.zeros_like(y)
-    pos = np.flatnonzero(y > 0)
-    lo, hi = np.full(pos.size, -np.inf), np.full(pos.size, np.inf)
-    k = np.arange(pos.size)  # entries of pos still open
-    u = np.log(guess[pos])
-    f_prev = u_prev = None
-    slope = np.full(pos.size, p - 1.0)  # dF/du; p - 1 for power(p)
-    for _ in range(_INVERSE_ROUNDS):
-        t = np.exp(u)
-        d = eval_phi_prime(spec, t)
-        yk = y[pos[k]]
-        below, above = d <= yk, d >= yk
-        lo[k[below]], t_lo[pos[k[below]]] = u[below], t[below]
-        hi[k[above]], t_hi[pos[k[above]]] = u[above], t[above]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.log(d / yk)
-        f[np.isnan(f)] = np.inf  # Phi' at an overflowed t = inf
-        if f_prev is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.family == "power":
+            return guess, guess.copy()
+        if t0 is not None:
+            guess = np.where(t0 > 0, t0, guess)
+        # u = log t; the bracket [lo, hi] starts past both ends of the float
+        # range, where exp gives [0, inf] ([0, 0] at y = 0); the start lies inside
+        is_open = y > 0
+        lo, hi = np.full_like(y, -746.0), np.where(is_open, 710.0, -746.0)
+        u = np.clip(np.log(guess), -745.0, 709.0)
+        slope = np.full_like(y, p - 1.0)  # dF/du; p - 1 for power(p)
+        f_prev = u_prev = None
+        for _ in range(_INVERSE_ROUNDS):
+            d = eval_phi_prime(spec, np.exp(u))
+            np.putmask(lo, is_open & (d <= y), u)
+            np.putmask(hi, is_open & ~(d < y), u)  # Phi'(inf) is NaN
+            f = np.log(d / y)
+            f[np.isnan(f)] = np.inf
+            if f_prev is not None:
                 secant = (f - f_prev) / (u - u_prev)
-            use = (np.abs(u - u_prev) > 1e-8) & (secant > 0) & np.isfinite(secant)
-            slope[k[use]] = secant[use]
-        keep = hi[k] - lo[k] > _INVERSE_RTOL
-        k, u, f = k[keep], u[keep], f[keep]
-        if k.size == 0:
-            break
-        step = np.clip(-f / slope[k], -8.0, 8.0)
-        step += np.where(f < 0, 0.25, -0.25) * _INVERSE_RTOL
-        u_prev, f_prev, u = u, f, u + step
-        a, b = lo[k], hi[k]
-        outside = ~((u > a) & (u < b))
-        u[outside] = np.where(np.isfinite(a + b), 0.5 * (a + b), u)[outside]
-    return t_lo, t_hi
+                use = (np.abs(u - u_prev) > 1e-8) & (secant > 0) & np.isfinite(secant)
+                np.putmask(slope, use, secant)
+            mid = 0.5 * (lo + hi)  # strictly inside unless lo, hi are adjacent doubles
+            is_open &= (hi - lo > _INVERSE_RTOL) & (mid > lo) & (mid < hi)
+            if not is_open.any():
+                break
+            step = np.clip(-f / slope, -8.0, 8.0)
+            step += np.where(f < 0, 0.25 * _INVERSE_RTOL, -0.25 * _INVERSE_RTOL)
+            u_prev, f_prev, u = u, f, u + step
+            stuck = u == u_prev  # a step below half an ulp of u, at |u| >= 256
+            if stuck.any():
+                np.putmask(u, stuck, u_prev + np.copysign(np.spacing(u_prev), step))
+            np.putmask(u, (u <= lo) | (u >= hi), mid)
+        return np.exp(lo), np.exp(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -564,6 +564,18 @@ def test_table_covering_the_gradients_solves(disc64):
                                       rel=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_secant_trial_past_the_last_knot_solves():
+    # Phi = t^3: the secant trial's gradient passes the table's last knot, an
+    # inf flux times zero differences, which the descent takes as no secant
+    dom = build_domain(2, 1.0, 32)
+    t = np.geomspace(1e-8, 100, 400)
+    res = capacity_variational(ball_mask(dom, 0.3), custom_table(np.column_stack([t, t ** 3])),
+                               dom)
+    assert res.converged and res.iterations == 16
+    assert res.value == 7.7008139421233
+
+
 # ---------------------------------------------------------------------------
 # energy/gradient workspace against the np.diff formulas it replaced
 # ---------------------------------------------------------------------------

@@ -646,6 +646,47 @@ def test_phi_prime_inverse_brackets_the_root(spec):
         assert np.all(hi2[1:] <= lo2[1:] * math.exp(_INVERSE_RTOL))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", [s for s in ALL_BUILTIN if s.family != "power"]
+                         + [power_log(3, 1), exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
+def test_phi_prime_inverse_over_the_float_range(spec):
+    # roots from below 1e-150 to above 1e150, and for power_log(1.5, 0.5)
+    # below the smallest double and above the largest
+    y = np.concatenate([[0.0], 10.0 ** np.linspace(-300, 300, 241)])
+    t_lo, t_hi = phi_prime_inverse(spec, y)
+    with np.errstate(over="ignore"):  # a root near the largest double
+        starts = (None, 0.5 * (t_lo + t_hi) * (1.0 + 1e-6), np.full(y.size, 1e3))
+    for t0 in starts:
+        t_lo, t_hi = phi_prime_inverse(spec, y, t0)
+        assert t_lo[0] == t_hi[0] == 0.0
+        assert np.all((0.0 <= t_lo) & (t_lo <= t_hi))
+        finite = np.isfinite(t_hi)
+        assert np.all(eval_phi_prime(spec, t_lo) <= y)
+        assert np.all(eval_phi_prime(spec, t_hi[finite]) >= y[finite])  # Phi'(inf) is NaN
+        # t_lo = 0 and t_hi = inf only where the root under- or overflows:
+        # past the smallest and the largest positive double
+        assert np.all(eval_phi_prime(spec, 5e-324) >= y[1:][t_lo[1:] == 0.0])
+        assert np.all(eval_phi_prime(spec, np.finfo(float).max) < y[~finite])
+        # the width, or adjacent doubles in log t where one ulp of it is wider
+        lo, hi = (t[(t_lo >= np.finfo(float).tiny) & finite] for t in (t_lo, t_hi))
+        adjacent = np.log(hi) - np.log(lo) <= np.spacing(np.abs(np.log(lo)))
+        assert np.all((hi <= lo * math.exp(_INVERSE_RTOL)) | adjacent)
+
+
+@pytest.mark.parametrize("spec,most", [(power_log(2, 1), 20), (exp_log(2, 0.5), 20),
+                                       (power_log(1.5, 0.5), 50)],
+                         ids=["power_log(2,1)", "exp_log(2,0.5)", "power_log(1.5,0.5)"])
+def test_phi_prime_inverse_closes_at_the_ends_of_the_float_range(spec, most, monkeypatch):
+    # at y = 1e-300 and 1e300 one ulp of log t exceeds the width, and the
+    # roots of power_log(1.5, 0.5) leave the float range; each bracket still
+    # closes, after a few Phi' passes rather than all the rounds
+    passes = []
+    monkeypatch.setattr("orlicap.young.eval_phi_prime",
+                        lambda *a, **k: passes.append(1) or eval_phi_prime(*a, **k))
+    phi_prime_inverse(spec, np.array([1e-300, 1e300]))
+    assert 0 < len(passes) < most
+
+
 def test_phi_prime_inverse_power_is_the_closed_form():
     y = np.array([0.0, 0.5, 3.0, 1e8])
     t_lo, t_hi = phi_prime_inverse(power(3), y)
