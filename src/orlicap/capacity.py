@@ -60,8 +60,9 @@ level of at most `_COARSE_MAX` (64) unknowns, kept as its dense inverse;
 only the levels it smooths on get a Jacobi damping.  Sparse products
 run in scipy's own loops (`_matvec`), dot products and that inverse's
 product in numpy's (`np.einsum`), never in BLAS, so a solve's bits do not
-depend on the BLAS thread count; the Riesz solve's dense kernel products,
-and for `power(2)` its working-set products and solves, still do.  Each
+depend on the BLAS thread count; the Riesz solve's dense kernel products
+(every family but `power(2)`) and the `power(2)` working set's Gram
+product and solve still do.  Each
 lattice domain keeps the coarse levels of its own hierarchy, the one with
 no node marked, from its first solve until the domain is dropped.  A mask
 removes unknowns, and it changes only the Galerkin rows whose stencil
@@ -87,18 +88,24 @@ are not reflection-invariant.
 The radial oracle (`capacity_ball_radial`) is the exact minimum of the
 1-D discrete condenser problem, from its constant-flux condition.
 
-The Riesz capacity (`riesz_capacity_variational`) is a dense problem on
-the kernel |x - y|^(1-n) from the marked to the inside nodes, gathered
-from one table over signed lattice offsets with one flat index per entry.
-It is solved through its Fenchel dual on one multiplier per marked node;
-each iterate gives a dual lower bound and a feasible density, and the
-solve stops once their gap is at most tol * value.  For `power(2)` the
-dual is a quadratic program in A A^T, solved exactly by an active set
-that starts at the boundary of the set, where the multipliers live: it
-forms A A^T only on the working set, and checks the rest of the set with
-two kernel products per solve, so a ball takes one solve and its bracket
-closes to rounding.  Every other family runs spectral projected gradient,
-evaluating its dual through A and `young.phi_prime_inverse`.
+The Riesz capacity (`riesz_capacity_variational`) is a problem on the
+kernel A = |x - y|^(1-n) from the marked to the inside nodes.  A depends
+on x - y alone, so each lattice domain keeps one table of it over signed
+lattice offsets, and that table's spectrum, from its first Riesz solve
+until the domain is dropped (`_riesz_table`): a row of A is gathered from
+the table with one flat index per entry (`_riesz_kernel`), and the
+potential A t at every marked node is one FFT convolution
+(`_riesz_potential`).  It is solved through its Fenchel dual on one
+multiplier per marked node; each iterate gives a dual lower bound and a
+feasible density, and the solve stops once their gap is at most
+tol * value.  For `power(2)` the dual is a quadratic program in A A^T,
+solved exactly by an active set that starts at the boundary of the set,
+where the multipliers live: it gathers the rows of A on the working set
+alone, forms A A^T there, and checks the rest of the set with one
+potential per solve, so a ball takes one solve, its bracket closes to
+rounding, and A is never formed whole.  Every other family runs spectral
+projected gradient on the dense A, evaluating its dual through A and
+`young.phi_prime_inverse`.
 """
 
 from __future__ import annotations
@@ -1067,10 +1074,20 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
 # ---------------------------------------------------------------------------
 
 _MAX_CONSTRAINT_NODES = 4096
-_KERNEL_ROWS = 64         # rows of the Riesz kernel gathered at once
+_KERNEL_ENTRIES = 1 << 16  # entries of the Riesz kernel gathered at once
 _NONMONOTONE = 10         # past dual values the Armijo test takes the max of
 _ARMIJO = 1e-4            # sufficient-decrease fraction of the projected slope
 _ALPHA_MIN, _ALPHA_MAX = 1e-30, 1e30  # Barzilai-Borwein step safeguards
+# each lattice domain's `_RieszTable`, made at its first Riesz solve, dropped with it
+_RIESZ_TABLES = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True)
+class _RieszTable:
+    values: np.ndarray    # the kernel over signed offsets, flat
+    steps: np.ndarray     # flat step of each lattice axis in `values`
+    inside: np.ndarray    # flat index of each inside node, less the centre's
+    spectrum: np.ndarray  # rfftn of the offset table, zero-padded to 2m per axis
 
 
 def _kernel_diagonal(n: int, h: float) -> float:
@@ -1085,43 +1102,82 @@ def _kernel_diagonal(n: int, h: float) -> float:
     return 4.0 * math.pi * rho / h ** 3
 
 
-def _riesz_kernel(domain: GridDomain, E: SetMask) -> np.ndarray:
-    """Riesz kernel A[j, i] = |x_j - y_i|^(1-n) h^n from marked nodes x_j to
-    inside nodes y_i, with the cell average `_kernel_diagonal` at x_j = y_i.
+def _riesz_table(domain: GridDomain) -> _RieszTable:
+    """The domain's Riesz kernel over signed lattice offsets; made at its
+    first Riesz solve and kept in `_RIESZ_TABLES` until the domain is
+    dropped.
 
-    The kernel depends on x_j - y_i alone, so A is gathered, a block of rows
-    at a time, from one table over the signed lattice offsets k, the table
-    over (|k_1|, ..., |k_n|) mirrored: the entry at x_j - y_i has the flat
-    index a_j - b_i, with a_j the flat index of x_j plus the centre's and b_i
-    that of y_i, so each entry costs one subtraction and one lookup.
+    The kernel depends on x - y alone: the table over (|k_1|, ..., |k_n|),
+    mirrored to the signed offsets k in (-m, m) per axis, with
+    `_kernel_diagonal` at k = 0.  Its spectrum is taken at length 2m per
+    axis, at least the 2m - 1 that keeps a circular convolution from
+    wrapping into the m central outputs, and a length as fast as m itself.
     """
-    n, h = domain.n, domain.h
-    hn = h ** n
-    sq = np.ix_(*[np.square(np.arange(m) * h) for m in domain.shape])
-    with np.errstate(divide="ignore"):
-        table = np.sqrt(functools.reduce(np.add, sq)) ** (1 - n) * hn
-    table.flat[0] = _kernel_diagonal(n, h) * hn
-    table = table[np.ix_(*[np.abs(np.arange(1 - m, m)) for m in domain.shape])]
-    steps = np.array(table.strides) // table.itemsize
-    marked = np.argwhere(E.mask) @ steps + (np.array(table.shape) // 2) @ steps
-    inside = np.argwhere(domain.inside) @ steps
-    table = table.ravel()
-    A = np.empty((len(marked), len(inside)))
-    for r0 in range(0, len(marked), _KERNEL_ROWS):
-        rows = marked[r0:r0 + _KERNEL_ROWS]
+    tab = _RIESZ_TABLES.get(domain)
+    if tab is None:
+        n, h = domain.n, domain.h
+        hn = h ** n
+        sq = np.ix_(*[np.square(np.arange(m) * h) for m in domain.shape])
+        with np.errstate(divide="ignore"):
+            table = np.sqrt(functools.reduce(np.add, sq)) ** (1 - n) * hn
+        table.flat[0] = _kernel_diagonal(n, h) * hn
+        table = table[np.ix_(*[np.abs(np.arange(1 - m, m)) for m in domain.shape])]
+        steps = np.array(table.strides) // table.itemsize
+        inside = np.argwhere(domain.inside) @ steps - (np.array(table.shape) // 2) @ steps
+        spectrum = np.fft.rfftn(table, [2 * m for m in domain.shape], range(n))
+        tab = _RIESZ_TABLES[domain] = _RieszTable(table.ravel(), steps, inside, spectrum)
+    return tab
+
+
+def _riesz_kernel(domain: GridDomain, E: SetMask, rows=slice(None)) -> np.ndarray:
+    """Rows `rows` (all by default) of the Riesz kernel A[j, i] =
+    |x_j - y_i|^(1-n) h^n from marked nodes x_j to inside nodes y_i, with
+    the cell average `_kernel_diagonal` at x_j = y_i.
+
+    They are gathered, a block of rows at a time, from the domain's table
+    over signed offsets (`_riesz_table`): the entry at x_j - y_i has the flat
+    index a_j - b_i, with a_j the flat index of x_j and b_i that of y_i less
+    the centre's, so each entry costs one subtraction and one lookup.
+    """
+    tab = _riesz_table(domain)
+    marked = np.argwhere(E.mask)[rows] @ tab.steps
+    A = np.empty((len(marked), len(tab.inside)))
+    step = max(1, _KERNEL_ENTRIES // len(tab.inside))
+    for r0 in range(0, len(marked), step):
+        block = marked[r0:r0 + step]
         # every index lies in the table, so mode="clip" clips none; it also
         # writes straight into A, where the default mode buffers the output
-        np.take(table, rows[:, None] - inside, out=A[r0:r0 + len(rows)], mode="clip")
+        np.take(tab.values, block[:, None] - tab.inside, out=A[r0:r0 + len(block)],
+                mode="clip")
     return A
 
 
-def _riesz_dual_qp(A: np.ndarray, w: float, F: np.ndarray, tol: float,
+def _riesz_potential(domain: GridDomain, E: SetMask, t: np.ndarray) -> np.ndarray:
+    """The potential A t at every marked node, for a density t on the inside
+    nodes, as one convolution of t with the domain's kernel table.
+
+    t is scattered onto a zero lattice, and both are transformed at the
+    table spectrum's length 2m per axis: the product's inverse holds the
+    linear convolution at x + m - 1 for every lattice node x.  pocketfft runs
+    it in one thread, so it does not depend on the BLAS thread count.
+    """
+    tab = _riesz_table(domain)
+    size, axes = [2 * m for m in domain.shape], range(domain.n)
+    lattice = np.zeros(domain.shape)
+    lattice[domain.inside] = t
+    conv = np.fft.irfftn(np.fft.rfftn(lattice, size, axes) * tab.spectrum, size, axes)
+    return conv[tuple(slice(m - 1, 2 * m - 1) for m in domain.shape)][E.mask]
+
+
+def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol: float,
                    max_iter: int) -> tuple[np.ndarray, float, int]:
     """The `power(2)` Riesz dual  min_{mu >= 0} mu^T Q mu / 2 - sum mu,  with
-    Q = A A^T / (2w), by an active set from the working set F (Lawson &
-    Hanson, Solving Least Squares Problems, 1974, ch. 23, applied to the
-    QP); returns the feasible density, the dual lower bound and the number
-    of solves Q_FF mu_F = 1 (mu = 0 off F).
+    Q = A A^T / (2w), over the marked nodes of E, by an active set from
+    the working set F (Lawson & Hanson, Solving Least Squares Problems,
+    1974, ch. 23, applied to the QP); returns the feasible density, the dual
+    lower bound and the number of solves Q_FF mu_F = 1 (mu = 0 off F).
+    A itself is never formed: `_riesz_kernel` gathers the rows A_F, and
+    `_riesz_potential` gives A t at every marked node.
 
     A solve with a component <= 0 moves mu towards it as far as mu stays
     >= 0, and the components that reach 0 leave F; where that step is 0, the
@@ -1136,11 +1192,11 @@ def _riesz_dual_qp(A: np.ndarray, w: float, F: np.ndarray, tol: float,
     the modular of the feasible density t / min(A t) (A > 0 entrywise), at
     mu or, while mu is still 0, at the last solve clipped at 0.
     """
-    mu = np.zeros(len(A))
+    mu = np.zeros(E.count)
     it = 0
     while True:
         it += 1
-        AF = A[F]
+        AF = _riesz_kernel(domain, E, F)
         z = np.linalg.solve(AF @ AF.T / (2.0 * w), np.ones(len(F)))
         bad = z <= 0.0
         if not bad.any():
@@ -1161,7 +1217,7 @@ def _riesz_dual_qp(A: np.ndarray, w: float, F: np.ndarray, tol: float,
             continue
         s = mu[F] if mu.any() else np.maximum(z, 0.0)
         t = AF.T @ s / (2.0 * w)
-        At = A @ t
+        At = _riesz_potential(domain, E, t)
         m = float(At.min())
         tt = float(t @ t)
         lower = float(s.sum()) - w * tt
@@ -1264,12 +1320,15 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     equilibrium measure lives on the outer boundary (Adams & Hedberg,
     Function Spaces and Potential Theory, 1996, ch. 2).  So a ball takes
     one solve, its bracket closes to rounding, and no Phi' is inverted;
-    `iterations` counts the solves.
+    `iterations` counts the solves.  It gathers the rows of A on its
+    working set alone and takes A t from one FFT convolution
+    (`_riesz_potential`), so the N_E x N_in kernel is never formed.
 
-    Every other family runs projected Barzilai-Borwein steps with a
-    nonmonotone Armijo search against the last `_NONMONOTONE` values
-    (spectral projected gradient, Birgin, Martinez & Raydan, SIAM J. Optim.
-    10, 2000; `_riesz_dual_spg`), and stops when no step lowers phi any more.
+    Every other family forms the whole kernel and runs projected
+    Barzilai-Borwein steps with a nonmonotone Armijo search against the
+    last `_NONMONOTONE` values (spectral projected gradient, Birgin,
+    Martinez & Raydan, SIAM J. Optim. 10, 2000; `_riesz_dual_spg`), and
+    stops when no step lowers phi any more.
     """
     if domain is None:
         domain = E.domain
@@ -1284,7 +1343,6 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
             f"{E.count} constraint nodes exceed the dense-kernel cap "
             f"{_MAX_CONSTRAINT_NODES}")
 
-    A = _riesz_kernel(domain, E)
     w = domain.h ** domain.n
     if spec.family == "power" and spec.p == 2.0:
         # marked nodes lie strictly inside the lattice (SetMask), so the
@@ -1292,9 +1350,10 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         inner = E.mask.copy()
         for ax in range(domain.n):
             inner &= np.roll(E.mask, 1, ax) & np.roll(E.mask, -1, ax)
-        f, lower, it = _riesz_dual_qp(A, w, np.flatnonzero(~inner[E.mask]), tol, max_iter)
+        f, lower, it = _riesz_dual_qp(domain, E, w, np.flatnonzero(~inner[E.mask]), tol,
+                                      max_iter)
     else:
-        f, lower, it = _riesz_dual_spg(A, w, spec, tol, max_iter)
+        f, lower, it = _riesz_dual_spg(_riesz_kernel(domain, E), w, spec, tol, max_iter)
     value = math.inf if f is None else w * float(eval_phi(spec, f).sum())
     if not math.isfinite(value):
         raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")

@@ -308,6 +308,7 @@ def eval_phi_prime(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
 
 _INVERSE_RTOL = 1e-13    # width of the brackets of phi_prime_inverse, in log t
 _INVERSE_ROUNDS = 100    # evaluation rounds of phi_prime_inverse before it gives up
+_SMALLEST = float(np.finfo(float).smallest_subnormal)  # the smallest positive double
 
 
 def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
@@ -316,15 +317,18 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
     Phi'(t_lo) <= y <= Phi'(t_hi) as evaluated by `eval_phi_prime`, and
     t_hi <= t_lo * exp(_INVERSE_RTOL) unless `_INVERSE_ROUNDS` rounds run
     out or |log t| >= 512, where one ulp of log t exceeds _INVERSE_RTOL and
-    the ends are adjacent doubles in log t.  y = 0 gives t_lo = t_hi = 0; a
-    root below the smallest double gives t_lo = 0, one above the largest
-    t_hi = inf.  For `power` both ends are the closed form (y/p)^(1/(p-1)),
-    exact up to rounding.  Otherwise secant steps on F(u) = log(Phi'(e^u) /
-    y) start from u = log t0 (a previous root; where it is not positive,
-    from the closed form of `power(p)`), each pushed a quarter of the width
-    (at least one ulp of u) past the root it predicts so that the iterates
-    close in from both sides; a step that leaves the bracket found so far
-    bisects it.
+    the ends are adjacent doubles in log t (or in t, where t_hi is below the
+    smallest normal double).  y = 0 gives t_lo = t_hi = 0; a root below the
+    smallest positive double gives t_lo = 0 and t_hi that double, one above
+    the largest t_lo that double and t_hi = inf.  For `power` both ends are
+    the closed form (y/p)^(1/(p-1)), exact up to rounding, or those doubles
+    where it leaves the float range.  Otherwise secant steps on
+    F(u) = log(Phi'(e^u) / y) start from u = log t0 (a previous root; where
+    it is not positive, from the closed form of `power(p)`), each pushed a
+    quarter of the width (at least one ulp of u) past the root it predicts
+    so that the iterates close in from both sides; a step that leaves the
+    bracket found so far, or one from where Phi' is flat above y (a
+    `custom_table` below its first knot), bisects it.
 
     By convexity the conjugate Phi*(y) = y t - Phi(t) at the root lies
     below y * t_hi - Phi(t_lo), an upper bound that stays rigorous for
@@ -334,8 +338,9 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
     p = spec.p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         guess = np.power(y / p, 1.0 / (p - 1.0))
-        if spec.family == "power":
-            return guess, guess.copy()
+        if spec.family == "power":  # a root past the float range: its nearest double
+            return (np.where(guess == np.inf, np.finfo(float).max, guess),
+                    np.where((guess == 0.0) & (y > 0), _SMALLEST, guess))
         if t0 is not None:
             guess = np.where(t0 > 0, t0, guess)
         # u = log t; the bracket [lo, hi] starts past both ends of the float
@@ -345,6 +350,7 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
         u = np.clip(np.log(guess), -745.0, 709.0)
         slope = np.full_like(y, p - 1.0)  # dF/du; p - 1 for power(p)
         f_prev = u_prev = None
+        flat = False
         for _ in range(_INVERSE_ROUNDS):
             d = eval_phi_prime(spec, np.exp(u))
             np.putmask(lo, is_open & (d <= y), u)
@@ -355,8 +361,12 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
                 secant = (f - f_prev) / (u - u_prev)
                 use = (np.abs(u - u_prev) > 1e-8) & (secant > 0) & np.isfinite(secant)
                 np.putmask(slope, use, secant)
+                flat = (secant == 0.0) & (f > 0)  # Phi' above y and flat: bisect
             mid = 0.5 * (lo + hi)  # strictly inside unless lo, hi are adjacent doubles
             is_open &= (hi - lo > _INVERSE_RTOL) & (mid > lo) & (mid < hi)
+            deep = is_open & (hi < -708.0)  # exp(hi) < 2^-1021: doubles _SMALLEST apart
+            if deep.any():  # so close once no double lies strictly between the exps
+                is_open &= ~deep | (np.exp(hi) > np.exp(lo) + _SMALLEST)
             if not is_open.any():
                 break
             step = np.clip(-f / slope, -8.0, 8.0)
@@ -365,7 +375,7 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
             stuck = u == u_prev  # a step below half an ulp of u, at |u| >= 256
             if stuck.any():
                 np.putmask(u, stuck, u_prev + np.copysign(np.spacing(u_prev), step))
-            np.putmask(u, (u <= lo) | (u >= hi), mid)
+            np.putmask(u, (u <= lo) | (u >= hi) | flat, mid)
         return np.exp(lo), np.exp(hi)
 
 

@@ -34,7 +34,8 @@ from orlicap.averages import _nearest_node
 from orlicap.capacity import (_BLOCK_ENTRIES, _DOMAIN_LEVELS, _RATIO_FLOOR, _EnergyWorkspace,
                               _coarse_inverse, _domain_levels, _galerkin, _gershgorin, _levels,
                               _matvec, _Multigrid, _pattern_pairs, _Prolongation,
-                              _kernel_diagonal, _riesz_dual_qp, _riesz_kernel, _windows)
+                              _kernel_diagonal, _riesz_dual_qp, _riesz_kernel, _riesz_potential,
+                              _windows)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic, rhs_energy)
@@ -394,6 +395,39 @@ def riesz_test_mask(n, r, where):
 
 
 @pytest.mark.parametrize("n, r, where", [
+    pytest.param(2, 0.2, (0.3, -0.1), id="2-64-off-centre"),
+    pytest.param(2, 0.6, "level", id="2-64-level-0.6"),
+    pytest.param(3, 0.2, (0.3, -0.1, 0.05), id="3-32-off-centre"),
+    pytest.param(3, 0.6, "level", id="3-32-level-0.6"),
+])
+def test_riesz_potential_matches_the_coordinate_kernel(n, r, where):
+    # the FFT convolution of a random density t >= 0 against the dense
+    # product of the independent kernel, on sets that are not symmetric
+    E = riesz_test_mask(n, r, where)
+    dom = E.domain
+    t = np.random.default_rng(0).random(int(dom.inside.sum()))
+    At = coordinate_kernel(dom, E) @ t
+    assert np.abs(_riesz_potential(dom, E, t) - At).max() <= 1e-13 * np.abs(At).max()
+
+
+def test_riesz_power2_never_forms_the_full_kernel():
+    # the active set gathers the rows of its working set alone and takes
+    # A t from the FFT, so its peak stays far below the N_E x N_in kernel
+    dom = build_domain(2, 1.0, 64)
+    E = ball_mask(dom, 0.4)
+    kernel_bytes = 8 * E.count * int(dom.inside.sum())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = riesz_capacity_variational(E, power(2), dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < kernel_bytes / 4
+
+
+@pytest.mark.parametrize("n, r, where", [
     pytest.param(2, 0.1, None, id="0.1"),
     pytest.param(2, 0.25, None, id="0.25"),
     pytest.param(2, 0.2, (0.3, -0.1), id="off-centre"),
@@ -445,7 +479,7 @@ def test_riesz_dual_qp_reaches_the_optimum_from_any_working_set(disc64, start):
         inner &= np.roll(E.mask, 1, ax) & np.roll(E.mask, -1, ax)
     F = {"interior": np.flatnonzero(inner[E.mask]), "centre": np.array([E.count // 2]),
          "all": np.arange(E.count)}[start]
-    f, lower, it = _riesz_dual_qp(A, w, F, 1e-8, 100)
+    f, lower, it = _riesz_dual_qp(disc64, E, w, F, 1e-8, 100)
     value = w * float(f @ f)
     assert (value - lower) / value <= 1e-12
     assert it > 1

@@ -646,12 +646,21 @@ def test_phi_prime_inverse_brackets_the_root(spec):
         assert np.all(hi2[1:] <= lo2[1:] * math.exp(_INVERSE_RTOL))
 
 
+def rounding_hull(t_lo, t_hi):
+    """`power`'s closed-form ends widened by its rounding: 16 eps relative
+    (a few roundings of t, of y / p and of Phi'), and one unit in the last
+    place for a root below the smallest normal double."""
+    eps = np.finfo(float).eps
+    return np.nextafter(t_lo * (1.0 - 16 * eps), 0.0), np.nextafter(t_hi * (1.0 + 16 * eps), np.inf)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec", [s for s in ALL_BUILTIN if s.family != "power"]
-                         + [power_log(3, 1), exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
+                         + [power_log(3, 1), exp_loglog(3, 2, 0.5), power(1.5), power(2),
+                            power(3)], ids=lambda s: s.tag)
 def test_phi_prime_inverse_over_the_float_range(spec):
     # roots from below 1e-150 to above 1e150, and for power_log(1.5, 0.5)
-    # below the smallest double and above the largest
+    # and power(1.5) below the smallest double and above the largest
     y = np.concatenate([[0.0], 10.0 ** np.linspace(-300, 300, 241)])
     t_lo, t_hi = phi_prime_inverse(spec, y)
     with np.errstate(over="ignore"):  # a root near the largest double
@@ -660,9 +669,12 @@ def test_phi_prime_inverse_over_the_float_range(spec):
         t_lo, t_hi = phi_prime_inverse(spec, y, t0)
         assert t_lo[0] == t_hi[0] == 0.0
         assert np.all((0.0 <= t_lo) & (t_lo <= t_hi))
+        assert np.all(t_lo < np.inf) and np.all(t_hi[1:] > 0.0)
         finite = np.isfinite(t_hi)
-        assert np.all(eval_phi_prime(spec, t_lo) <= y)
-        assert np.all(eval_phi_prime(spec, t_hi[finite]) >= y[finite])  # Phi'(inf) is NaN
+        # power's ends are its closed form, exact up to rounding
+        lo, hi = rounding_hull(t_lo, t_hi) if spec.family == "power" else (t_lo, t_hi)
+        assert np.all(eval_phi_prime(spec, lo) <= y)
+        assert np.all(eval_phi_prime(spec, hi[finite]) >= y[finite])  # Phi'(inf) is NaN
         # t_lo = 0 and t_hi = inf only where the root under- or overflows:
         # past the smallest and the largest positive double
         assert np.all(eval_phi_prime(spec, 5e-324) >= y[1:][t_lo[1:] == 0.0])
@@ -685,6 +697,27 @@ def test_phi_prime_inverse_closes_at_the_ends_of_the_float_range(spec, most, mon
                         lambda *a, **k: passes.append(1) or eval_phi_prime(*a, **k))
     phi_prime_inverse(spec, np.array([1e-300, 1e300]))
     assert 0 < len(passes) < most
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phi_prime_inverse_of_a_table_below_its_first_knot(monkeypatch):
+    # below the first knot a table's Phi' is flat at Phi'(0+) = v_0 / t_0, so
+    # for y below it the root is 0+: the bracket [0, smallest double] must
+    # close by bisection, in far fewer passes than the rounds
+    knots = np.geomspace(1e-6, 1e6, 400)
+    spec = custom_table(np.column_stack([knots, knots ** 1.5]))
+    y = 10.0 ** np.random.default_rng(0).uniform(-4, 4, 2000)
+    t_lo, t_hi = phi_prime_inverse(spec, y)
+    assert np.all(eval_phi_prime(spec, t_lo) <= y)
+    assert np.all(eval_phi_prime(spec, t_hi) >= y)
+    flat = y < eval_phi_prime(spec, 1e-300)
+    assert 0 < flat.sum() < y.size
+    assert np.all(t_lo[flat] == 0.0) and np.all(t_hi[flat] == 5e-324)
+    passes = []
+    monkeypatch.setattr("orlicap.young.eval_phi_prime",
+                        lambda *a, **k: passes.append(1) or eval_phi_prime(*a, **k))
+    phi_prime_inverse(spec, y[flat])
+    assert 0 < len(passes) < 50
 
 
 def test_phi_prime_inverse_power_is_the_closed_form():
