@@ -60,9 +60,8 @@ level of at most `_COARSE_MAX` (64) unknowns, kept as its dense inverse;
 only the levels it smooths on get a Jacobi damping.  Sparse products
 run in scipy's own loops (`_matvec`), dot products and that inverse's
 product in numpy's (`np.einsum`), never in BLAS, so a solve's bits do not
-depend on the BLAS thread count; the Riesz solve's dense kernel products
-(every family but `power(2)`) and the `power(2)` working set's Gram
-product and solve still do.  Each
+depend on the BLAS thread count; in the Riesz solve only the `power(2)`
+working set's Gram product and its solve still do.  Each
 lattice domain keeps the coarse levels of its own hierarchy, the one with
 no node marked, from its first solve until the domain is dropped.  A mask
 removes unknowns, and it changes only the Galerkin rows whose stencil
@@ -93,19 +92,18 @@ kernel A = |x - y|^(1-n) from the marked to the inside nodes.  A depends
 on x - y alone, so each lattice domain keeps one table of it over signed
 lattice offsets, and that table's spectrum, from its first Riesz solve
 until the domain is dropped (`_riesz_table`): a row of A is gathered from
-the table with one flat index per entry (`_riesz_kernel`), and the
-potential A t at every marked node is one FFT convolution
-(`_riesz_potential`).  It is solved through its Fenchel dual on one
-multiplier per marked node; each iterate gives a dual lower bound and a
-feasible density, and the solve stops once their gap is at most
-tol * value.  For `power(2)` the dual is a quadratic program in A A^T,
-solved exactly by an active set that starts at the boundary of the set,
-where the multipliers live: it gathers the rows of A on the working set
-alone, forms A A^T there, and checks the rest of the set with one
-potential per solve, so a ball takes one solve, its bracket closes to
-rounding, and A is never formed whole.  Every other family runs spectral
-projected gradient on the dense A, evaluating its dual through A and
-`young.phi_prime_inverse`.
+the table with one flat index per entry (`_riesz_kernel`), and A t, or
+A^T mu, is one FFT convolution (`_riesz_potential`), so no solve forms A
+whole.  It is solved through its Fenchel dual on one multiplier per
+marked node; each iterate gives a dual lower bound and a feasible
+density, and the solve stops once their gap is at most tol * value.  For
+`power(2)` the dual is a quadratic program in A A^T, solved exactly by
+an active set that starts at the boundary of the set, where the
+multipliers live: it gathers the rows of A on the working set alone,
+forms A A^T there, and checks the rest of the set with one potential per
+solve, so a ball takes one solve and its bracket closes to rounding.
+Every other family runs spectral projected gradient on those potentials
+and `young.phi_prime_inverse`.
 """
 
 from __future__ import annotations
@@ -1073,7 +1071,7 @@ def ball_capacity_estimate(r: float, spec: YoungSpec, R: float, n: int) -> BallE
 # Riesz capacity via the discretized kernel
 # ---------------------------------------------------------------------------
 
-_MAX_CONSTRAINT_NODES = 4096
+_MAX_CONSTRAINT_NODES = 4096  # rows of the power(2) working set's dense A_F
 _KERNEL_ENTRIES = 1 << 16  # entries of the Riesz kernel gathered at once
 _NONMONOTONE = 10         # past dual values the Armijo test takes the max of
 _ARMIJO = 1e-4            # sufficient-decrease fraction of the projected slope
@@ -1129,10 +1127,10 @@ def _riesz_table(domain: GridDomain) -> _RieszTable:
     return tab
 
 
-def _riesz_kernel(domain: GridDomain, E: SetMask, rows=slice(None)) -> np.ndarray:
-    """Rows `rows` (all by default) of the Riesz kernel A[j, i] =
-    |x_j - y_i|^(1-n) h^n from marked nodes x_j to inside nodes y_i, with
-    the cell average `_kernel_diagonal` at x_j = y_i.
+def _riesz_kernel(domain: GridDomain, E: SetMask, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of the Riesz kernel A[j, i] = |x_j - y_i|^(1-n) h^n from
+    marked nodes x_j to inside nodes y_i, with the cell average
+    `_kernel_diagonal` at x_j = y_i.
 
     They are gathered, a block of rows at a time, from the domain's table
     over signed offsets (`_riesz_table`): the entry at x_j - y_i has the flat
@@ -1152,21 +1150,23 @@ def _riesz_kernel(domain: GridDomain, E: SetMask, rows=slice(None)) -> np.ndarra
     return A
 
 
-def _riesz_potential(domain: GridDomain, E: SetMask, t: np.ndarray) -> np.ndarray:
-    """The potential A t at every marked node, for a density t on the inside
-    nodes, as one convolution of t with the domain's kernel table.
+def _riesz_potential(domain: GridDomain, source: np.ndarray, density: np.ndarray,
+                     target: np.ndarray) -> np.ndarray:
+    """The potential of `density` on the lattice mask `source`, read on the
+    mask `target`: A t from the inside to the marked nodes, and A^T mu the
+    other way, since the kernel is even.
 
-    t is scattered onto a zero lattice, and both are transformed at the
-    table spectrum's length 2m per axis: the product's inverse holds the
+    The density is scattered onto a zero lattice, and it and the kernel table
+    are transformed at length 2m per axis: the product's inverse holds the
     linear convolution at x + m - 1 for every lattice node x.  pocketfft runs
     it in one thread, so it does not depend on the BLAS thread count.
     """
     tab = _riesz_table(domain)
     size, axes = [2 * m for m in domain.shape], range(domain.n)
     lattice = np.zeros(domain.shape)
-    lattice[domain.inside] = t
+    lattice[source] = density
     conv = np.fft.irfftn(np.fft.rfftn(lattice, size, axes) * tab.spectrum, size, axes)
-    return conv[tuple(slice(m - 1, 2 * m - 1) for m in domain.shape)][E.mask]
+    return conv[tuple(slice(m - 1, 2 * m - 1) for m in domain.shape)][target]
 
 
 def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol: float,
@@ -1177,7 +1177,8 @@ def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol:
     1974, ch. 23, applied to the QP); returns the feasible density, the dual
     lower bound and the number of solves Q_FF mu_F = 1 (mu = 0 off F).
     A itself is never formed: `_riesz_kernel` gathers the rows A_F, and
-    `_riesz_potential` gives A t at every marked node.
+    `_riesz_potential` gives A t at every marked node.  A_F, |F| x N_in, is
+    dense, so |F| > `_MAX_CONSTRAINT_NODES` raises a `ConfigurationError`.
 
     A solve with a component <= 0 moves mu towards it as far as mu stays
     >= 0, and the components that reach 0 leave F; where that step is 0, the
@@ -1196,6 +1197,8 @@ def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol:
     it = 0
     while True:
         it += 1
+        if len(F) > _MAX_CONSTRAINT_NODES:
+            raise ConfigurationError(f"{len(F)} rows of A_F exceed the cap {_MAX_CONSTRAINT_NODES}")
         AF = _riesz_kernel(domain, E, F)
         z = np.linalg.solve(AF @ AF.T / (2.0 * w), np.ones(len(F)))
         bad = z <= 0.0
@@ -1217,7 +1220,7 @@ def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol:
             continue
         s = mu[F] if mu.any() else np.maximum(z, 0.0)
         t = AF.T @ s / (2.0 * w)
-        At = _riesz_potential(domain, E, t)
+        At = _riesz_potential(domain, domain.inside, t, E.mask)
         m = float(At.min())
         tt = float(t @ t)
         lower = float(s.sum()) - w * tt
@@ -1229,19 +1232,20 @@ def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol:
         F = np.union1d(F, np.flatnonzero(violated))
 
 
-def _riesz_dual_spg(A: np.ndarray, w: float, spec: YoungSpec, tol: float,
+def _riesz_dual_spg(domain: GridDomain, E: SetMask, w: float, spec: YoungSpec, tol: float,
                     max_iter: int) -> tuple[np.ndarray | None, float, int]:
     """The Riesz dual of every family but `power(2)` by spectral projected
     gradient: the best feasible density (None when no iterate had a finite
     modular), the best lower bound and the number of iterations.  phi(mu)
     is bounded above by  w (y . t - sum Phi(t_lo)) - sum mu,  from the
-    bracket [t_lo, t] of `young.phi_prime_inverse` at y = A^T mu / w.
+    bracket [t_lo, t] of `young.phi_prime_inverse` at y = A^T mu / w.  Its
+    products run in `_riesz_potential` and `_dot`, so no step calls BLAS.
     """
     def dual(mu, t0):
         """The bound on phi(mu) and t at y = A^T mu / w, bracketed from t0."""
-        y = (A.T @ mu) / w
+        y = _riesz_potential(domain, E.mask, mu, domain.inside) / w
         t_lo, t = phi_prime_inverse(spec, y, t0)
-        return w * (float(y @ t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
+        return w * (_dot(y, t) - float(eval_phi(spec, t_lo).sum())) - float(mu.sum()), t
 
     def search(mu, phi, t, d, slope, phi_ref):
         """Nonmonotone Armijo search along d from mu; None once the step no
@@ -1260,12 +1264,12 @@ def _riesz_dual_spg(A: np.ndarray, w: float, spec: YoungSpec, tol: float,
 
     # start on the ray of mu = 1, scaled as if Phi* were homogeneous of
     # degree q = p/(p-1), as it is for power(p)
-    count = len(A)
+    count = E.count
     mu = np.ones(count)
     phi, t = dual(mu, None)
     mu *= (count / ((phi + count) * spec.p / (spec.p - 1.0))) ** (spec.p - 1.0)
     phi, t = dual(mu, t)
-    At = A @ t
+    At = _riesz_potential(domain, domain.inside, t, E.mask)
     g = At - 1.0
     history = collections.deque([phi], maxlen=_NONMONOTONE)
     value, best = math.inf, None
@@ -1281,16 +1285,16 @@ def _riesz_dual_spg(A: np.ndarray, w: float, spec: YoungSpec, tol: float,
             break
         it += 1
         d = np.maximum(mu - alpha * g, 0.0) - mu
-        slope = float(g @ d)
+        slope = _dot(g, d)
         step = search(mu, phi, t, d, slope, max(history)) if slope < 0.0 else None
         if step is None:
             break  # stationary to machine precision
         mu_new, phi_new, t_new = step
-        At = A @ t_new
+        At = _riesz_potential(domain, domain.inside, t_new, E.mask)
         g_new = At - 1.0
         s, r = mu_new - mu, g_new - g
-        sr = float(s @ r)
-        alpha = min(max(float(s @ s) / sr, _ALPHA_MIN), _ALPHA_MAX) if sr > 0 else _ALPHA_MAX
+        sr = _dot(s, r)
+        alpha = min(max(_dot(s, s) / sr, _ALPHA_MIN), _ALPHA_MAX) if sr > 0 else _ALPHA_MAX
         mu, phi, t, g = mu_new, phi_new, t_new, g_new
         history.append(phi)
         lower = max(lower, -phi)
@@ -1320,15 +1324,15 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     equilibrium measure lives on the outer boundary (Adams & Hedberg,
     Function Spaces and Potential Theory, 1996, ch. 2).  So a ball takes
     one solve, its bracket closes to rounding, and no Phi' is inverted;
-    `iterations` counts the solves.  It gathers the rows of A on its
-    working set alone and takes A t from one FFT convolution
-    (`_riesz_potential`), so the N_E x N_in kernel is never formed.
+    `iterations` counts the solves.
 
-    Every other family forms the whole kernel and runs projected
-    Barzilai-Borwein steps with a nonmonotone Armijo search against the
-    last `_NONMONOTONE` values (spectral projected gradient, Birgin,
-    Martinez & Raydan, SIAM J. Optim. 10, 2000; `_riesz_dual_spg`), and
-    stops when no step lowers phi any more.
+    Every other family runs projected Barzilai-Borwein steps with a
+    nonmonotone Armijo search against the last `_NONMONOTONE` values
+    (spectral projected gradient, Birgin, Martinez & Raydan, SIAM J. Optim.
+    10, 2000; `_riesz_dual_spg`), and stops when no step lowers phi any
+    more.  No path forms the N_E x N_in kernel: A t and A^T mu are FFT
+    convolutions (`_riesz_potential`), and `power(2)` gathers the rows of
+    its working set alone, at most `_MAX_CONSTRAINT_NODES` of them.
     """
     if domain is None:
         domain = E.domain
@@ -1338,11 +1342,6 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
     if E.is_empty():
         return CapacityResult(0.0, GridFunction(domain, np.zeros(domain.shape)), 0, True,
                               "riesz-dual", 0.0)
-    if E.count > _MAX_CONSTRAINT_NODES:
-        raise ConfigurationError(
-            f"{E.count} constraint nodes exceed the dense-kernel cap "
-            f"{_MAX_CONSTRAINT_NODES}")
-
     w = domain.h ** domain.n
     if spec.family == "power" and spec.p == 2.0:
         # marked nodes lie strictly inside the lattice (SetMask), so the
@@ -1353,7 +1352,7 @@ def riesz_capacity_variational(E: SetMask, spec: YoungSpec,
         f, lower, it = _riesz_dual_qp(domain, E, w, np.flatnonzero(~inner[E.mask]), tol,
                                       max_iter)
     else:
-        f, lower, it = _riesz_dual_spg(_riesz_kernel(domain, E), w, spec, tol, max_iter)
+        f, lower, it = _riesz_dual_spg(domain, E, w, spec, tol, max_iter)
     value = math.inf if f is None else w * float(eval_phi(spec, f).sum())
     if not math.isfinite(value):
         raise NumericalError(f"{spec.tag}: non-finite Riesz modular {value}")

@@ -372,7 +372,7 @@ def test_riesz_kernel_table_is_bit_identical(n, res, r, where):
         E = level_mask(u, r * u.max_abs())
     else:
         E = ball_mask(dom, r, where)
-    table = _riesz_kernel(dom, E)
+    table = _riesz_kernel(dom, E, np.arange(E.count))
     assert np.array_equal(table.view(np.int64), coordinate_kernel(dom, E).view(np.int64))
 
 
@@ -394,32 +394,47 @@ def riesz_test_mask(n, r, where):
     return ball_mask(dom, r, where)
 
 
-@pytest.mark.parametrize("n, r, where", [
-    pytest.param(2, 0.2, (0.3, -0.1), id="2-64-off-centre"),
-    pytest.param(2, 0.6, "level", id="2-64-level-0.6"),
-    pytest.param(3, 0.2, (0.3, -0.1, 0.05), id="3-32-off-centre"),
-    pytest.param(3, 0.6, "level", id="3-32-level-0.6"),
+RIESZ_POTENTIAL_SETS = [
+    (2, 0.2, (0.3, -0.1), "2-64-off-centre"),
+    (2, 0.6, "level", "2-64-level-0.6"),
+    (3, 0.2, (0.3, -0.1, 0.05), "3-32-off-centre"),
+    (3, 0.6, "level", "3-32-level-0.6"),
+]
+
+
+@pytest.mark.parametrize("n, r, where, transpose", [
+    pytest.param(n, r, where, transpose, id=name + ("-transpose" if transpose else ""))
+    for transpose in (False, True) for n, r, where, name in RIESZ_POTENTIAL_SETS
 ])
-def test_riesz_potential_matches_the_coordinate_kernel(n, r, where):
-    # the FFT convolution of a random density t >= 0 against the dense
-    # product of the independent kernel, on sets that are not symmetric
+def test_riesz_potential_matches_the_coordinate_kernel(n, r, where, transpose):
+    # the FFT convolution of a random density >= 0 against the dense product
+    # of the independent kernel, on sets that are not symmetric: A t from
+    # the inside to the marked nodes, and A^T mu from the marked to the inside
     E = riesz_test_mask(n, r, where)
     dom = E.domain
-    t = np.random.default_rng(0).random(int(dom.inside.sum()))
-    At = coordinate_kernel(dom, E) @ t
-    assert np.abs(_riesz_potential(dom, E, t) - At).max() <= 1e-13 * np.abs(At).max()
+    A = coordinate_kernel(dom, E)
+    rng = np.random.default_rng(0)
+    if transpose:
+        mu = rng.random(E.count)
+        want, got = A.T @ mu, _riesz_potential(dom, E.mask, mu, dom.inside)
+    else:
+        t = rng.random(int(dom.inside.sum()))
+        want, got = A @ t, _riesz_potential(dom, dom.inside, t, E.mask)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_riesz_power2_never_forms_the_full_kernel():
-    # the active set gathers the rows of its working set alone and takes
-    # A t from the FFT, so its peak stays far below the N_E x N_in kernel
+@pytest.mark.parametrize("spec", [power(2), power_log(2, 1), power(3)], ids=lambda s: s.tag)
+def test_riesz_never_forms_the_full_kernel(spec):
+    # the power(2) active set gathers the rows of its working set alone, and
+    # every family takes A t (and spectral projected gradient A^T mu) from the
+    # FFT, so the peak stays far below the N_E x N_in kernel
     dom = build_domain(2, 1.0, 64)
     E = ball_mask(dom, 0.4)
     kernel_bytes = 8 * E.count * int(dom.inside.sum())
     gc.collect()
     tracemalloc.start()
     try:
-        res = riesz_capacity_variational(E, power(2), dom)
+        res = riesz_capacity_variational(E, spec, dom)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -472,7 +487,7 @@ def test_riesz_dual_qp_reaches_the_optimum_from_any_working_set(disc64, start):
     # the active set must add violated nodes, step back and drop, and it
     # reaches the same optimum (from the interior it does all three)
     E = ball_mask(disc64, 0.1)
-    A = _riesz_kernel(disc64, E)
+    A = _riesz_kernel(disc64, E, np.arange(E.count))
     w = disc64.h ** 2
     inner = E.mask.copy()
     for ax in range(2):
@@ -488,12 +503,16 @@ def test_riesz_dual_qp_reaches_the_optimum_from_any_working_set(disc64, start):
     assert (A @ f).min() >= 1.0 - 1e-12
 
 
-@pytest.mark.parametrize("spec", [power_log(2, 1), exp_loglog(3, 2, 0.5)],
-                         ids=lambda s: s.family)
-def test_riesz_other_families_certify_and_grow(disc64, spec):
+@pytest.mark.parametrize("spec, n", [
+    pytest.param(power_log(2, 1), 2, id="power_log"),
+    pytest.param(exp_loglog(3, 2, 0.5), 2, id="exp_loglog"),
+    pytest.param(power(3), 3, id="power-3-32"),  # the paper's case n = p
+])
+def test_riesz_other_families_certify_and_grow(disc64, spec, n):
+    dom = disc64 if n == 2 else build_domain(3, 1.0, 32)
     prev = 0.0
     for r in (0.1, 0.2, 0.3):
-        res = riesz_capacity_variational(ball_mask(disc64, r), spec, disc64)
+        res = riesz_capacity_variational(ball_mask(dom, r), spec, dom)
         assert res.converged
         assert 0.0 < res.lower <= res.value
         assert (res.value - res.lower) / res.value <= 1e-8
@@ -548,10 +567,29 @@ def test_riesz_monotone_and_feasible(disc64):
     assert potential.min() >= 1.0 - 1e-12
 
 
-def test_riesz_node_cap():
+def test_riesz_solves_a_set_of_more_than_4096_nodes():
+    # B(0.6) at 128^2 has 4,628 nodes; no path forms its kernel, so it solves:
+    # power(2) in one active-set solve to rounding, power_log within tol
     dom = build_domain(2, 1.0, 128)
-    with pytest.raises(ConfigurationError):
-        riesz_capacity_variational(ball_mask(dom, 0.6), power(2), dom)
+    E = ball_mask(dom, 0.6)
+    assert E.count > 4096
+    quad = riesz_capacity_variational(E, power(2), dom)
+    assert quad.converged and quad.iterations == 1
+    assert 0.0 < quad.lower <= quad.value
+    assert (quad.value - quad.lower) / quad.value <= 1e-12
+    spg = riesz_capacity_variational(E, power_log(2, 1), dom)
+    assert spg.converged
+    assert 0.0 < spg.lower <= spg.value
+    assert (spg.value - spg.lower) / spg.value <= 1e-8
+
+
+def test_riesz_working_set_cap(monkeypatch):
+    # the power(2) working set's rows A_F are the one dense array left: a
+    # set whose isolated nodes all enter it exceeds a lowered cap
+    E = riesz_test_mask(2, 0.5, "scattered")
+    monkeypatch.setattr("orlicap.capacity._MAX_CONSTRAINT_NODES", E.count // 2)
+    with pytest.raises(ConfigurationError, match="rows of A_F"):
+        riesz_capacity_variational(E, power(2), E.domain)
 
 
 def test_riesz_comparable_band(disc64):
@@ -561,6 +599,19 @@ def test_riesz_comparable_band(disc64):
         rz = riesz_capacity_variational(ball_mask(disc64, r), spec).value
         cv = capacity_variational(ball_mask(disc64, r), spec).value
         ratios.append(rz / cv)
+    assert max(ratios) / min(ratios) <= 6.0
+
+
+@pytest.mark.parametrize("n, res", [(2, 128), (3, 32)], ids=["2-128", "3-32"])
+def test_riesz_equivalence_band_at_128_and_in_3d(n, res):
+    # acceptance criterion 7's comparison, on a finer lattice and in 3-D
+    dom = build_domain(n, 1.0, res)
+    ratios = []
+    for r in (0.1, 0.2, 0.3, 0.4):
+        rz = riesz_capacity_variational(ball_mask(dom, r), power(2), dom)
+        cv = capacity_variational(ball_mask(dom, r), power(2), dom)
+        assert rz.converged and cv.converged
+        ratios.append(rz.value / cv.value)
     assert max(ratios) / min(ratios) <= 6.0
 
 

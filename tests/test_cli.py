@@ -112,9 +112,24 @@ def test_riesz_capacity_writes_its_bracket(tmp_path):
     assert payload["value"] - payload["lower"] <= 1e-8 * payload["value"]
 
 
-def test_riesz_capacity_over_the_node_cap_exits_2(tmp_path):
+def test_riesz_capacity_of_more_than_4096_nodes_exits_0(tmp_path):
+    # B(0.6) at 128^2 marks 4,628 nodes; power(2) solves it in one active-set
+    # solve, with a bracket at rounding level
     text = BASE.replace("resolution = 64", "resolution = 128")
     cfg = write(tmp_path, text + "\n[capacity]\nr = 0.6\nmethod = riesz\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "capacity.json").read_text())
+    assert payload["converged"] is True and payload["iterations"] == 1
+    assert 0.0 < payload["lower"] <= payload["value"]
+    assert payload["value"] - payload["lower"] <= 1e-12 * payload["value"]
+
+
+def test_riesz_working_set_over_the_cap_exits_2(tmp_path, monkeypatch):
+    # the power(2) working set's rows are the one dense array left; past
+    # their cap the run is a config error, and nothing is written
+    monkeypatch.setattr("orlicap.capacity._MAX_CONSTRAINT_NODES", 8)
+    cfg = write(tmp_path, BASE + "\n[capacity]\nr = 0.25\nmethod = riesz\n")
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
@@ -520,18 +535,23 @@ def run_fresh(args, cwd, **env):
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 128^2 a BLAS dot of the ~12,000 free values runs on two threads
     # and adds in another order, so the solve's reductions avoid BLAS;
-    # power_log takes the nonlinear solve, power(2) the linear one
-    for family in ("power_log\ntheta = 1.0", "power"):
+    # power_log takes the nonlinear solve, power(2) the linear one, and the
+    # Riesz solve of power_log spectral projected gradient on FFT potentials
+    strong = "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\nlambda_max_exp = 0\n"
+    riesz = "[capacity]\nr = 0.3\nmethod = riesz\n"
+    for family, scenario, section, files in [
+            ("power_log\ntheta = 1.0", "strong-type", strong, "strongtype.csv strongtype.json"),
+            ("power", "strong-type", strong, "strongtype.csv strongtype.json"),
+            ("power_log\ntheta = 1.0", "capacity", riesz, "capacity.json")]:
         write(tmp_path, BASE.replace("resolution = 64", "resolution = 128").replace(
-            "family = power\n", f"family = {family}\n")
-            + "[strong-type]\nfunctions = tent\nlambda_min_exp = 0\nlambda_max_exp = 0\n")
+            "family = power\n", f"family = {family}\n") + section)
         outputs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"{family.split()[0]}-{threads}"
-            run_fresh(["-m", "orlicap.cli", "strong-type", "--config", "run.ini",
+            out = tmp_path / f"{scenario}-{family.split()[0]}-{threads}"
+            run_fresh(["-m", "orlicap.cli", scenario, "--config", "run.ini",
                        "--out", str(out)], tmp_path, OPENBLAS_NUM_THREADS=threads)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert sorted(outputs[0]) == ["manifest.json", "strongtype.csv", "strongtype.json"]
+        assert sorted(outputs[0]) == sorted(["manifest.json", *files.split()])
         assert outputs[0] == outputs[1]
 
 
