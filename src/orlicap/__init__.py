@@ -50,7 +50,6 @@ from .strongtype import (
     explicit_psi,
     lhs_dyadic,
     rhs_energy,
-    truncation_H,
     verify_strong_type,
 )
 from .averages import (

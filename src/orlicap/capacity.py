@@ -20,10 +20,9 @@ cumulative sum of g along the last axis, and is quadratic in g.  The solve
 converges once the smaller is at most tol * E, or once no step lowers E in
 floating point any more (stationary to machine precision).
 `CapacityResult.lower` is E minus the smaller, the flux gap included at a
-final iterate that did not pass; it is certified for the built-in families
-only, since a `custom_table`'s log-linear interpolant need not be convex
-(a table takes the same checks).  Every solve starts from the indicator of
-its set, so a value depends only on the set.
+final iterate that did not pass; it is certified for every family, since
+every Phi is convex (a `custom_table`'s interpolant too).  Every solve
+starts from the indicator of its set, so a value depends only on the set.
 
 For `power(2)` the energy sum w |D+ u / h|^2 is quadratic, and its Hessian
 in the free values is the multigrid's finest level, so the solve is one
@@ -135,7 +134,7 @@ class CapacityResult:
     iterations: int
     converged: bool
     method: str
-    lower: float  # capacity >= lower, certified for the built-in (convex) families
+    lower: float  # capacity >= lower, certified: every Phi is convex
 
     def summary(self) -> dict:
         return {"value": self.value, "lower": self.lower, "iterations": self.iterations,
@@ -980,20 +979,16 @@ def capacity_ball_radial(r: float, spec: YoungSpec, R: float, n: int) -> float:
     width delta, with w_i = omega rho_i^(n-1) delta at the midpoints and
     delta sum s = 1.  The problem is convex, so the minimum has constant
     flux w_i Phi'(s_i) = lambda delta, in closed form for `power(p)`.  Other
-    families start there and take Newton steps on (log s, log lambda), each
-    cell's slope of log Phi' in log s a secant through its last two iterates
-    (at least (p - 1) / 1000), halving a step until the largest residual
-    drops, down to `_RADIAL_TOL`.  A `custom_table` raises
-    ConfigurationError, since its log-linear interpolant is not convex; a
+    families (a `custom_table` with its p = 2) start there and take Newton
+    steps on (log s, log lambda), each cell's slope of log Phi' in log s a
+    secant through its last two iterates (at least (p - 1) / 1000), halving
+    a step until the largest residual drops, down to `_RADIAL_TOL`.  A
     non-finite value or `_RADIAL_TRIALS` spent raises NumericalError.
     """
     if not 0 < r < R:
         raise ConfigurationError("need 0 < r < R")
     if n not in (2, 3):
         raise ConfigurationError("dimension must be 2 or 3")
-    if spec.family == "custom_table":
-        raise ConfigurationError(f"{spec.tag}: the radial oracle needs a convex Phi, and a "
-                                 "table's log-linear interpolant is not convex")
     omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi  # |S^(n-1)|
     delta = (R - r) / _RADIAL_CELLS
     rho = np.linspace(r, R, _RADIAL_CELLS + 1)

@@ -230,18 +230,15 @@ def _capacity(config, phi_spec, base_dir):
                                  f"lies at radius {float(dom.radius.min())!r}")
     solve = {"variational": capacity_variational,
              "riesz": riesz_capacity_variational}[params["method"]]
+    if solve is capacity_variational:
+        _require_table_range(phi_spec, dom)
     # the oracle and the estimate refuse a bad config before the solve
     payload = {"set": f"ball(r={params['r']:g})"}
     if params["radial_oracle"] and solve is capacity_variational:
-        if phi_spec.family == "custom_table":
-            raise ConfigurationError(f"{phi_spec.tag}: the radial oracle needs a convex Phi, "
-                                     "and a table's interpolant is not; set radial_oracle = false")
         payload["radial_oracle"] = capacity_ball_radial(params["r"], phi_spec, dom.R, dom.n)
     if params["estimate"]:
         est = ball_capacity_estimate(params["r"], phi_spec, dom.R, dom.n)
         payload["ball_estimate"] = {"F": est.F_value, "estimate": est.estimate}
-    if solve is capacity_variational:
-        _require_table_range(phi_spec, dom)
     res = solve(E, phi_spec, dom)
     payload.update(res.summary())
     minimizer = {"minimizer.csv": res.minimizer} if params["write_minimizer"] else {}

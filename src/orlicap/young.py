@@ -50,18 +50,20 @@ class YoungSpec:
         if self.family == "custom_table":
             if not self.table or len(self.table) < 2:
                 raise ConfigurationError("custom_table needs at least 2 knots")
-            ts = np.array([k[0] for k in self.table], dtype=float)
-            vs = np.array([k[1] for k in self.table], dtype=float)
+            ts, vs = np.array(self.table, dtype=float).T
             if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
                 raise ConfigurationError("table knots must be finite")
-            if np.any(ts < 0) or np.any(vs < 0):
-                raise ConfigurationError("table knots must be nonnegative")
-            if np.any(vs[ts > 0] == 0):
-                raise ConfigurationError("table values must be positive at t > 0")
+            if np.any(ts < 0) or np.any(np.where(ts > 0, vs <= 0, vs != 0)):
+                raise ConfigurationError("table needs t >= 0, values positive at t > 0, 0 at t = 0")
             if np.any(np.diff(ts) <= 0):
                 raise ConfigurationError("table abscissae must be strictly increasing")
-            if np.any(np.diff(vs) <= 0):
-                raise ConfigurationError("table values must be strictly increasing")
+            _, D, S, P = _knots(self)  # D[1:-1]: the secant slopes, from (0, 0) on
+            if not np.isfinite(np.r_[S, P]).all():
+                raise ConfigurationError("table slopes or values leave the float range")
+            falls = np.flatnonzero(np.diff(D[1:-1]) < 0)
+            if falls.size:  # not a Young function; rising slopes from (0, 0) make rising values
+                raise ConfigurationError(f"table is not convex: its secant slope falls at the "
+                                         f"knot t = {self.table[falls[0] + (ts[0] == 0)][0]!r}")
             return
         if not self.p > 1.0:
             raise ConfigurationError(f"exponent p must exceed 1, got {self.p}")
@@ -133,46 +135,36 @@ def load_table_csv(path) -> YoungSpec:
 
 @functools.lru_cache(maxsize=64)
 def _knots(spec: YoungSpec):
-    """Table abscissae, values, log values and log slopes, without a knot at
-    t = 0; built once per spec and read-only."""
-    ts = np.array([k[0] for k in spec.table])
-    vs = np.array([k[1] for k in spec.table])
-    if ts[0] == 0.0:
-        ts, vs = ts[1:], vs[1:]
-    log_vs = np.log(vs)
-    slopes = np.diff(log_vs) / np.diff(ts)
-    for arr in (ts, vs, log_vs, slopes):
+    """A table's convex C1 interpolant, once per spec, read-only: Phi' linear
+    through (0, 0) and each knot interval's (midpoint, secant slope), on along
+    its last piece to the last knot t_N, and Phi its integral.  From b_k, with
+    r = t - b_k, Phi' = D_k + S_k r, Phi = P_k + r (D_k + S_k r / 2); S = 0 past t_N."""
+    ts, vs = np.array(((0.0, 0.0),) * (spec.table[0][0] > 0) + spec.table).T  # (0, 0) first
+    with np.errstate(all="ignore"):  # YoungSpec refuses a table whose arrays overflow
+        b = np.r_[0.0, (ts[:-1] + ts[1:]) / 2, ts[-1]]
+        D = np.r_[0.0, np.diff(vs) / np.diff(ts)]
+        S = np.diff(D) / np.diff(b[:-1])
+        D = np.r_[D, D[-1] + S[-1] * (b[-1] - b[-2])]
+        S = np.r_[S, S[-1], 0.0]
+        P = np.r_[0.0, np.cumsum(np.diff(b) * (D[:-1] + D[1:]) / 2)]
+    for arr in (b, D, S, P):
         arr.flags.writeable = False
-    return ts, vs, log_vs, slopes
+    return b, D, S, P
 
 
-def _table_eval(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
-                tmp: np.ndarray) -> np.ndarray:
-    """Log-linear interpolation between knots; +inf beyond the table.
-
-    Values below the first knot scale linearly through (0, 0) so that the
-    interpolant is still a function vanishing at zero.
-    """
-    ts, vs, log_vs, _ = _knots(spec)
-    np.exp(np.interp(t, ts, log_vs), out=out)
-    below = np.divide(np.multiply(vs[0], t, out=tmp), ts[0], out=tmp)
-    np.copyto(out, below, where=t < ts[0])
-    np.copyto(out, np.inf, where=t > ts[-1])
-    return out
-
-
-def _table_prime(spec: YoungSpec, t: np.ndarray, out: np.ndarray,
-                 scratch: np.ndarray) -> np.ndarray:
-    ts, vs, _, slopes = _knots(spec)
-    idx = np.searchsorted(ts, t, side="right")
-    idx -= 1
-    # mode="clip" clamps idx to the slopes' range and, unlike the default
-    # mode, writes into `out` without an intermediate copy
-    slope = np.take(slopes, idx, out=scratch[1], mode="clip")
-    del idx  # before _table_eval allocates np.interp's result
-    np.multiply(_table_eval(spec, t, out, scratch[0]), slope, out=out)
-    np.copyto(out, vs[0] / ts[0], where=t < ts[0])
-    np.copyto(out, np.inf, where=t > ts[-1])
+def _table(spec: YoungSpec, t: np.ndarray, out: np.ndarray, scratch, prime: bool):
+    """Phi, or Phi' when `prime`, of a table (`_knots`); +inf past its last knot."""
+    b, D, S, P = _knots(spec)
+    k = np.searchsorted(b, t, side="right")
+    k -= 1  # mode="clip" clips none of k, and writes into out= with no copy
+    r = np.subtract(t, np.take(b, k, out=scratch[0], mode="clip"), out=scratch[0])
+    q = np.multiply(np.take(S, k, out=scratch[1], mode="clip"), r, out=scratch[1])
+    if prime:
+        np.add(np.take(D, k, out=out, mode="clip"), q, out=out)
+    else:
+        np.add(np.multiply(q, 0.5, out=q), np.take(D, k, out=out, mode="clip"), out=q)
+        np.add(np.take(P, k, out=out, mode="clip"), np.multiply(r, q, out=r), out=out)
+    np.copyto(out, np.inf, where=t > b[-1])
     return out
 
 
@@ -231,9 +223,9 @@ def eval_phi(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
     arr, scalar, _ = _argument(t, "Young functions are evaluated on t >= 0")
     out, scratch = _buffers(spec, arr, out, scratch)
     p, th, ga = spec.p, spec.theta, spec.gamma
-    with np.errstate(over="ignore"):  # p > 1, so _power(arr, p, out) fills out
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: a table's 0 * inf at t = inf
         if spec.family == "power":
-            _power(arr, p, out)
+            _power(arr, p, out)  # p > 1, so it fills out
         elif spec.family == "power_log":
             L = np.log(np.add(np.e, arr, out=scratch[0]), out=scratch[0])
             _times(_power(arr, p, out), _power(L, th, L), out)
@@ -247,7 +239,7 @@ def eval_phi(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
             g = np.log(m, out=m)
             out *= np.exp(np.power(g, ga, out=g), out=g)
         else:
-            _table_eval(spec, arr, out, scratch[0])
+            _table(spec, arr, out, scratch, prime=False)
     return float(out[0]) if scalar else out
 
 
@@ -300,7 +292,7 @@ def eval_phi_prime(spec: YoungSpec, t, *, out: np.ndarray = None, scratch=None):
                 extra = np.divide(th, B, out=B)
             out *= np.add(p, np.multiply(arr, extra, out=extra), out=extra)
         else:
-            _table_prime(spec, arr, out, scratch)
+            _table(spec, arr, out, scratch, prime=True)
     if not lo > 0:
         np.copyto(out, 0.0, where=arr == 0.0)
     return float(out[0]) if scalar else out
@@ -322,13 +314,15 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
     smallest positive double gives t_lo = 0 and t_hi that double, one above
     the largest t_lo that double and t_hi = inf.  For `power` both ends are
     the closed form (y/p)^(1/(p-1)), exact up to rounding, or those doubles
-    where it leaves the float range.  Otherwise secant steps on
-    F(u) = log(Phi'(e^u) / y) start from u = log t0 (a previous root; where
-    it is not positive, from the closed form of `power(p)`), each pushed a
-    quarter of the width (at least one ulp of u) past the root it predicts
-    so that the iterates close in from both sides; a step that leaves the
-    bracket found so far, or one from where Phi' is flat above y (a
-    `custom_table` below its first knot), bisects it.
+    where it leaves the float range.  A `custom_table` solves its piece of
+    Phi', t = b_k + (y - D_k) / S_k (`_knots`): each end 4 eps (t + y / S_k)
+    out, wider than _INVERSE_RTOL where Phi' is that flat, or the piece's end
+    if one Phi' pass rejects it; [t_N, inf] for y >= Phi'(t_N), t_N its last knot.
+    Otherwise secant steps on F(u) = log(Phi'(e^u) / y) start from u = log
+    t0 (a previous root; where it is not positive, from the closed form of
+    `power(p)`), each pushed a quarter of the width (at least one ulp of u)
+    past the root it predicts so that the iterates close in from both sides;
+    a step that leaves the bracket found so far bisects it.
 
     By convexity the conjugate Phi*(y) = y t - Phi(t) at the root lies
     below y * t_hi - Phi(t_lo), an upper bound that stays rigorous for
@@ -336,6 +330,16 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
     """
     y = np.asarray(y, dtype=float)
     p = spec.p
+    if spec.family == "custom_table":  # D_k <= y < D_(k+1) on the piece k, so S_k > 0
+        b, D, S, _ = _knots(spec)
+        k, ends = np.searchsorted(D, y, side="right") - 1, np.r_[b, np.inf]
+        with np.errstate(divide="ignore", invalid="ignore"):  # past t_N, S_k = 0: [t_N, inf]
+            t = b[k] + (y - D[k]) / S[k]
+            wide = 4.0 * np.finfo(float).eps * (t + y / S[k])
+            lo = np.maximum(t - wide, b[k])
+            hi = np.minimum(t + wide + (y > 0) * _SMALLEST, ends[k + 1])
+        d = eval_phi_prime(spec, np.concatenate([lo, hi]))
+        return np.where(d[:y.size] <= y, lo, b[k]), np.where(d[y.size:] >= y, hi, ends[k + 1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         guess = np.power(y / p, 1.0 / (p - 1.0))
         if spec.family == "power":  # a root past the float range: its nearest double
@@ -350,7 +354,6 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
         u = np.clip(np.log(guess), -745.0, 709.0)
         slope = np.full_like(y, p - 1.0)  # dF/du; p - 1 for power(p)
         f_prev = u_prev = None
-        flat = False
         for _ in range(_INVERSE_ROUNDS):
             d = eval_phi_prime(spec, np.exp(u))
             np.putmask(lo, is_open & (d <= y), u)
@@ -361,7 +364,6 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
                 secant = (f - f_prev) / (u - u_prev)
                 use = (np.abs(u - u_prev) > 1e-8) & (secant > 0) & np.isfinite(secant)
                 np.putmask(slope, use, secant)
-                flat = (secant == 0.0) & (f > 0)  # Phi' above y and flat: bisect
             mid = 0.5 * (lo + hi)  # strictly inside unless lo, hi are adjacent doubles
             is_open &= (hi - lo > _INVERSE_RTOL) & (mid > lo) & (mid < hi)
             deep = is_open & (hi < -708.0)  # exp(hi) < 2^-1021: doubles _SMALLEST apart
@@ -375,7 +377,7 @@ def phi_prime_inverse(spec: YoungSpec, y: np.ndarray, t0: np.ndarray = None):
             stuck = u == u_prev  # a step below half an ulp of u, at |u| >= 256
             if stuck.any():
                 np.putmask(u, stuck, u_prev + np.copysign(np.spacing(u_prev), step))
-            np.putmask(u, (u <= lo) | (u >= hi) | flat, mid)
+            np.putmask(u, (u <= lo) | (u >= hi), mid)
         return np.exp(lo), np.exp(hi)
 
 
@@ -531,10 +533,7 @@ def check_delta2_plus(spec_or_pair) -> ConditionReport:
     bounded phi', two-sided bound on phi(t^2)/phi(t), and an elasticity
     tail that decreases toward zero at the top of the grid.
     """
-    if isinstance(spec_or_pair, YoungSpec):
-        pair = factored(spec_or_pair)
-    else:
-        pair = spec_or_pair
+    pair = factored(spec_or_pair) if isinstance(spec_or_pair, YoungSpec) else spec_or_pair
     t = GRID
     phi = np.asarray(pair.phi_part(t), dtype=float)
     phip = np.asarray(pair.phi_part_prime(t), dtype=float)

@@ -40,11 +40,11 @@ from orlicap.strongtype import (
     TestFunctionSpec,
     build_test_function,
     derived_psi,
-    dyadic_darboux_sums,
     lhs_dyadic,
     verify_strong_type,
 )
 from orlicap.young import E_E, FactoredPair
+from strongtype_reference import dyadic_darboux_sums
 
 
 def report(num, name, ok, detail):

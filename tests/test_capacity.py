@@ -267,10 +267,12 @@ def test_radial_raises_once_its_trial_budget_is_spent(monkeypatch):
     assert capacity_ball_radial(0.25, power(2), 1.0, 2) > 0  # the closed form takes none
 
 
-def test_radial_refuses_a_table():
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_oracle_of_a_t2_table_is_power2s(n):
+    # a table's interpolant is convex, and for quadratic data it is t^2 itself
     t = np.linspace(0.0, 100.0, 201)
-    with pytest.raises(ConfigurationError, match="not convex"):
-        capacity_ball_radial(0.25, custom_table(np.column_stack([t, t ** 2])), 1.0, 2)
+    table = capacity_ball_radial(0.25, custom_table(np.column_stack([t, t ** 2])), 1.0, n)
+    assert table == pytest.approx(capacity_ball_radial(0.25, power(2), 1.0, n), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +659,25 @@ def test_secant_trial_past_the_last_knot_solves():
     t = np.geomspace(1e-8, 100, 400)
     res = capacity_variational(ball_mask(dom, 0.3), custom_table(np.column_stack([t, t ** 3])),
                                dom)
-    assert res.converged and res.iterations == 16
-    assert res.value == 7.7008139421233
+    assert res.converged and res.iterations == 14
+    assert res.value == 7.71393055082675
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [2.0, 1.5, 3.0])
+@pytest.mark.parametrize("n,res", [(2, 64), (2, 128), (3, 32)], ids=["2d-64", "2d-128", "3d-32"])
+def test_table_solves_are_certified_and_match_their_family(n, res, exponent):
+    # Phi = t^p on 400 geometric knots: the interpolant is convex, so the
+    # bracket is certified as for every family; t^2 is reproduced exactly,
+    # and t^1.5 and t^3 within the interpolant's error (1.0e-4 and 8.3e-4)
+    dom = build_domain(n, 1.0, res)
+    E = ball_mask(dom, 0.25)
+    t = np.geomspace(1e-8, 100, 400)
+    table = capacity_variational(E, custom_table(np.column_stack([t, t ** exponent])), dom)
+    family = capacity_variational(E, power(exponent), dom)
+    assert table.converged and table.value - table.lower <= 1e-8 * table.value
+    rel = 1e-12 if exponent == 2.0 else 2e-3
+    assert table.value == pytest.approx(family.value, rel=rel)
 
 
 # ---------------------------------------------------------------------------

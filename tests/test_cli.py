@@ -294,19 +294,32 @@ def test_table_short_of_one_over_h_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_table_with_the_radial_oracle_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
-    # the table reaches past every lattice gradient, so only the oracle refuses it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_with_the_radial_oracle_exits_0(tmp_path):
+    # the table reaches past every lattice gradient, and its interpolant is
+    # convex, so the radial oracle takes it as it takes a built-in family
     cfg = table_config(tmp_path, 1e3)
     cfg.write_text(cfg.read_text().replace("radial_oracle = false", "radial_oracle = true"))
-    monkeypatch.setattr("orlicap.cli.capacity_variational",
-                        lambda *args: pytest.fail("solved before refusing the table"))
     out = tmp_path / "out"
-    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "set radial_oracle = false" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "capacity.json").read_text())
+    assert isinstance(payload["radial_oracle"], float) and math.isfinite(payload["radial_oracle"])
+    assert payload["converged"] is True
 
 
 SMALL = BASE.replace("resolution = 64", "resolution = 32")  # h = 1/16, R - 2h = 0.875
+
+
+def test_table_that_is_not_convex_exits_2(tmp_path, capsys):
+    # its secant slopes from (0, 0) are 1, 3 and 1: no Young function
+    (tmp_path / "table.csv").write_text("1,1\n2,4\n3,5\n", encoding="utf-8")
+    cfg = write(tmp_path, SMALL.replace("family = power\np = 2.0",
+                                        "family = custom_table\ntable = table.csv")
+                + "[capacity]\nr = 0.25\n")
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "not convex" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("young, r, message", [

@@ -17,7 +17,6 @@ from orlicap import (
     level_mask,
     power,
     power_log,
-    truncation_H,
 )
 from orlicap.errors import ConfigurationError, NumericalError
 from orlicap.strongtype import (
@@ -26,13 +25,13 @@ from orlicap.strongtype import (
     TestFunctionSpec,
     build_test_function,
     derived_psi,
-    dyadic_darboux_sums,
     dyadic_levels,
     explicit_psi,
     lhs_dyadic,
     rhs_energy,
     verify_strong_type,
 )
+from strongtype_reference import dyadic_darboux_sums, truncation_H
 
 
 @pytest.fixture(scope="module")

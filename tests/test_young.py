@@ -356,6 +356,14 @@ def test_table_csv_without_two_columns_of_data_names_the_file(tmp_path, text, me
     assert str(path) in str(exc.value)
 
 
+def test_custom_table_that_is_not_convex_is_refused():
+    # from (0, 0) its secant slopes are 1, 3 and 1: they fall at t = 2
+    with pytest.raises(ConfigurationError, match=r"not convex: .* falls at the knot t = 2\.0"):
+        custom_table([(1.0, 1.0), (2.0, 4.0), (3.0, 5.0)])
+    with pytest.raises(ConfigurationError, match="0 at t = 0"):
+        custom_table([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)])
+
+
 def test_custom_table_interpolates():
     t = np.geomspace(1e-3, 1e3, 600)
     spec = custom_table(np.column_stack([t, t ** 2]))
@@ -386,14 +394,30 @@ def reference_phi(spec, arr):
     if spec.family == "exp_loglog":
         m = np.log(spec.c0 + arr)
         return arr ** p * m ** th * np.exp(np.log(m) ** ga)
-    ts, vs = (np.array(k) for k in zip(*spec.table))
-    out = np.empty_like(arr)
-    below, above = arr < ts[0], arr > ts[-1]
-    mid = ~(below | above)
-    out[below] = vs[0] * arr[below] / ts[0]
-    out[above] = np.inf
-    out[mid] = np.exp(np.interp(arr[mid], ts, np.log(vs)))
+    b, D, S, P, k, r = table_piece(spec, arr)
+    out = P[k] + r * (D[k] + S[k] * r / 2)
+    out[arr > b[-1]] = np.inf
     return out
+
+
+def table_piece(spec, arr):
+    """A table's convex C1 interpolant: Phi' linear through (0, 0) and each
+    knot interval's (midpoint, secant slope), on along its last piece to the
+    last knot, and Phi its integral, at the breakpoints b (0, the midpoints,
+    the last knot); with the slope S of Phi' on the piece from each b_k
+    (0 past the last knot), the piece k of each entry and its offset r."""
+    ts, vs = (np.array(k) for k in zip(*spec.table))
+    if ts[0] > 0:
+        ts, vs = np.r_[0.0, ts], np.r_[0.0, vs]
+    mid = (ts[:-1] + ts[1:]) / 2
+    b = np.r_[0.0, mid, ts[-1]]
+    D = np.r_[0.0, np.diff(vs) / np.diff(ts)]
+    S = np.diff(D) / np.diff(b[:-1])
+    D = np.r_[D, D[-1] + S[-1] * (ts[-1] - mid[-1])]
+    S = np.r_[S, S[-1], 0.0]
+    P = np.r_[0.0, np.cumsum(np.diff(b) * (D[:-1] + D[1:]) / 2)]
+    k = np.searchsorted(b, arr, side="right") - 1
+    return b, D, S, P, k, arr - b[k]
 
 
 def reference_phi_prime(spec, arr):
@@ -416,12 +440,9 @@ def reference_phi_prime(spec, arr):
             extra = extra + ga * g ** (ga - 1.0) / ((spec.c0 + arr) * m)
         out = arr ** (p - 1.0) * m ** th * np.exp(g ** ga) * (p + arr * extra)
     else:
-        ts, vs = (np.array(k) for k in zip(*spec.table))
-        slopes = np.diff(np.log(vs)) / np.diff(ts)
-        idx = np.clip(np.searchsorted(ts, arr, side="right") - 1, 0, len(slopes) - 1)
-        out = reference_phi(spec, arr) * slopes[idx]
-        out[arr < ts[0]] = vs[0] / ts[0]
-        out[arr > ts[-1]] = np.inf
+        b, D, S, _, k, r = table_piece(spec, arr)
+        out = D[k] + S[k] * r
+        out[arr > b[-1]] = np.inf
     return np.where(arr == 0.0, 0.0, out)
 
 
@@ -700,24 +721,29 @@ def test_phi_prime_inverse_closes_at_the_ends_of_the_float_range(spec, most, mon
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_phi_prime_inverse_of_a_table_below_its_first_knot(monkeypatch):
-    # below the first knot a table's Phi' is flat at Phi'(0+) = v_0 / t_0, so
-    # for y below it the root is 0+: the bracket [0, smallest double] must
-    # close by bisection, in far fewer passes than the rounds
+def test_phi_prime_inverse_of_a_table_is_its_closed_form(monkeypatch):
+    # a table's Phi' is piecewise linear, so each root is one linear solve,
+    # checked by one Phi' pass: the contract holds on y over 24 decades and
+    # on y in (1.0e-3, 1.45e-3), about Phi' at the first knot; above Phi' at
+    # the last knot the root is that knot, and the bracket [t_N, inf]
     knots = np.geomspace(1e-6, 1e6, 400)
     spec = custom_table(np.column_stack([knots, knots ** 1.5]))
-    y = 10.0 ** np.random.default_rng(0).uniform(-4, 4, 2000)
-    t_lo, t_hi = phi_prime_inverse(spec, y)
-    assert np.all(eval_phi_prime(spec, t_lo) <= y)
-    assert np.all(eval_phi_prime(spec, t_hi) >= y)
-    flat = y < eval_phi_prime(spec, 1e-300)
-    assert 0 < flat.sum() < y.size
-    assert np.all(t_lo[flat] == 0.0) and np.all(t_hi[flat] == 5e-324)
+    rng = np.random.default_rng(0)
+    first = 10.0 ** rng.uniform(-4, 4, 8192)
+    first = first[(1.0e-3 < first) & (first < 1.45e-3)]
+    y = np.concatenate([[0.0], 10.0 ** rng.uniform(-12, 12, 2000), first])
+    top = y > eval_phi_prime(spec, 1e6)
+    assert first.size >= 10 and 0 < top.sum() < y.size
     passes = []
     monkeypatch.setattr("orlicap.young.eval_phi_prime",
                         lambda *a, **k: passes.append(1) or eval_phi_prime(*a, **k))
-    phi_prime_inverse(spec, y[flat])
-    assert 0 < len(passes) < 50
+    t_lo, t_hi = phi_prime_inverse(spec, y)
+    assert 0 < len(passes) <= 2
+    assert t_lo[0] == t_hi[0] == 0.0
+    assert np.all(t_lo[top] == 1e6) and np.all(t_hi[top] == np.inf)
+    lo, hi, y = t_lo[~top], t_hi[~top], y[~top]
+    assert np.all(eval_phi_prime(spec, lo) <= y) and np.all(eval_phi_prime(spec, hi) >= y)
+    assert np.all(hi[1:] <= lo[1:] * math.exp(_INVERSE_RTOL))
 
 
 def test_phi_prime_inverse_power_is_the_closed_form():
