@@ -1153,15 +1153,22 @@ def _riesz_potential(domain: GridDomain, source: np.ndarray, density: np.ndarray
 
     The density is scattered onto a zero lattice, and it and the kernel table
     are transformed at length 2m per axis: the product's inverse holds the
-    linear convolution at x + m - 1 for every lattice node x.  pocketfft runs
-    it in one thread, so it does not depend on the BLAS thread count.
+    linear convolution at x + m - 1 for every lattice node x.  The inverse
+    makes `np.fft.irfftn`'s calls in its order, the complex inverse along
+    each axis but the last and then the real one along the last, and keeps
+    only those m rows of an axis once it is transformed, with irfftn's bits.
+    pocketfft runs it in one thread, so it does not depend on the BLAS
+    thread count.
     """
     tab = _riesz_table(domain)
-    size, axes = [2 * m for m in domain.shape], range(domain.n)
     lattice = np.zeros(domain.shape)
     lattice[source] = density
-    conv = np.fft.irfftn(np.fft.rfftn(lattice, size, axes) * tab.spectrum, size, axes)
-    return conv[tuple(slice(m - 1, 2 * m - 1) for m in domain.shape)][target]
+    conv = np.fft.rfftn(lattice, [2 * m for m in domain.shape], range(domain.n))
+    conv *= tab.spectrum
+    for axis, m in enumerate(domain.shape):
+        inverse = np.fft.irfft if axis == domain.n - 1 else np.fft.ifft
+        conv = inverse(conv, 2 * m, axis)[(slice(None),) * axis + (slice(m - 1, 2 * m - 1),)]
+    return conv[target]
 
 
 def _riesz_dual_qp(domain: GridDomain, E: SetMask, w: float, F: np.ndarray, tol: float,

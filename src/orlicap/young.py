@@ -9,7 +9,8 @@ The built-in families all factor as f(t) * phi_part(t) with f(t) = t^p:
 
 A companion weight is derived as psi_part(t) = 1 / phi_part(1/t), so that
 Psi(t) = f(t) * psi_part(t).  Condition checkers sample one geometric grid
-(`GRID`) and report the empirical constant plus a bounded/growing verdict
+(`GRID`; the 2-D ones read a function of st on the grid of its products,
+`PRODUCT`) and report the empirical constant plus a bounded/growing verdict
 for the trend at the grid ends (a supremum over (0, inf) is not
 computable; the conditions are asymptotic, so monotone growth toward a
 grid end is the numerical signature of failure).
@@ -459,6 +460,9 @@ def factored(spec: YoungSpec) -> FactoredPair:
 # the checkers' geometric sample grid: 1e-8 to 1e8, 64 points per decade
 GRID = np.geomspace(1e-8, 1e8, 16 * 64 + 1)
 GRID.flags.writeable = False
+# its pairwise products: GRID[i] * GRID[j] is PRODUCT[i + j] within 2 ulp
+PRODUCT = np.geomspace(1e-16, 1e16, 2 * GRID.size - 1)
+PRODUCT.flags.writeable = False
 _GROWTH_TAIL = 3  # values toward a sequence end that _growing reads
 _RATIO_ROWS = 64  # values of s per block of a 2-D ratio search
 
@@ -571,49 +575,56 @@ def check_delta2_plus(spec_or_pair) -> ConditionReport:
         })
 
 
-def _ratio_report(condition: str, num, den: Callable,
+def _ratio_report(condition: str, num, den: np.ndarray,
                   ceiling: float) -> ConditionReport:
-    """Search of `GRID` x `GRID` for sup a(s) b(t)/den(s,t).
+    """Search of `GRID` x `GRID` for sup a(s) b(t) / d(st).
 
-    `num` is the pair of arrays (a, b) on `GRID`, so that the numerator's
-    factors are evaluated once.  Sweeps _RATIO_ROWS values of s at a time,
-    carrying the column and row maxima, the first (row-major) strict
-    maximum and the flags, so that no array of the whole grid is held.
-    Non-finite ratios count as -inf and set `truncated`; the first point
-    where the denominator vanishes under a positive numerator makes the
-    report fail with c_emp = inf.
+    `num` is the pair of arrays (a, b) on `GRID` and `den` the array of d
+    on `PRODUCT`, so that every factor is evaluated once: d(GRID[i]
+    GRID[j]) is read as den[i + j], through a read-only Hankel view of
+    `den`.  Sweeps _RATIO_ROWS values of s at a time, carrying the column
+    and row maxima and the first (row-major) strict maximum, so that no
+    array of the whole grid is held.  Non-finite ratios count as -inf and
+    set `truncated`; the first point where the denominator vanishes under
+    a positive numerator makes the report fail with c_emp = inf.  A block
+    tests for that point only where its window of `den` holds a zero, and
+    for non-finite ratios only where a row maximum is not finite (or a
+    factor is negative somewhere, so that a ratio may be -inf).
     """
-    pts = GRID
-    t = pts[None, :]
-    col_max = np.full(pts.size, -np.inf)
-    row_max = np.empty(pts.size)
+    pts, n = GRID, GRID.size
+    hankel = np.lib.stride_tricks.sliding_window_view(den, n)  # hankel[i, j] = den[i + j]
+    zero = den == 0
+    # with no negative factor no ratio is -inf: finite row maxima, finite ratios
+    signed = any(np.any(x < 0) for x in (*num, den))
+    col_max = np.full(n, -np.inf)
+    row_max = np.empty(n)
     c_emp, i, j = -np.inf, 0, 0
-    truncated, vanishes = False, None
-    for r0 in range(0, pts.size, _RATIO_ROWS):
-        s = pts[r0:r0 + _RATIO_ROWS, None]
+    truncated = False
+    buf = np.empty((_RATIO_ROWS, n))
+    for r0 in range(0, n, _RATIO_ROWS):
+        r1 = min(r0 + _RATIO_ROWS, n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            numer = num[0][r0:r0 + len(s), None] * num[1]
-            denom = den(s, t)
-            ratio = numer / denom
-        if vanishes is not None:
-            continue  # evaluated still, so that num and den raise as on the whole grid
-        bad = (denom == 0) & (numer > 0)
-        if np.any(bad):
-            bi, bj = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            vanishes = (r0 + bi, bj)
-            continue
-        ok = np.isfinite(ratio)
-        truncated |= not ok.all()
-        ratio = np.where(ok, ratio, -np.inf)
-        bi, bj = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        if ratio[bi, bj] > c_emp:
-            c_emp, i, j = float(ratio[bi, bj]), r0 + bi, bj
+            numer = np.multiply(num[0][r0:r1, None], num[1], out=buf[:r1 - r0])
+            denom = hankel[r0:r1]
+            if zero[r0:r1 + n - 1].any():  # the window of den these rows read
+                bad = (denom == 0) & (numer > 0)
+                if bad.any():
+                    bi, bj = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                    return ConditionReport(condition, math.inf,
+                                           (float(pts[r0 + bi]), float(pts[bj])), False, True,
+                                           False, details={"denominator_vanishes": True})
+            ratio = np.divide(numer, denom, out=numer)
+        rows = ratio.max(axis=1)
+        if signed or not np.isfinite(rows).all():
+            ok = np.isfinite(ratio)
+            truncated |= not ok.all()
+            np.copyto(ratio, -np.inf, where=~ok)
+            rows = ratio.max(axis=1)
+        bi = int(np.argmax(rows))  # the first row holding the block's maximum
+        if rows[bi] > c_emp:
+            c_emp, i, j = float(rows[bi]), r0 + bi, int(np.argmax(ratio[bi]))
         np.maximum(col_max, ratio.max(axis=0), out=col_max)
-        row_max[r0:r0 + len(s)] = ratio.max(axis=1)
-    if vanishes is not None:
-        i, j = vanishes
-        return ConditionReport(condition, math.inf, (float(pts[i]), float(pts[j])),
-                               False, True, False, details={"denominator_vanishes": True})
+        row_max[r0:r1] = rows
     # trend along each axis: decade maxima of max over the other variable
     growing = _growing(_decade_maxima(pts, col_max)) or _growing(_decade_maxima(pts, row_max))
     passed = (not growing) and c_emp <= ceiling
@@ -621,21 +632,32 @@ def _ratio_report(condition: str, num, den: Callable,
                            passed, growing, truncated)
 
 
-def _on_grid(*fns: Callable) -> list:
-    """Each function's values on `GRID`, with the errors the ratio search
+def _on(pts: np.ndarray, *fns: Callable) -> list:
+    """Each function's values on `pts`, with the errors the ratio search
     ignores."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return [np.broadcast_to(fn(GRID), GRID.shape) for fn in fns]
+        return [np.broadcast_to(fn(pts), pts.shape) for fn in fns]
 
 
 def check_submultiplicative_f(f: Callable, ceiling: float = math.inf) -> ConditionReport:
-    """sup f(s) f(t) / f(st) over `GRID` x `GRID`."""
-    return _ratio_report("submultiplicative_f", _on_grid(f) * 2,
-                         lambda s, t: f(s * t), ceiling)
+    """sup f(s) f(t) / f(st) over `GRID` x `GRID`.
+
+    f is evaluated twice: on `GRID` for the numerator and on `PRODUCT` for
+    the denominator, read there as a function of the product st.  For
+    f = t^p the ratio is 1 up to rounding, since PRODUCT[i + j] is GRID[i]
+    GRID[j] within 2 ulp: c_emp lies a few ulp above 1, and its worst
+    point is any one of the many tied pairs.
+    """
+    return _ratio_report("submultiplicative_f", _on(GRID, f) * 2, _on(PRODUCT, f)[0], ceiling)
 
 
 def check_pairing(phi_part: Callable, psi_part: Callable,
                   ceiling: float = math.inf) -> ConditionReport:
-    """sup phi(s) psi(t) / phi(st) over `GRID` x `GRID`."""
-    return _ratio_report("pairing", _on_grid(phi_part, psi_part),
-                         lambda s, t: phi_part(s * t), ceiling)
+    """sup phi(s) psi(t) / phi(st) over `GRID` x `GRID`.
+
+    phi and psi are evaluated on `GRID` for the numerator, and phi once
+    more on `PRODUCT` for the denominator, read there as a function of
+    the product st.
+    """
+    return _ratio_report("pairing", _on(GRID, phi_part, psi_part), _on(PRODUCT, phi_part)[0],
+                         ceiling)

@@ -35,7 +35,7 @@ from orlicap.capacity import (_BLOCK_ENTRIES, _DOMAIN_LEVELS, _RATIO_FLOOR, _Ene
                               _coarse_inverse, _domain_levels, _galerkin, _gershgorin, _levels,
                               _matvec, _Multigrid, _pattern_pairs, _Prolongation,
                               _kernel_diagonal, _riesz_dual_qp, _riesz_kernel, _riesz_potential,
-                              _windows)
+                              _riesz_table, _windows)
 from orlicap.grid import GridFunction, SetMask, level_mask
 from orlicap.strongtype import (SHAPES, TestFunctionSpec, build_test_function, derived_psi,
                                 lhs_dyadic, rhs_energy)
@@ -423,6 +423,25 @@ def test_riesz_potential_matches_the_coordinate_kernel(n, r, where, transpose):
         t = rng.random(int(dom.inside.sum()))
         want, got = A @ t, _riesz_potential(dom, dom.inside, t, E.mask)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, r, where", [(2, 0.2, (0.3, -0.1)), (3, 0.2, (0.3, -0.1, 0.05))],
+                         ids=["2-64", "3-32"])
+def test_pruned_riesz_potential_equals_the_full_inverse(n, r, where):
+    # the inverse transform keeps only the rows it reads of each axis; at
+    # those rows it has the bits of numpy's irfftn of the whole padded lattice
+    E = riesz_test_mask(n, r, where)
+    dom = E.domain
+    size, axes = [2 * m for m in dom.shape], range(n)
+    read = tuple(slice(m - 1, 2 * m - 1) for m in dom.shape)
+    rng = np.random.default_rng(0)
+    for source, target in ((dom.inside, E.mask), (E.mask, dom.inside)):
+        density = rng.random(int(source.sum()))
+        lattice = np.zeros(dom.shape)
+        lattice[source] = density
+        spectrum = np.fft.rfftn(lattice, size, axes) * _riesz_table(dom).spectrum
+        want = np.fft.irfftn(spectrum, size, axes)[read][target]
+        assert _riesz_potential(dom, source, density, target).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [power(2), power_log(2, 1), power(3)], ids=lambda s: s.tag)

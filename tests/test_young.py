@@ -22,9 +22,9 @@ from orlicap import (
     power,
     power_log,
 )
-from orlicap.young import (E_E, GRID, ConditionReport, FactoredPair, YoungSpec,
-                           _INVERSE_RTOL, _decade_maxima, _growing, _on_grid,
-                           _ratio_report, load_table_csv, phi_prime_inverse)
+from orlicap.young import (E_E, GRID, PRODUCT, ConditionReport, FactoredPair, YoungSpec,
+                           _INVERSE_RTOL, _decade_maxima, _growing, _on, _ratio_report,
+                           load_table_csv, phi_prime_inverse)
 
 ALL_BUILTIN = [
     power(2),
@@ -555,14 +555,23 @@ def test_decade_maxima_equal_the_loop_over_decades():
 # row-blocked ratio search against the whole-grid one
 # ---------------------------------------------------------------------------
 
+def test_grid_products_are_the_product_grid_within_2_ulp():
+    idx = np.arange(GRID.size)
+    on_product = PRODUCT[np.add.outer(idx, idx)]
+    gap = np.abs(np.multiply.outer(GRID, GRID) - on_product)
+    assert np.all(gap <= 2 * np.spacing(on_product))
+
+
 def dense_ratio_report(condition, num, den, ceiling):
-    """The 2-D ratio search on the whole grid at once: the reference for the
-    row-blocked `_ratio_report`."""
+    """The 2-D ratio search on the whole grid at once, with the denominator
+    `den` on `PRODUCT` read at i + j: the reference for the row-blocked
+    `_ratio_report`."""
     pts = GRID
     s, t = pts[:, None], pts[None, :]
+    idx = np.arange(pts.size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         numer = num(s, t)
-        denom = den(s, t)
+        denom = den[np.add.outer(idx, idx)]
         ratio = numer / denom
     bad = (denom == 0) & (numer > 0)
     if np.any(bad):
@@ -586,18 +595,19 @@ def pointwise(a, b):
 
 
 def ratio_cases(spec):
-    """Each check's numerator factors (a, b) and its denominator."""
+    """Each check's numerator factors (a, b) and its denominator d(st)."""
     pair = factored(spec)
-    return [("submultiplicative_f", (pair.f_part, pair.f_part),
-             lambda s, t: pair.f_part(s * t)),
-            ("pairing", (pair.phi_part, pair.psi_part), lambda s, t: pair.phi_part(s * t))]
+    return [("submultiplicative_f", (pair.f_part, pair.f_part), pair.f_part),
+            ("pairing", (pair.phi_part, pair.psi_part), pair.phi_part)]
 
 
-@pytest.mark.parametrize("spec", [power(2), power_log(2, 1), power_log(3, 1),
+@pytest.mark.parametrize("spec", [power(2), power(3), power(1.5), power_log(2, 1),
+                                  power_log(3, 1), power_log(1.5, 0.5), exp_log(2, 0.5),
                                   exp_loglog(3, 2, 0.5)], ids=lambda s: s.tag)
 def test_blocked_ratio_report_equals_the_dense_one(spec):
-    for condition, (a, b), den in ratio_cases(spec):
-        assert (repr(_ratio_report(condition, _on_grid(a, b), den, 2.0))
+    for condition, (a, b), d in ratio_cases(spec):
+        den, = _on(PRODUCT, d)
+        assert (repr(_ratio_report(condition, _on(GRID, a, b), den, 2.0))
                 == repr(dense_ratio_report(condition, pointwise(a, b), den, 2.0)))
 
 
@@ -605,12 +615,31 @@ def test_blocked_ratio_report_equals_the_dense_one(spec):
                          ids=lambda s: s.tag)
 def test_checks_with_factors_evaluated_once_equal_the_dense_search(spec):
     # check_submultiplicative_f and check_pairing evaluate f, phi and psi on
-    # GRID once; the dense search evaluates them at every point
+    # GRID and the denominator on PRODUCT once; the dense search evaluates
+    # the numerator at every point
     pair = factored(spec)
-    for (condition, (a, b), den), report in zip(ratio_cases(spec), (
+    for (condition, (a, b), d), report in zip(ratio_cases(spec), (
             check_submultiplicative_f(pair.f_part, 2.0),
             check_pairing(pair.phi_part, pair.psi_part, 2.0))):
-        assert repr(report) == repr(dense_ratio_report(condition, pointwise(a, b), den, 2.0))
+        assert repr(report) == repr(dense_ratio_report(condition, pointwise(a, b), d(PRODUCT),
+                                                       2.0))
+
+
+def test_each_check_evaluates_its_denominator_once_on_the_product_grid():
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(t):
+            calls.append((name, np.size(t)))
+            return fn(t)
+        return wrapped
+
+    pair = factored(power_log(2, 1))
+    check_submultiplicative_f(counted("f", pair.f_part))
+    assert calls == [("f", GRID.size), ("f", PRODUCT.size)]
+    calls.clear()
+    check_pairing(counted("phi", pair.phi_part), counted("psi", pair.psi_part))
+    assert calls == [("phi", GRID.size), ("psi", GRID.size), ("phi", PRODUCT.size)]
 
 
 def identity(t):
@@ -618,16 +647,23 @@ def identity(t):
 
 
 def test_blocked_ratio_report_flags_equal_the_dense_ones():
-    overflow = ((np.exp, identity), lambda s, t: s + t)   # exp(s) t is inf past s ~ 710
-    vanishes = ((identity, identity), lambda s, t: np.where(s * t > 50.0, 0.0, s * t))
-    ties = ((np.ones_like, np.ones_like), lambda s, t: np.ones_like(s * t))
+    overflow = ((np.exp, identity), identity)   # exp(s) t is inf past s ~ 710
+    vanishes = ((identity, identity), lambda u: np.where(u > 50.0, 0.0, u))
+    ties = ((np.ones_like, np.ones_like), np.ones_like)
+    # a NaN in one row of s: only its block holds a non-finite ratio
+    nan_row = ((lambda s: np.where(s == GRID[100], np.nan, s), identity), np.sqrt)
+    # -inf ratios under a finite maximum in every row
+    negative = ((identity, lambda t: np.where(t > 1e7, -np.inf, 1.0)), np.ones_like)
     reports = []
-    for (a, b), den in (overflow, vanishes, ties):
-        reports.append(_ratio_report("pairing", _on_grid(a, b), den, math.inf))
+    for (a, b), d in (overflow, vanishes, ties, nan_row, negative):
+        den, = _on(PRODUCT, d)
+        reports.append(_ratio_report("pairing", _on(GRID, a, b), den, math.inf))
         assert repr(reports[-1]) == repr(dense_ratio_report("pairing", pointwise(a, b), den,
                                                             math.inf))
     assert reports[0].truncated
     assert reports[1].details["denominator_vanishes"]
+    assert reports[3].truncated and math.isfinite(reports[3].c_emp)
+    assert reports[4].truncated and math.isfinite(reports[4].c_emp)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -638,8 +674,9 @@ def test_growing_compares_non_finite_maxima_without_a_warning():
     assert not _growing([-inf, 1.0, 2.0])         # a tail from -inf gains no finite share
     assert _growing([-inf, -inf, 1.0, 2.0, 4.0])
     assert _growing([1.0, 2.0, inf])
-    # whole decades of GRID where exp(s) t overflows: two -inf decade maxima
-    report = _ratio_report("pairing", _on_grid(np.exp, identity), lambda s, t: s + t, math.inf)
+    # whole decades of GRID where exp(s) overflows: -inf decade maxima
+    report = _ratio_report("pairing", _on(GRID, np.exp, np.ones_like), np.ones_like(PRODUCT),
+                           math.inf)
     assert report.truncated and not report.growing
 
 
